@@ -70,9 +70,11 @@ fn main() {
     ]);
     for base in &bases {
         for &locks in &pools {
-            // Process-global counters bracket the whole cell (all
-            // repetitions): parking and adaptive flips are recorded by the
-            // wait/policy layers, not the per-lock sinks the pool aggregates.
+            // Process totals bracket the whole cell (all repetitions).
+            // Parked waits are recorded per thread by the wait layer, which
+            // has no per-lock sink; adaptive flips are recorded by each
+            // pool lock's own sink, and the totals keep a dropped pool's
+            // counts.
             let before = bravo::stats::snapshot();
             let mut runs: Vec<InterferenceResult> = (0..mode.repetitions())
                 .map(|_| {

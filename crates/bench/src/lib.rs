@@ -275,7 +275,7 @@ impl HarnessArgs {
     /// interprets each `--lock` spec's kind as a [`KernelVariant`] name
     /// ("stock", "BRAVO", "BRAVO-nobias"), terminating with a diagnostic on
     /// anything else — including spec parameters (`n=`, `bias=`, `table=`,
-    /// `stats=`), which the kernel semaphores cannot honour and which would
+    /// `wait=`), which the kernel semaphores cannot honour and which would
     /// otherwise silently mislabel the measurement.
     pub fn kernel_variants(&self, default: &[KernelVariant]) -> Vec<KernelVariant> {
         if self.locks.is_empty() {

@@ -65,11 +65,11 @@
 //!   future-work section, is the same lock over the sectored layout.
 //! * [`rwlock`] — [`BravoRwLock`], the data-carrying RAII-guard form.
 //! * [`policy`] — bias-enabling policies (inhibit-until, Bernoulli).
-//! * [`stats`] — process-wide, sharded statistics counters (fast/slow reads,
-//!   revocations) plus per-lock counter blocks ([`stats::LockStats`]) used
-//!   by the reproduction experiments.
+//! * [`stats`] — statistics counters (fast/slow reads, revocations), each
+//!   event recorded once into a per-thread or per-lock block
+//!   ([`stats::LockStats`]) and summed into process totals at read time.
 //! * [`spec`] — the declarative construction API: [`LockSpec`] (which lock,
-//!   configured how, instrumented where — with a compact string form) and
+//!   configured how — with a compact string form) and
 //!   [`LockHandle`] (the harness-facing built lock).
 //! * [`wait`] — the blocking layer: parking waiter queues, the Linux futex
 //!   backend, and the [`WaitStrategy`] that lets every lock dispatch between
@@ -101,7 +101,7 @@ pub use lock::{BravoLock, ReadToken, TRY_WRITE_BUDGET};
 pub use policy::{AdaptiveBias, BiasPolicy, PolicyFlip, DEFAULT_INHIBIT_MULTIPLIER};
 pub use raw::{DefaultRwLock, RawRwLock, RawTryRwLock, TryLockError};
 pub use rwlock::{BravoReadGuard, BravoRwLock, BravoWriteGuard};
-pub use spec::{LockHandle, LockSpec, SpecError, SpecParseError, StatsMode, TableSpec};
+pub use spec::{LockHandle, LockSpec, SpecError, SpecParseError, TableSpec};
 pub use stats::{LockStats, Snapshot, StatsSink};
 pub use vrt::{
     NumaTable, ReaderTable, Revocation, SectoredTable, TableHandle, VisibleReadersTable,

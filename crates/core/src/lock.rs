@@ -230,44 +230,52 @@ impl<L: RawRwLock> BravoLock<L> {
 
     /// Acquires read (shared) permission, using the fast path when possible.
     pub fn read_lock(&self) -> ReadToken {
-        // Fast-path attempt: constant time (one flag check, one hash, one
-        // CAS, one re-check).
-        if self.rbias.load(Ordering::Acquire) {
-            let table = self.table.table();
-            let addr = self.addr();
-            let slot = table.slot_for_current(addr);
-            if table.try_publish(slot, addr) {
-                // The successful CAS is SeqCst and doubles as the store-load
-                // fence between publishing our slot and re-checking RBias
-                // (Dekker-style with the writer's clear-then-scan sequence).
-                if self.rbias.load(Ordering::SeqCst) {
-                    self.stats.record_fast_read_in(table.shard_of_slot(slot));
-                    return ReadToken { slot: Some(slot) };
-                }
-                // A writer revoked bias between our publication and the
-                // re-check; undo the publication and take the slow path.
-                // The racing revoker may already have seen our slot and
-                // parked on it, so the clear needs the same wakeup as a
-                // fast-path release (no-op in spin mode).
-                table.clear(slot, addr);
-                #[cfg(feature = "schedcheck")]
-                if mutation::lost_wakeup() {
-                    // Seeded bug: back out silently. The parked revoker
-                    // never learns the slot emptied.
-                    return self.slow_read(SlowReadReason::Raced);
-                }
-                self.wait.notify_all(addr);
-                return self.slow_read(SlowReadReason::Raced);
-            }
-            // Slot occupied: a collision with another (lock, thread) pair.
-            self.stats.record_shard_collision(table.shard_of_slot(slot));
-            return self.slow_read(SlowReadReason::Collision);
-        }
-        self.slow_read(SlowReadReason::BiasDisabled)
+        self.try_fast_read().unwrap_or_else(|reason| {
+            self.underlying.lock_shared();
+            self.slow_read_acquired(reason)
+        })
     }
 
-    fn slow_read(&self, reason: SlowReadReason) -> ReadToken {
-        self.underlying.lock_shared();
+    /// The fast-path attempt: constant time (one flag check, one hash, one
+    /// CAS, one re-check). On failure nothing is held, and the error says
+    /// why the reader must take the slow path.
+    #[inline]
+    fn try_fast_read(&self) -> Result<ReadToken, SlowReadReason> {
+        if !self.rbias.load(Ordering::Acquire) {
+            return Err(SlowReadReason::BiasDisabled);
+        }
+        let table = self.table.table();
+        let addr = self.addr();
+        let slot = table.slot_for_current(addr);
+        if !table.try_publish(slot, addr) {
+            // Slot occupied: a collision with another (lock, thread) pair.
+            let shard = table.shard_of_slot(slot);
+            return Err(SlowReadReason::Collision { shard });
+        }
+        // The successful CAS is SeqCst and doubles as the store-load fence
+        // between publishing our slot and re-checking RBias (Dekker-style
+        // with the writer's clear-then-scan sequence).
+        if self.rbias.load(Ordering::SeqCst) {
+            self.stats.record_fast_read_in(table.shard_of_slot(slot));
+            return Ok(ReadToken { slot: Some(slot) });
+        }
+        // A writer revoked bias between our publication and the re-check;
+        // undo the publication and take the slow path. The racing revoker
+        // may already have seen our slot and parked on it, so the clear
+        // needs the same wakeup as a fast-path release (no-op in spin mode).
+        table.clear(slot, addr);
+        #[cfg(feature = "schedcheck")]
+        if mutation::lost_wakeup() {
+            // Seeded bug: back out silently. The parked revoker never
+            // learns the slot emptied.
+            return Err(SlowReadReason::Raced);
+        }
+        self.wait.notify_all(addr);
+        Err(SlowReadReason::Raced)
+    }
+
+    /// Bookkeeping once the underlying lock has granted a slow read.
+    fn slow_read_acquired(&self, reason: SlowReadReason) -> ReadToken {
         self.tick_adaptive();
         self.maybe_enable_bias();
         self.stats.record_slow_read(reason);
@@ -331,7 +339,7 @@ impl<L: RawRwLock> BravoLock<L> {
     fn revoke_if_biased(&self, deadline_ns: u64) -> bool {
         self.tick_adaptive();
         if !self.rbias.load(Ordering::Relaxed) {
-            self.stats.record_write(false, 0);
+            self.stats.record_write(None);
             return true;
         }
         // Clearing RBias must be ordered before the table scan (store-load);
@@ -361,8 +369,7 @@ impl<L: RawRwLock> BravoLock<L> {
             self.rbias.store(true, Ordering::SeqCst);
             return false;
         };
-        self.stats.record_revocation(&rev);
-        self.stats.record_write(true, rev.conflicts);
+        self.stats.record_write(Some(&rev));
         true
     }
 
@@ -382,34 +389,12 @@ impl<L: RawTryRwLock> BravoLock<L> {
     /// non-blocking, but the fallback needs the underlying try operation,
     /// as described in §3.
     pub fn try_read_lock(&self) -> Option<ReadToken> {
-        if self.rbias.load(Ordering::Acquire) {
-            let table = self.table.table();
-            let addr = self.addr();
-            let slot = table.slot_for_current(addr);
-            if table.try_publish(slot, addr) {
-                if self.rbias.load(Ordering::SeqCst) {
-                    self.stats.record_fast_read_in(table.shard_of_slot(slot));
-                    return Some(ReadToken { slot: Some(slot) });
-                }
-                // Backed out after losing the race with a revoker that may
-                // be parked on our slot; wake it (no-op in spin mode).
-                table.clear(slot, addr);
-                #[cfg(feature = "schedcheck")]
-                let mutated = mutation::lost_wakeup();
-                #[cfg(not(feature = "schedcheck"))]
-                let mutated = false;
-                if !mutated {
-                    self.wait.notify_all(addr);
-                }
+        match self.try_fast_read() {
+            Ok(token) => Some(token),
+            Err(reason) => {
+                self.underlying.try_lock_shared().ok()?;
+                Some(self.slow_read_acquired(reason))
             }
-        }
-        if self.underlying.try_lock_shared().is_ok() {
-            self.tick_adaptive();
-            self.maybe_enable_bias();
-            self.stats.record_slow_read(SlowReadReason::BiasDisabled);
-            Some(ReadToken { slot: None })
-        } else {
-            None
         }
     }
 
@@ -584,6 +569,32 @@ mod tests {
             .try_read_lock()
             .expect("uncontended try_read must succeed");
         l.read_unlock(t);
+    }
+
+    #[test]
+    fn try_read_blames_a_slot_collision_not_disabled_bias() {
+        let l = Bravo::with_instrumented(
+            DefaultRwLock::new(),
+            TableHandle::private(64),
+            BiasPolicy::paper_default(),
+            StatsSink::per_lock(),
+        );
+        l.read_unlock(l.read_lock());
+        assert!(l.is_reader_biased());
+        // Another address occupies this thread's slot.
+        let table = l.table.table();
+        let slot = table.slot_for_current(l.addr());
+        let squatter = l.addr() ^ 0x40;
+        assert!(table.try_publish(slot, squatter));
+        let before = l.stats().snapshot();
+        let t = l.try_read_lock().expect("the underlying lock is free");
+        assert!(!t.is_fast());
+        let delta = l.stats().snapshot().since(&before);
+        assert_eq!(delta.slow_reads_collision, 1);
+        assert_eq!(delta.shard_collisions[0], 1);
+        assert_eq!(delta.slow_reads_disabled, 0);
+        l.read_unlock(t);
+        table.clear(slot, squatter);
     }
 
     #[test]

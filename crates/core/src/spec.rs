@@ -5,15 +5,15 @@
 //! around any reader-writer lock, tuned by two knobs it sweeps explicitly:
 //! the bias policy (`N`, the inhibit window) and the visible-readers-table
 //! layout (one global table vs. the sectored BRAVO-2D variant). A
-//! [`LockSpec`] captures exactly that tuple — *which lock, configured how,
-//! instrumented where* — as a value that round-trips through a compact
-//! string form, so every benchmark binary can accept a uniform `--lock SPEC`
-//! flag and a scenario sweep is just a list of strings:
+//! [`LockSpec`] captures exactly that tuple — *which lock, configured how* —
+//! as a value that round-trips through a compact string form, so every
+//! benchmark binary can accept a uniform `--lock SPEC` flag and a scenario
+//! sweep is just a list of strings:
 //!
 //! ```text
 //! BRAVO-BA
 //! BRAVO-BA?n=99
-//! BRAVO-BA?bias=disabled&stats=global
+//! BRAVO-BA?bias=disabled
 //! BRAVO-BA?table=private:4096
 //! BRAVO-2D-BA?table=sectored:4x256
 //! BRAVO-BA?table=numa:2x1024
@@ -26,7 +26,6 @@
 //! | `n` | integer | [`BiasPolicy::InhibitUntil`] with that multiplier |
 //! | `bias` | `disabled`, `bernoulli:<inverse_p>`, `inhibit:<n>` | the other [`BiasPolicy`] forms (`inhibit:<n>` is the long form of `n=<n>`) |
 //! | `table` | `global`, `private:<slots>`, `sectored:<sectors>x<slots>`, `numa:<nodes>x<slots>`, bare `numa` | the [`TableSpec`] (bare `numa` auto-sizes from the machine topology, see [`TableSpec::numa_auto`]) |
-//! | `stats` | `per-lock`, `global` | the [`StatsMode`] |
 //! | `wait` | `spin`, `park`, `futex` | the [`WaitMode`] contended waiters use (parking queues or kernel futex sleeps instead of spinning; `futex` falls back to `park` where the syscall is unavailable) |
 //! | `adapt` | `on`, `off` | whether an [`AdaptiveBias`] controller gates bias on the sampled read ratio (BRAVO composites only) |
 //! | `shards` | integer ≥ 1 | how many key-hashed data shards a spec-driven store (e.g. `kvstore::Db`) partitions itself into, each shard guarded by its own lock built from this spec; `1` (the default) keeps the single-lock layout |
@@ -131,34 +130,8 @@ impl std::fmt::Display for TableSpec {
     }
 }
 
-/// Where a lock's instrumentation events are attributed.
-///
-/// This is the declarative form of [`StatsSink`]: the spec describes *which
-/// kind* of sink to create; the actual [`StatsSink`] (which may own an
-/// allocation) is minted per lock instance at build time via
-/// [`LockSpec::make_sink`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum StatsMode {
-    /// Each built lock gets its own counter block, so two locks measured in
-    /// one process no longer smear each other's fast-read fractions. The
-    /// default.
-    #[default]
-    PerLock,
-    /// Record into the process-global counters only.
-    Global,
-}
-
-impl std::fmt::Display for StatsMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StatsMode::PerLock => f.write_str("per-lock"),
-            StatsMode::Global => f.write_str("global"),
-        }
-    }
-}
-
 /// A declarative description of one lock: algorithm, bias policy, table
-/// layout and statistics attribution.
+/// layout, wait mode, adaptive gate and store sharding.
 ///
 /// Construct with [`LockSpec::new`] plus the `with_*` builder methods, or
 /// parse the compact string form (see the [module docs](self)); `Display`
@@ -179,7 +152,7 @@ impl std::fmt::Display for StatsMode {
 /// assert_eq!(spec.to_string().parse::<LockSpec>().unwrap(), spec);
 ///
 /// // Explicitly-spelled defaults collapse back to the bare kind...
-/// let plain: LockSpec = "BA?n=9&stats=per-lock&shards=1".parse().unwrap();
+/// let plain: LockSpec = "BA?n=9&wait=spin&shards=1".parse().unwrap();
 /// assert_eq!(plain, LockSpec::new("BA"));
 /// assert_eq!(plain.to_string(), "BA");
 ///
@@ -192,7 +165,6 @@ pub struct LockSpec {
     kind: String,
     bias: BiasPolicy,
     table: TableSpec,
-    stats: StatsMode,
     wait: WaitMode,
     adapt: bool,
     shards: usize,
@@ -200,7 +172,7 @@ pub struct LockSpec {
 
 impl LockSpec {
     /// A spec for the named algorithm with the paper-default bias policy,
-    /// the global table and per-lock statistics.
+    /// the global table and spinning waiters.
     ///
     /// `kind` is the catalog name (e.g. `"BRAVO-BA"`); it is validated when
     /// the spec is built into a lock, not here.
@@ -209,7 +181,6 @@ impl LockSpec {
             kind: kind.into(),
             bias: BiasPolicy::paper_default(),
             table: TableSpec::Global,
-            stats: StatsMode::PerLock,
             wait: WaitMode::Spin,
             adapt: false,
             shards: 1,
@@ -225,12 +196,6 @@ impl LockSpec {
     /// Replaces the table layout.
     pub fn with_table(mut self, table: TableSpec) -> Self {
         self.table = table;
-        self
-    }
-
-    /// Replaces the statistics mode.
-    pub fn with_stats(mut self, stats: StatsMode) -> Self {
-        self.stats = stats;
         self
     }
 
@@ -270,11 +235,6 @@ impl LockSpec {
         self.table
     }
 
-    /// The statistics mode.
-    pub fn stats(&self) -> StatsMode {
-        self.stats
-    }
-
     /// The wait mode contended waiters use.
     pub fn wait(&self) -> WaitMode {
         self.wait
@@ -293,15 +253,6 @@ impl LockSpec {
     /// *table*'s revocation-scan shards.
     pub fn shards(&self) -> usize {
         self.shards
-    }
-
-    /// Mints the [`StatsSink`] this spec prescribes. Each call produces an
-    /// independent sink: one per built lock instance.
-    pub fn make_sink(&self) -> StatsSink {
-        match self.stats {
-            StatsMode::PerLock => StatsSink::per_lock(),
-            StatsMode::Global => StatsSink::Global,
-        }
     }
 }
 
@@ -330,9 +281,6 @@ impl std::fmt::Display for LockSpec {
         }
         if self.table != TableSpec::Global {
             param(f, format!("table={}", self.table))?;
-        }
-        if self.stats != StatsMode::PerLock {
-            param(f, format!("stats={}", self.stats))?;
         }
         if self.wait != WaitMode::Spin {
             param(f, format!("wait={}", self.wait))?;
@@ -409,17 +357,6 @@ impl FromStr for LockSpec {
                 "table" => {
                     spec.table = parse_table(value.trim())?;
                 }
-                "stats" => {
-                    spec.stats = match value.trim() {
-                        "per-lock" => StatsMode::PerLock,
-                        "global" => StatsMode::Global,
-                        other => {
-                            return Err(SpecParseError::new(format!(
-                                "stats must be 'per-lock' or 'global', got '{other}'"
-                            )))
-                        }
-                    };
-                }
                 "wait" => {
                     spec.wait = value.trim().parse::<WaitMode>().map_err(|_| {
                         SpecParseError::new(format!(
@@ -449,8 +386,8 @@ impl FromStr for LockSpec {
                 }
                 other => {
                     return Err(SpecParseError::new(format!(
-                        "unknown parameter '{other}' (expected n, bias, table, stats, wait, \
-                         adapt or shards)"
+                        "unknown parameter '{other}' (expected n, bias, table, wait, adapt \
+                         or shards)"
                     )));
                 }
             }
@@ -679,9 +616,8 @@ impl LockHandle {
     /// Returns a handle sharing this lock (and its statistics channel) but
     /// carrying a different display label.
     ///
-    /// This is the labelling surface multi-client harnesses use with
-    /// `stats=per-lock` specs: the `bravod` server hands each connection a
-    /// relabelled clone (e.g. `BRAVO-BA@conn7`) so per-connection log lines
+    /// This is the labelling surface multi-client harnesses use: the
+    /// `bravod` server hands each connection a relabelled clone (e.g. `BRAVO-BA@conn7`) so per-connection log lines
     /// and result rows stay distinguishable. Note the statistics are *not*
     /// split: every clone records into — and snapshots — the one shared
     /// per-lock sink.
@@ -702,9 +638,9 @@ impl LockHandle {
         &self.stats
     }
 
-    /// The lock's statistics: its own counters when the spec said
-    /// `stats=per-lock` (the default), the process-global aggregate
-    /// otherwise.
+    /// The lock's statistics: its own counters for a lock the catalog
+    /// built (every such lock has a per-lock sink), the process totals for
+    /// a handle wrapped around a [`StatsSink::Global`] sink.
     pub fn snapshot(&self) -> Snapshot {
         self.stats.snapshot()
     }
@@ -775,7 +711,6 @@ mod tests {
         assert_eq!(spec.to_string(), "BRAVO-BA");
         assert_eq!(spec.bias(), BiasPolicy::paper_default());
         assert_eq!(spec.table(), TableSpec::Global);
-        assert_eq!(spec.stats(), StatsMode::PerLock);
     }
 
     #[test]
@@ -808,7 +743,6 @@ mod tests {
                 nodes: 2,
                 slots: 1024,
             }),
-            LockSpec::new("BRAVO-BA").with_stats(StatsMode::Global),
             LockSpec::new("BA").with_wait(WaitMode::Park),
             LockSpec::new("BRAVO-BA").with_adapt(true),
             LockSpec::new("BRAVO-BA")
@@ -826,7 +760,6 @@ mod tests {
             LockSpec::new("BRAVO-BA")
                 .with_bias(BiasPolicy::InhibitUntil { n: 3 })
                 .with_table(TableSpec::Private { slots: 64 })
-                .with_stats(StatsMode::Global)
                 .with_wait(WaitMode::Park)
                 .with_adapt(true)
                 .with_shards(16),
@@ -856,6 +789,8 @@ mod tests {
             "BA?table=numa:axb",
             "BA?bias=sometimes",
             "BA?stats=maybe",
+            "BA?stats=global",
+            "BA?stats=per-lock",
             "BA?wait=swim",
             "BA?wait=",
             "BA?adapt=maybe",
@@ -919,8 +854,8 @@ mod tests {
     #[test]
     fn labeled_handles_share_the_lock_and_sink() {
         let spec = LockSpec::new("default-spin");
-        let sink = spec.make_sink();
-        let handle = LockHandle::from_try_lock(spec, Arc::new(DefaultRwLock::new()), sink);
+        let handle =
+            LockHandle::from_try_lock(spec, Arc::new(DefaultRwLock::new()), StatsSink::per_lock());
         let conn = handle.labeled("default-spin@conn3");
         assert_eq!(conn.label(), "default-spin@conn3");
         assert_eq!(handle.label(), "default-spin");
@@ -931,13 +866,13 @@ mod tests {
         conn.unlock_exclusive();
         // Same statistics channel: events recorded through the relabelled
         // clone are visible through the original.
-        conn.stats().record_fast_read();
+        conn.stats().record_fast_read_in(0);
         assert_eq!(handle.snapshot().fast_reads, 1);
     }
 
     #[test]
     fn explicit_defaults_parse_to_the_default_spec() {
-        let spec: LockSpec = "BA?n=9&table=global&stats=per-lock&wait=spin&adapt=off&shards=1"
+        let spec: LockSpec = "BA?n=9&table=global&wait=spin&adapt=off&shards=1"
             .parse()
             .unwrap();
         assert_eq!(spec, LockSpec::new("BA"));
@@ -974,8 +909,11 @@ mod tests {
     #[test]
     fn handle_delegates_and_reports_capability() {
         let spec = LockSpec::new("default-spin");
-        let sink = spec.make_sink();
-        let handle = LockHandle::from_try_lock(spec.clone(), Arc::new(DefaultRwLock::new()), sink);
+        let handle = LockHandle::from_try_lock(
+            spec.clone(),
+            Arc::new(DefaultRwLock::new()),
+            StatsSink::per_lock(),
+        );
         assert!(handle.supports_try_write());
         assert_eq!(handle.label(), "default-spin");
         handle.lock_shared();
@@ -1005,14 +943,14 @@ mod tests {
         let a = LockHandle::from_try_lock(
             spec.clone(),
             Arc::new(DefaultRwLock::new()),
-            spec.make_sink(),
+            StatsSink::per_lock(),
         );
         let b = LockHandle::from_try_lock(
             spec.clone(),
             Arc::new(DefaultRwLock::new()),
-            spec.make_sink(),
+            StatsSink::per_lock(),
         );
-        a.stats().record_fast_read();
+        a.stats().record_fast_read_in(0);
         assert_eq!(a.snapshot().fast_reads, 1);
         assert_eq!(b.snapshot().fast_reads, 0);
     }

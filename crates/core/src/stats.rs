@@ -7,29 +7,33 @@
 //! experiments use these numbers to show *why* BRAVO wins even when absolute
 //! scalability is limited by the host.
 //!
-//! Counters are sharded per thread (each registered thread owns a cache-
-//! padded block of atomics and only ever writes its own block) so that the
-//! instrumentation itself does not introduce the write-sharing BRAVO is
+//! Every event is recorded once, into a counter block its writer owns: the
+//! calling thread's private block for [`StatsSink::Global`] events and the
+//! wait layer, or one stripe of the lock's own [`LockStats`] for
+//! [`StatsSink::PerLock`] events. A fast read or a collision is one write to
+//! one counter word. Process totals ([`snapshot`]) are summed at read time
+//! from the thread blocks, the live per-lock blocks and the final counts of
+//! dropped ones, and the totals a [`Snapshot`] reports for fast reads,
+//! collisions and wait conflicts are summed from their per-shard counters.
+//! The instrumentation thus does not introduce the write-sharing BRAVO is
 //! designed to remove — the same reason the paper keeps `lockstat` disabled
 //! while measuring.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use topology::CachePadded;
 
 use crate::vrt::{tracked_shard, Revocation, MAX_TRACKED_SHARDS};
 
-/// One thread's (or stripe's) private counter block.
+/// One thread's (or stripe's) private counter block. Totals that a
+/// [`Snapshot`] derives from the per-shard arrays are not stored.
 #[derive(Default)]
 struct ThreadCounters {
-    fast_reads: AtomicU64,
     slow_reads_disabled: AtomicU64,
-    slow_reads_collision: AtomicU64,
     slow_reads_raced: AtomicU64,
     writes: AtomicU64,
     revocations: AtomicU64,
-    revocation_wait_conflicts: AtomicU64,
     revocation_scan_slots: AtomicU64,
     bias_enabled: AtomicU64,
     parked_waits: AtomicU64,
@@ -43,107 +47,36 @@ struct ThreadCounters {
 }
 
 impl ThreadCounters {
-    #[inline]
-    fn add_fast_read(&self) {
-        self.fast_reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn add_slow_read(&self, reason: SlowReadReason) {
-        let counter = match reason {
-            SlowReadReason::BiasDisabled => &self.slow_reads_disabled,
-            SlowReadReason::Collision => &self.slow_reads_collision,
-            SlowReadReason::Raced => &self.slow_reads_raced,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn add_write(&self, revoked: bool, wait_conflicts: u64) {
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        if revoked {
-            self.revocations.fetch_add(1, Ordering::Relaxed);
-            self.revocation_wait_conflicts
-                .fetch_add(wait_conflicts, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    fn add_revocation_scan(&self, slots: usize) {
-        self.revocation_scan_slots
-            .fetch_add(slots as u64, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn add_bias_enabled(&self) {
-        self.bias_enabled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn add_parked_wait(&self) {
-        self.parked_waits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn add_futex_wait(&self) {
-        self.futex_waits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn add_futex_wake(&self) {
-        self.futex_wakes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn add_futex_eagain(&self) {
-        self.futex_eagain.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn add_adapt_flip(&self) {
-        self.adapt_flips.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn add_shard_publish(&self, shard: usize) {
-        self.shard_publishes[tracked_shard(shard)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn add_shard_collision(&self, shard: usize) {
-        self.shard_collisions[tracked_shard(shard)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn add_shard_conflicts(&self, per_shard: &[u64; MAX_TRACKED_SHARDS]) {
-        for (counter, &n) in self.shard_conflicts.iter().zip(per_shard) {
-            if n > 0 {
-                counter.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-    }
-
     fn accumulate_into(&self, out: &mut Snapshot) {
-        out.fast_reads += self.fast_reads.load(Ordering::Relaxed);
-        out.slow_reads_disabled += self.slow_reads_disabled.load(Ordering::Relaxed);
-        out.slow_reads_collision += self.slow_reads_collision.load(Ordering::Relaxed);
-        out.slow_reads_raced += self.slow_reads_raced.load(Ordering::Relaxed);
-        out.writes += self.writes.load(Ordering::Relaxed);
-        out.revocations += self.revocations.load(Ordering::Relaxed);
-        out.revocation_wait_conflicts += self.revocation_wait_conflicts.load(Ordering::Relaxed);
-        out.revocation_scan_slots += self.revocation_scan_slots.load(Ordering::Relaxed);
-        out.bias_enabled += self.bias_enabled.load(Ordering::Relaxed);
-        out.parked_waits += self.parked_waits.load(Ordering::Relaxed);
-        out.futex_waits += self.futex_waits.load(Ordering::Relaxed);
-        out.futex_wakes += self.futex_wakes.load(Ordering::Relaxed);
-        out.futex_eagain += self.futex_eagain.load(Ordering::Relaxed);
-        out.adapt_flips += self.adapt_flips.load(Ordering::Relaxed);
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        out.slow_reads_disabled += load(&self.slow_reads_disabled);
+        out.slow_reads_raced += load(&self.slow_reads_raced);
+        out.writes += load(&self.writes);
+        out.revocations += load(&self.revocations);
+        out.revocation_scan_slots += load(&self.revocation_scan_slots);
+        out.bias_enabled += load(&self.bias_enabled);
+        out.parked_waits += load(&self.parked_waits);
+        out.futex_waits += load(&self.futex_waits);
+        out.futex_wakes += load(&self.futex_wakes);
+        out.futex_eagain += load(&self.futex_eagain);
+        out.adapt_flips += load(&self.adapt_flips);
         for shard in 0..MAX_TRACKED_SHARDS {
-            out.shard_publishes[shard] += self.shard_publishes[shard].load(Ordering::Relaxed);
-            out.shard_collisions[shard] += self.shard_collisions[shard].load(Ordering::Relaxed);
-            out.shard_conflicts[shard] += self.shard_conflicts[shard].load(Ordering::Relaxed);
+            let publishes = load(&self.shard_publishes[shard]);
+            let collisions = load(&self.shard_collisions[shard]);
+            let conflicts = load(&self.shard_conflicts[shard]);
+            out.shard_publishes[shard] += publishes;
+            out.shard_collisions[shard] += collisions;
+            out.shard_conflicts[shard] += conflicts;
+            out.fast_reads += publishes;
+            out.slow_reads_collision += collisions;
+            out.revocation_wait_conflicts += conflicts;
         }
     }
+}
+
+#[inline]
+fn bump(counter: &AtomicU64, n: u64) {
+    counter.fetch_add(n, Ordering::Relaxed);
 }
 
 /// Why a reader ended up on the slow path.
@@ -152,7 +85,10 @@ pub enum SlowReadReason {
     /// The lock's bias flag was not set when the reader arrived.
     BiasDisabled,
     /// The hashed slot in the visible readers table was already occupied.
-    Collision,
+    Collision {
+        /// Table shard of the occupied slot (flat tables use shard 0).
+        shard: usize,
+    },
     /// The CAS succeeded but a writer cleared the bias flag concurrently and
     /// the reader lost the race on the re-check.
     Raced,
@@ -161,11 +97,13 @@ pub enum SlowReadReason {
 /// Immutable snapshot of the aggregated counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Snapshot {
-    /// Reads that completed on the BRAVO fast path.
+    /// Reads that completed on the BRAVO fast path (the sum of
+    /// [`shard_publishes`](Self::shard_publishes)).
     pub fast_reads: u64,
     /// Slow reads because bias was disabled.
     pub slow_reads_disabled: u64,
-    /// Slow reads because of a slot collision.
+    /// Slow reads because of a slot collision (the sum of
+    /// [`shard_collisions`](Self::shard_collisions)).
     pub slow_reads_collision: u64,
     /// Slow reads because the reader lost the race with a revoking writer.
     pub slow_reads_raced: u64,
@@ -173,7 +111,8 @@ pub struct Snapshot {
     pub writes: u64,
     /// Write acquisitions that performed revocation.
     pub revocations: u64,
-    /// Fast-path readers that revoking writers had to wait for.
+    /// Fast-path readers that revoking writers had to wait for (the sum of
+    /// [`shard_conflicts`](Self::shard_conflicts)).
     pub revocation_wait_conflicts: u64,
     /// Total slots visited by revocation scans.
     pub revocation_scan_slots: u64,
@@ -329,158 +268,108 @@ pub fn format_shard_counts(counts: &[u64; MAX_TRACKED_SHARDS], shards: usize) ->
         .join(":")
 }
 
-/// Registry of every thread's counter block.
-///
-/// Blocks are leaked deliberately: a thread may exit while an aggregator
-/// still wants to read its totals, and the per-thread block is ~128 bytes.
+/// Number of counter stripes in a [`LockStats`] block. Threads hash over the
+/// stripes by id, so up to this many recording threads proceed without
+/// write-sharing a counter line.
+const LOCK_STAT_STRIPES: usize = 8;
+
+type Stripes = Arc<[CachePadded<ThreadCounters>; LOCK_STAT_STRIPES]>;
+
+/// Everything [`snapshot`] sums, behind one mutex.
+#[derive(Default)]
 struct Registry {
-    blocks: Mutex<Vec<&'static CachePadded<ThreadCounters>>>,
+    /// Every thread's block. Blocks are leaked deliberately: a thread may
+    /// exit while an aggregator still wants to read its totals, and a block
+    /// is a few hundred bytes.
+    threads: Vec<&'static CachePadded<ThreadCounters>>,
+    /// The stripes of every live [`LockStats`].
+    locks: Vec<Stripes>,
+    /// The final counts of every dropped [`LockStats`].
+    retired: Snapshot,
 }
 
-static REGISTRY: OnceLock<Registry> = OnceLock::new();
-
-fn registry() -> &'static Registry {
-    REGISTRY.get_or_init(|| Registry {
-        blocks: Mutex::new(Vec::new()),
-    })
+fn registry() -> MutexGuard<'static, Registry> {
+    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
+    REGISTRY
+        .get_or_init(Mutex::default)
+        .lock()
+        // Every update under the lock is a push, a removal or a sum, so a
+        // panic elsewhere cannot leave the registry half-written.
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 thread_local! {
     static LOCAL: &'static CachePadded<ThreadCounters> = {
         let block: &'static CachePadded<ThreadCounters> =
             Box::leak(Box::new(CachePadded::new(ThreadCounters::default())));
-        registry().blocks.lock().expect("stats registry poisoned").push(block);
+        registry().threads.push(block);
         block
     };
 }
 
-#[inline]
-fn with_local<F: FnOnce(&ThreadCounters)>(f: F) {
-    LOCAL.with(|c| f(c));
-}
-
-/// Records a fast-path read acquisition.
-#[inline]
-pub fn record_fast_read() {
-    with_local(|c| c.add_fast_read());
-}
-
-/// Records a slow-path read acquisition and the reason it was slow.
-#[inline]
-pub fn record_slow_read(reason: SlowReadReason) {
-    with_local(|c| c.add_slow_read(reason));
-}
-
-/// Records a write acquisition; `revoked` says whether bias revocation was
-/// necessary and `wait_conflicts` how many fast-path readers had to be
-/// waited for.
-#[inline]
-pub fn record_write(revoked: bool, wait_conflicts: u64) {
-    with_local(|c| c.add_write(revoked, wait_conflicts));
-}
-
-/// Records the number of slots visited by one revocation scan.
-#[inline]
-pub fn record_revocation_scan(slots: usize) {
-    with_local(|c| c.add_revocation_scan(slots));
-}
-
-/// Records that a slow-path reader re-enabled bias.
-#[inline]
-pub fn record_bias_enabled() {
-    with_local(|c| c.add_bias_enabled());
-}
-
 /// Records one wait episode that parked the calling thread (recorded by the
-/// [`crate::wait`] queues; raw locks have no per-lock sink, so parks are
-/// process-global only).
+/// [`crate::wait`] queues, which are keyed by address and have no per-lock
+/// sink, so waits count in the calling thread's block only).
 #[inline]
 pub fn record_parked_wait() {
-    with_local(|c| c.add_parked_wait());
+    LOCAL.with(|c| bump(&c.parked_waits, 1));
 }
 
 /// Records one `FUTEX_WAIT` syscall issued by the futex wait backend (same
-/// process-global-only attribution as [`record_parked_wait`]).
+/// per-thread attribution as [`record_parked_wait`]).
 #[inline]
 pub fn record_futex_wait() {
-    with_local(|c| c.add_futex_wait());
+    LOCAL.with(|c| bump(&c.futex_waits, 1));
 }
 
 /// Records one `FUTEX_WAKE` syscall issued by the futex notify path.
 #[inline]
 pub fn record_futex_wake() {
-    with_local(|c| c.add_futex_wake());
+    LOCAL.with(|c| bump(&c.futex_wakes, 1));
 }
 
 /// Records one `FUTEX_WAIT` that returned `EAGAIN` (wake raced the sleep).
 #[inline]
 pub fn record_futex_eagain() {
-    with_local(|c| c.add_futex_eagain());
+    LOCAL.with(|c| bump(&c.futex_eagain, 1));
 }
 
-/// Records one adaptive-bias policy flip.
-#[inline]
-pub fn record_adapt_flip() {
-    with_local(|c| c.add_adapt_flip());
-}
-
-/// Records a fast-path publication into a table shard.
-#[inline]
-pub fn record_shard_publish(shard: usize) {
-    with_local(|c| c.add_shard_publish(shard));
-}
-
-/// Records a slot collision in a table shard (the reader found the slot
-/// occupied and fell back to the slow path).
-#[inline]
-pub fn record_shard_collision(shard: usize) {
-    with_local(|c| c.add_shard_collision(shard));
-}
-
-/// Records the per-shard conflict breakdown of one revocation scan.
-#[inline]
-pub fn record_shard_conflicts(per_shard: &[u64; MAX_TRACKED_SHARDS]) {
-    with_local(|c| c.add_shard_conflicts(per_shard));
-}
-
-/// Aggregates all threads' counters into a [`Snapshot`].
+/// Process totals: every thread's block, every live [`LockStats`] and the
+/// final counts of every dropped one. Each counter only grows from one call
+/// to the next, so [`Snapshot::since`] on two calls never underflows.
 pub fn snapshot() -> Snapshot {
-    let mut out = Snapshot::default();
-    let blocks = registry().blocks.lock().expect("stats registry poisoned");
-    for c in blocks.iter() {
-        c.accumulate_into(&mut out);
+    let registry = registry();
+    let mut out = registry.retired;
+    for block in &registry.threads {
+        block.accumulate_into(&mut out);
+    }
+    for stripe in registry.locks.iter().flat_map(|stripes| stripes.iter()) {
+        stripe.accumulate_into(&mut out);
     }
     out
 }
 
-/// Number of counter stripes in a [`LockStats`] block. Threads hash over the
-/// stripes by id, so up to this many recording threads proceed without
-/// write-sharing a counter line.
-const LOCK_STAT_STRIPES: usize = 8;
-
 /// Per-lock statistics: a small striped set of counter blocks owned by one
 /// lock instance.
 ///
-/// The process-global counters answer "what did BRAVO do in this process";
-/// they cannot attribute events to individual locks, so two locks measured
-/// in one run smear each other's fast-read fractions. A `LockStats` block is
-/// owned by a single lock (via [`StatsSink::PerLock`]) and aggregates only
-/// that lock's events. Recording threads are striped over
-/// `LOCK_STAT_STRIPES` cache-padded blocks by thread id — coarser than the
-/// global registry's block-per-thread, in exchange for a bounded per-lock
-/// footprint.
+/// A `LockStats` block is owned by a single lock (via
+/// [`StatsSink::PerLock`]) and counts only that lock's events, so two locks
+/// measured in one run do not smear each other's fast-read fractions.
+/// Recording threads are striped over `LOCK_STAT_STRIPES` cache-padded
+/// blocks by thread id — coarser than a block per thread, in exchange for a
+/// bounded per-lock footprint. The process totals of [`snapshot`] include
+/// the block while it lives and its final counts once it is dropped.
 pub struct LockStats {
-    stripes: Box<[CachePadded<ThreadCounters>]>,
+    stripes: Stripes,
 }
 
 impl LockStats {
-    /// Creates a zeroed per-lock counter block.
+    /// Creates a zeroed per-lock counter block, counted in the process
+    /// totals.
     pub fn new() -> Self {
-        Self {
-            stripes: (0..LOCK_STAT_STRIPES)
-                .map(|_| CachePadded::new(ThreadCounters::default()))
-                .collect(),
-        }
+        let stripes: Stripes = Arc::new(Default::default());
+        registry().locks.push(Arc::clone(&stripes));
+        Self { stripes }
     }
 
     #[inline]
@@ -504,6 +393,19 @@ impl Default for LockStats {
     }
 }
 
+impl Drop for LockStats {
+    /// Moves this lock's counts from the live set to the retired block in
+    /// one step under the registry mutex, so no [`snapshot`] sees them
+    /// twice or not at all.
+    fn drop(&mut self) {
+        let mut registry = registry();
+        registry
+            .locks
+            .retain(|stripes| !Arc::ptr_eq(stripes, &self.stripes));
+        registry.retired = registry.retired.merged(&self.snapshot());
+    }
+}
+
 impl std::fmt::Debug for LockStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LockStats")
@@ -512,19 +414,15 @@ impl std::fmt::Debug for LockStats {
     }
 }
 
-/// Where a lock's instrumentation events go.
-///
-/// Every recording method also feeds the process-global registry, so
-/// whole-run aggregates (e.g. `repro_all`'s summary) stay meaningful no
-/// matter how individual locks are configured; a [`StatsSink::PerLock`] sink
-/// *additionally* attributes the events to its own [`LockStats`] block,
-/// which [`StatsSink::snapshot`] then reads instead of the global counters.
+/// Where a lock's instrumentation events go. Each event is recorded in
+/// exactly one place; the process totals of [`snapshot`] cover both
+/// variants.
 #[derive(Clone, Default)]
 pub enum StatsSink {
-    /// Record into the process-global sharded counters only.
+    /// Record into the calling thread's block of the process totals.
     #[default]
     Global,
-    /// Record into a per-lock counter block (and tee into the globals).
+    /// Record into a per-lock counter block.
     PerLock(Arc<LockStats>),
 }
 
@@ -534,14 +432,8 @@ impl StatsSink {
         StatsSink::PerLock(Arc::new(LockStats::new()))
     }
 
-    /// Whether this sink attributes events to a single lock.
-    pub fn is_per_lock(&self) -> bool {
-        matches!(self, StatsSink::PerLock(_))
-    }
-
     /// The counters this sink resolves to: the per-lock block for
-    /// [`StatsSink::PerLock`], the process-global aggregate for
-    /// [`StatsSink::Global`].
+    /// [`StatsSink::PerLock`], the process totals for [`StatsSink::Global`].
     pub fn snapshot(&self) -> Snapshot {
         match self {
             StatsSink::Global => snapshot(),
@@ -549,96 +441,64 @@ impl StatsSink {
         }
     }
 
-    /// Records a fast-path read acquisition.
+    /// Runs `record` on the counter block this sink writes from the calling
+    /// thread.
     #[inline]
-    pub fn record_fast_read(&self) {
-        record_fast_read();
-        if let StatsSink::PerLock(stats) = self {
-            stats.stripe().add_fast_read();
+    fn counters(&self, record: impl FnOnce(&ThreadCounters)) {
+        match self {
+            StatsSink::Global => LOCAL.with(|c| record(c)),
+            StatsSink::PerLock(stats) => record(stats.stripe()),
         }
+    }
+
+    /// Records a fast-path read acquisition that published into the given
+    /// table shard.
+    #[inline]
+    pub fn record_fast_read_in(&self, shard: usize) {
+        self.counters(|c| bump(&c.shard_publishes[tracked_shard(shard)], 1));
     }
 
     /// Records a slow-path read acquisition and why it was slow.
     #[inline]
     pub fn record_slow_read(&self, reason: SlowReadReason) {
-        record_slow_read(reason);
-        if let StatsSink::PerLock(stats) = self {
-            stats.stripe().add_slow_read(reason);
-        }
+        self.counters(|c| {
+            let counter = match reason {
+                SlowReadReason::BiasDisabled => &c.slow_reads_disabled,
+                SlowReadReason::Collision { shard } => &c.shard_collisions[tracked_shard(shard)],
+                SlowReadReason::Raced => &c.slow_reads_raced,
+            };
+            bump(counter, 1);
+        });
     }
 
-    /// Records a write acquisition (see [`record_write`]).
+    /// Records a write acquisition, with the revocation scan it performed
+    /// if reader bias had to be revoked.
     #[inline]
-    pub fn record_write(&self, revoked: bool, wait_conflicts: u64) {
-        record_write(revoked, wait_conflicts);
-        if let StatsSink::PerLock(stats) = self {
-            stats.stripe().add_write(revoked, wait_conflicts);
-        }
-    }
-
-    /// Records the slot count of one revocation scan.
-    #[inline]
-    pub fn record_revocation_scan(&self, slots: usize) {
-        record_revocation_scan(slots);
-        if let StatsSink::PerLock(stats) = self {
-            stats.stripe().add_revocation_scan(slots);
-        }
+    pub fn record_write(&self, revocation: Option<&Revocation>) {
+        self.counters(|c| {
+            bump(&c.writes, 1);
+            if let Some(rev) = revocation {
+                bump(&c.revocations, 1);
+                bump(&c.revocation_scan_slots, rev.scanned_slots as u64);
+                for (counter, &n) in c.shard_conflicts.iter().zip(&rev.conflicts_per_shard) {
+                    if n > 0 {
+                        bump(counter, n);
+                    }
+                }
+            }
+        });
     }
 
     /// Records that a slow-path reader re-enabled bias.
     #[inline]
     pub fn record_bias_enabled(&self) {
-        record_bias_enabled();
-        if let StatsSink::PerLock(stats) = self {
-            stats.stripe().add_bias_enabled();
-        }
+        self.counters(|c| bump(&c.bias_enabled, 1));
     }
 
     /// Records one adaptive-bias policy flip.
     #[inline]
     pub fn record_adapt_flip(&self) {
-        record_adapt_flip();
-        if let StatsSink::PerLock(stats) = self {
-            stats.stripe().add_adapt_flip();
-        }
-    }
-
-    /// Records a fast-path read acquisition *and* its publication into the
-    /// given table shard, in one call (the common fast-path pairing).
-    #[inline]
-    pub fn record_fast_read_in(&self, shard: usize) {
-        record_fast_read();
-        record_shard_publish(shard);
-        if let StatsSink::PerLock(stats) = self {
-            let stripe = stats.stripe();
-            stripe.add_fast_read();
-            stripe.add_shard_publish(shard);
-        }
-    }
-
-    /// Records a slot collision in a table shard. The matching
-    /// [`SlowReadReason::Collision`] slow read is recorded separately by
-    /// the fallback path.
-    #[inline]
-    pub fn record_shard_collision(&self, shard: usize) {
-        record_shard_collision(shard);
-        if let StatsSink::PerLock(stats) = self {
-            stats.stripe().add_shard_collision(shard);
-        }
-    }
-
-    /// Records the table-side outcome of one revocation scan: the slots it
-    /// visited and the per-shard conflict breakdown. The write acquisition
-    /// itself is recorded by [`StatsSink::record_write`].
-    #[inline]
-    pub fn record_revocation(&self, rev: &Revocation) {
-        record_revocation_scan(rev.scanned_slots);
-        record_shard_conflicts(&rev.conflicts_per_shard);
-        if let StatsSink::PerLock(stats) = self {
-            let stripe = stats.stripe();
-            stripe.add_revocation_scan(rev.scanned_slots);
-            stripe.add_shard_conflicts(&rev.conflicts_per_shard);
-        }
+        self.counters(|c| bump(&c.adapt_flips, 1));
     }
 }
 
@@ -655,15 +515,126 @@ impl std::fmt::Debug for StatsSink {
 mod tests {
     use super::*;
 
+    /// A revocation that waited for `conflicts` readers in shard 0.
+    fn revocation(conflicts: u64, scanned_slots: usize) -> Revocation {
+        let mut rev = Revocation {
+            scanned_slots,
+            ..Revocation::default()
+        };
+        rev.conflicts_per_shard[0] = conflicts;
+        rev
+    }
+
+    /// Sum of every counter word in a block: how many increments it took.
+    fn words(c: &ThreadCounters) -> u64 {
+        let ThreadCounters {
+            slow_reads_disabled,
+            slow_reads_raced,
+            writes,
+            revocations,
+            revocation_scan_slots,
+            bias_enabled,
+            parked_waits,
+            futex_waits,
+            futex_wakes,
+            futex_eagain,
+            adapt_flips,
+            shard_publishes,
+            shard_collisions,
+            shard_conflicts,
+        } = c;
+        [
+            slow_reads_disabled,
+            slow_reads_raced,
+            writes,
+            revocations,
+            revocation_scan_slots,
+            bias_enabled,
+            parked_waits,
+            futex_waits,
+            futex_wakes,
+            futex_eagain,
+            adapt_flips,
+        ]
+        .into_iter()
+        .chain(shard_publishes)
+        .chain(shard_collisions)
+        .chain(shard_conflicts)
+        .map(|w| w.load(Ordering::Relaxed))
+        .sum()
+    }
+
+    fn stripe_words(sink: &StatsSink) -> u64 {
+        match sink {
+            StatsSink::PerLock(stats) => stats.stripes.iter().map(|s| words(s)).sum(),
+            StatsSink::Global => unreachable!("a per-lock sink was expected"),
+        }
+    }
+
+    fn local_words() -> u64 {
+        LOCAL.with(|c| words(c))
+    }
+
+    fn local_snapshot() -> Snapshot {
+        let mut out = Snapshot::default();
+        LOCAL.with(|c| c.accumulate_into(&mut out));
+        out
+    }
+
+    /// Every field of a snapshot, in declaration order.
+    fn fields(s: &Snapshot) -> Vec<u64> {
+        let Snapshot {
+            fast_reads,
+            slow_reads_disabled,
+            slow_reads_collision,
+            slow_reads_raced,
+            writes,
+            revocations,
+            revocation_wait_conflicts,
+            revocation_scan_slots,
+            bias_enabled,
+            parked_waits,
+            futex_waits,
+            futex_wakes,
+            futex_eagain,
+            adapt_flips,
+            shard_publishes,
+            shard_collisions,
+            shard_conflicts,
+        } = *s;
+        [
+            fast_reads,
+            slow_reads_disabled,
+            slow_reads_collision,
+            slow_reads_raced,
+            writes,
+            revocations,
+            revocation_wait_conflicts,
+            revocation_scan_slots,
+            bias_enabled,
+            parked_waits,
+            futex_waits,
+            futex_wakes,
+            futex_eagain,
+            adapt_flips,
+        ]
+        .into_iter()
+        .chain(shard_publishes)
+        .chain(shard_collisions)
+        .chain(shard_conflicts)
+        .collect()
+    }
+
     #[test]
     fn counters_accumulate_and_diff() {
+        let sink = StatsSink::Global;
         let before = snapshot();
-        record_fast_read();
-        record_fast_read();
-        record_slow_read(SlowReadReason::Collision);
-        record_write(true, 3);
-        record_write(false, 0);
-        record_bias_enabled();
+        sink.record_fast_read_in(0);
+        sink.record_fast_read_in(0);
+        sink.record_slow_read(SlowReadReason::Collision { shard: 0 });
+        sink.record_write(Some(&revocation(3, 0)));
+        sink.record_write(None);
+        sink.record_bias_enabled();
         let delta = snapshot().since(&before);
         // Other tests in this crate may record counters concurrently, so the
         // assertions are lower bounds rather than exact equalities.
@@ -691,7 +662,7 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..100 {
-                        record_fast_read();
+                        StatsSink::Global.record_fast_read_in(0);
                     }
                 });
             }
@@ -704,23 +675,26 @@ mod tests {
     fn per_lock_sinks_do_not_bleed_into_each_other() {
         let a = StatsSink::per_lock();
         let b = StatsSink::per_lock();
-        a.record_fast_read();
-        a.record_fast_read();
-        b.record_write(true, 1);
+        a.record_fast_read_in(0);
+        a.record_fast_read_in(0);
+        b.record_write(Some(&revocation(1, 64)));
         let sa = a.snapshot();
         let sb = b.snapshot();
         assert_eq!(sa.fast_reads, 2);
         assert_eq!(sa.writes, 0);
         assert_eq!(sb.writes, 1);
         assert_eq!(sb.revocations, 1);
+        assert_eq!(sb.revocation_wait_conflicts, 1);
         assert_eq!(sb.total_reads(), 0);
     }
 
     #[test]
     fn per_lock_sink_tees_into_the_global_registry() {
+        // Per-lock events are recorded once, in the lock's own block, and
+        // summed into the process totals at snapshot time.
         let before = snapshot();
         let sink = StatsSink::per_lock();
-        sink.record_slow_read(SlowReadReason::Collision);
+        sink.record_slow_read(SlowReadReason::Collision { shard: 0 });
         sink.record_bias_enabled();
         let delta = snapshot().since(&before);
         assert!(delta.slow_reads_collision >= 1);
@@ -734,7 +708,7 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..50 {
-                        sink.record_fast_read();
+                        sink.record_fast_read_in(0);
                     }
                 });
             }
@@ -745,10 +719,70 @@ mod tests {
     #[test]
     fn global_sink_snapshot_matches_process_totals() {
         let sink = StatsSink::default();
-        assert!(!sink.is_per_lock());
-        sink.record_fast_read();
+        sink.record_fast_read_in(0);
         // A Global sink resolves to the process aggregate.
         assert!(sink.snapshot().fast_reads >= 1);
+    }
+
+    #[test]
+    fn per_lock_events_write_one_counter_word() {
+        let sink = StatsSink::per_lock();
+        let local = local_words();
+        sink.record_fast_read_in(1);
+        assert_eq!(stripe_words(&sink), 1, "a fast read is one increment");
+        sink.record_slow_read(SlowReadReason::Collision { shard: 2 });
+        assert_eq!(stripe_words(&sink), 2, "a collision is one increment");
+        assert_eq!(local_words(), local, "the thread's block is untouched");
+        let s = sink.snapshot();
+        assert_eq!((s.fast_reads, s.shard_publishes[1]), (1, 1));
+        assert_eq!((s.slow_reads_collision, s.shard_collisions[2]), (1, 1));
+    }
+
+    #[test]
+    fn global_events_write_one_word_of_the_callers_block() {
+        let before = local_words();
+        let snap = local_snapshot();
+        StatsSink::Global.record_fast_read_in(3);
+        assert_eq!(local_words(), before + 1);
+        StatsSink::Global.record_slow_read(SlowReadReason::Collision { shard: 0 });
+        assert_eq!(local_words(), before + 2);
+        let delta = local_snapshot().since(&snap);
+        assert_eq!((delta.fast_reads, delta.shard_publishes[3]), (1, 1));
+        assert_eq!(delta.slow_reads_collision, 1);
+    }
+
+    #[test]
+    fn process_totals_stay_monotone_and_keep_dropped_locks() {
+        const LOCKS: u64 = 200;
+        let before = snapshot();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..LOCKS {
+                    let sink = StatsSink::per_lock();
+                    sink.record_fast_read_in(0);
+                    sink.record_slow_read(SlowReadReason::Collision { shard: 1 });
+                    sink.record_write(Some(&revocation(2, 16)));
+                }
+                done.store(true, Ordering::Relaxed);
+            });
+            s.spawn(|| {
+                let mut prev = snapshot();
+                while !done.load(Ordering::Relaxed) {
+                    let now = snapshot();
+                    for (i, (a, b)) in fields(&now).into_iter().zip(fields(&prev)).enumerate() {
+                        assert!(a >= b, "snapshot field {i} went down: {b} -> {a}");
+                    }
+                    prev = now;
+                }
+            });
+        });
+        let delta = snapshot().since(&before);
+        assert!(delta.fast_reads >= LOCKS);
+        assert!(delta.shard_collisions[1] >= LOCKS);
+        assert!(delta.revocations >= LOCKS);
+        assert!(delta.revocation_wait_conflicts >= 2 * LOCKS);
+        assert!(delta.revocation_scan_slots >= 16 * LOCKS);
     }
 
     #[test]
@@ -756,23 +790,28 @@ mod tests {
         let sink = StatsSink::per_lock();
         sink.record_fast_read_in(1);
         sink.record_fast_read_in(1);
-        sink.record_shard_collision(0);
+        sink.record_slow_read(SlowReadReason::Collision { shard: 0 });
         // Shards past the tracked range fold into the last bucket.
-        sink.record_shard_collision(MAX_TRACKED_SHARDS + 3);
+        sink.record_slow_read(SlowReadReason::Collision {
+            shard: MAX_TRACKED_SHARDS + 3,
+        });
         let mut per_shard = [0u64; MAX_TRACKED_SHARDS];
         per_shard[2] = 4;
-        sink.record_revocation(&Revocation {
-            conflicts: 4,
+        let rev = Revocation {
             scanned_slots: 128,
             conflicts_per_shard: per_shard,
-        });
+        };
+        assert_eq!(rev.conflicts(), 4);
+        sink.record_write(Some(&rev));
         let s = sink.snapshot();
         assert_eq!(s.fast_reads, 2);
         assert_eq!(s.shard_publishes[1], 2);
+        assert_eq!(s.slow_reads_collision, 2);
         assert_eq!(s.shard_collisions[0], 1);
         assert_eq!(s.shard_collisions[MAX_TRACKED_SHARDS - 1], 1);
         assert_eq!(s.total_shard_collisions(), 2);
         assert_eq!(s.shard_conflicts[2], 4);
+        assert_eq!(s.revocation_wait_conflicts, 4);
         assert_eq!(s.revocation_scan_slots, 128);
         // Diff and merge stay elementwise.
         let d = s.since(&Snapshot::default());
@@ -810,8 +849,8 @@ mod tests {
     #[test]
     fn fast_read_fraction_is_bounded() {
         let before = snapshot();
-        record_fast_read();
-        record_slow_read(SlowReadReason::BiasDisabled);
+        StatsSink::Global.record_fast_read_in(0);
+        StatsSink::Global.record_slow_read(SlowReadReason::BiasDisabled);
         let delta = snapshot().since(&before);
         let f = delta.fast_read_fraction();
         assert!((0.0..=1.0).contains(&f));

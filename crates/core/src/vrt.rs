@@ -56,14 +56,19 @@ pub fn tracked_shard(shard: usize) -> usize {
 /// layer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Revocation {
-    /// Fast-path readers the writer had to wait for.
-    pub conflicts: u64,
     /// Slots the scan visited (for a NUMA table, a skipped empty shard
     /// counts as one visited slot — the occupancy probe).
     pub scanned_slots: usize,
     /// Conflicts attributed to each tracked shard (see
     /// [`MAX_TRACKED_SHARDS`]); flat tables report everything in shard 0.
     pub conflicts_per_shard: [u64; MAX_TRACKED_SHARDS],
+}
+
+impl Revocation {
+    /// Fast-path readers the writer had to wait for, over all shards.
+    pub fn conflicts(&self) -> u64 {
+        self.conflicts_per_shard.iter().sum()
+    }
 }
 
 /// A visible readers table layout.
@@ -352,11 +357,10 @@ impl ReaderTable for VisibleReadersTable {
     ) -> Option<Revocation> {
         let mut pending = self.collect_conflicts(0..self.slots.len(), lock_addr);
         let mut rev = Revocation {
-            conflicts: pending.len() as u64,
             scanned_slots: self.slots.len(),
             ..Revocation::default()
         };
-        rev.conflicts_per_shard[0] = rev.conflicts;
+        rev.conflicts_per_shard[0] = pending.len() as u64;
         if drain_pending(&self.slots, &mut pending, lock_addr, deadline_ns, wait) {
             Some(rev)
         } else {
@@ -503,7 +507,6 @@ impl ReaderTable for SectoredTable {
             .filter(|&slot| self.storage.peek(slot) == lock_addr)
             .collect();
         let mut rev = Revocation {
-            conflicts: pending.len() as u64,
             scanned_slots: self.rows,
             ..Revocation::default()
         };
@@ -702,7 +705,6 @@ impl ReaderTable for NumaTable {
             let mut pending: Vec<usize> = (0..shard.slots.len())
                 .filter(|&i| shard.slots[i].load(Ordering::SeqCst) == lock_addr)
                 .collect();
-            rev.conflicts += pending.len() as u64;
             rev.conflicts_per_shard[tracked_shard(index)] += pending.len() as u64;
             if !drain_pending(&shard.slots, &mut pending, lock_addr, deadline_ns, wait) {
                 return None;
@@ -989,7 +991,7 @@ mod tests {
         assert!(table.try_publish(slot, addr));
         table.clear(slot, addr);
         let rev = table.revoke(addr);
-        assert_eq!(rev.conflicts, 0);
+        assert_eq!(rev.conflicts(), 0);
         assert_eq!(rev.scanned_slots, 64);
     }
 
@@ -1027,7 +1029,7 @@ mod tests {
                 ReaderTable::clear(&t, slot, addr);
             });
             let rev = t.revoke(addr);
-            assert_eq!(rev.conflicts, 1);
+            assert_eq!(rev.conflicts(), 1);
             assert_eq!(rev.scanned_slots, 4, "column scan visits one slot per row");
             assert_eq!(
                 rev.conflicts_per_shard[2], 1,
@@ -1076,7 +1078,7 @@ mod tests {
         // Nothing published anywhere: every shard is skipped with a single
         // occupancy probe.
         let rev = t.revoke(addr);
-        assert_eq!(rev.conflicts, 0);
+        assert_eq!(rev.conflicts(), 0);
         assert_eq!(rev.scanned_slots, 4, "one probe per empty shard");
 
         // One reader on node 2: its shard is walked, the others skipped.
@@ -1088,7 +1090,7 @@ mod tests {
                 t.clear(slot, addr);
             });
             let rev = t.revoke(addr);
-            assert_eq!(rev.conflicts, 1);
+            assert_eq!(rev.conflicts(), 1);
             assert_eq!(rev.scanned_slots, 64 + 3);
             assert_eq!(rev.conflicts_per_shard[2], 1);
             assert_eq!(rev.conflicts_per_shard[0], 0);
@@ -1106,7 +1108,7 @@ mod tests {
         assert!(t.revoke_until(addr, deadline).is_none());
         t.clear(slot, addr);
         let rev = t.revoke(addr);
-        assert_eq!(rev.conflicts, 0);
+        assert_eq!(rev.conflicts(), 0);
     }
 
     #[test]
@@ -1124,7 +1126,7 @@ mod tests {
                 WaitStrategy::park().notify_all(addr);
             });
             let rev = ReaderTable::revoke_with(&*t, addr, WaitStrategy::park());
-            assert_eq!(rev.conflicts, 1);
+            assert_eq!(rev.conflicts(), 1);
         });
         assert_eq!(ReaderTable::count_for(&*t, addr), 0);
     }

@@ -106,8 +106,7 @@ impl MemTable {
         self.get_lock.label()
     }
 
-    /// The GetLock's statistics snapshot (per-lock under the default
-    /// `stats=per-lock` spec).
+    /// The GetLock's own statistics snapshot.
     pub fn lock_stats(&self) -> Snapshot {
         self.get_lock.snapshot()
     }

@@ -212,7 +212,7 @@ fn bravo_composite<L: RawTryRwLock + 'static>(
     spec: &LockSpec,
     sectored_default: bool,
 ) -> Result<LockHandle, SpecError> {
-    let sink = spec.make_sink();
+    let sink = StatsSink::per_lock();
     let adapt = make_adaptive(spec);
     let mut inner = BravoLock::with_instrumented(
         L::with_wait(spec.wait()),
@@ -234,11 +234,7 @@ fn bravo_composite<L: RawTryRwLock + 'static>(
 
 fn plain<L: RawTryRwLock + 'static>(spec: &LockSpec) -> Result<LockHandle, SpecError> {
     reject_bravo_params(spec)?;
-    // Plain locks record no BRAVO statistics, so the handle always gets its
-    // own (permanently zero) per-lock block regardless of the spec's stats
-    // mode: a `StatsSink::Global` here would make `snapshot()` report the
-    // *process* aggregate — other locks' teed events — as if it were this
-    // lock's, mislabelling harness output.
+    // Plain locks record no BRAVO statistics: the per-lock block stays zero.
     Ok(LockHandle::from_try_lock(
         spec.clone(),
         Arc::new(L::with_wait(spec.wait())),
@@ -253,10 +249,9 @@ fn plain<L: RawTryRwLock + 'static>(spec: &LockSpec) -> Result<LockHandle, SpecE
 /// for plain locks. Every BRAVO composite accepts every table layout
 /// (`global`, `private:`, `sectored:`, `numa:`); a bare `global` resolves to
 /// the flat global table, except on `BRAVO-2D-BA` where it selects the
-/// sectored global table. Statistics attribution follows the
-/// spec's `stats` mode for BRAVO composites, which record into the handle's
-/// sink; plain locks perform no recording, so their handles' snapshots read
-/// all zeros regardless of the mode.
+/// sectored global table. Every handle gets its own per-lock statistics
+/// sink; BRAVO composites record into it, plain locks perform no recording,
+/// so their handles' snapshots read all zeros.
 pub fn build_lock(spec: &LockSpec) -> Result<LockHandle, SpecError> {
     let Some(kind) = LockKind::parse(spec.kind()) else {
         return Err(SpecError::UnknownKind {
@@ -283,7 +278,6 @@ pub fn build_lock(spec: &LockSpec) -> Result<LockHandle, SpecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bravo::spec::StatsMode;
     use bravo::wait::WaitMode;
     use bravo::TryLockError;
     use std::time::{Duration, Instant};
@@ -523,11 +517,14 @@ mod tests {
     }
 
     #[test]
-    fn global_stats_mode_is_honoured() {
-        let spec = LockKind::BravoBa.spec().with_stats(StatsMode::Global);
-        let lock = build_lock(&spec).unwrap();
-        assert!(!lock.stats().is_per_lock());
-        assert_eq!(lock.label(), "BRAVO-BA?stats=global");
+    fn stats_parameter_is_rejected_as_unknown() {
+        for text in ["BRAVO-BA?stats=global", "BRAVO-BA?stats=per-lock"] {
+            let err = text.parse::<LockSpec>().unwrap_err();
+            assert!(
+                err.to_string().contains("unknown parameter 'stats'"),
+                "'{text}': {err}"
+            );
+        }
     }
 
     #[test]

@@ -4,8 +4,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use bravo::clock::now_ns;
 use bravo::policy::BiasPolicy;
-use bravo::stats::{self, SlowReadReason};
-use bravo::vrt::global_table;
+use bravo::stats::{SlowReadReason, StatsSink};
+use bravo::vrt::{global_table, ReaderTable};
 
 use crate::sem::{RwSemaphore, RwsemConfig};
 
@@ -86,53 +86,52 @@ impl BravoRwSemaphore {
 
     /// Kernel `down_read` with the BRAVO fast path.
     pub fn down_read(&self) {
-        if self.rbias.load(Ordering::Acquire) {
-            let table = global_table();
-            let slot = self.slot();
-            if table.try_publish(slot, self.addr()) {
-                // SeqCst CAS + SeqCst re-check form the store-load fence
-                // against the writer's clear-then-scan.
-                if self.rbias.load(Ordering::SeqCst) {
-                    stats::record_fast_read();
-                    return;
-                }
-                table.clear(slot, self.addr());
-                self.slow_read(SlowReadReason::Raced);
-                return;
-            }
-            self.slow_read(SlowReadReason::Collision);
-            return;
+        if let Err(reason) = self.try_fast_read() {
+            self.inner.down_read();
+            self.slow_read_acquired(reason);
         }
-        self.slow_read(SlowReadReason::BiasDisabled);
-    }
-
-    fn slow_read(&self, reason: SlowReadReason) {
-        self.inner.down_read();
-        self.maybe_enable_bias();
-        stats::record_slow_read(reason);
     }
 
     /// Kernel `down_read_trylock`: BRAVO fast path first, then the
     /// underlying trylock.
     pub fn down_read_trylock(&self) -> bool {
-        if self.rbias.load(Ordering::Acquire) {
-            let table = global_table();
-            let slot = self.slot();
-            if table.try_publish(slot, self.addr()) {
-                if self.rbias.load(Ordering::SeqCst) {
-                    stats::record_fast_read();
-                    return true;
+        match self.try_fast_read() {
+            Ok(()) => true,
+            Err(reason) => {
+                let acquired = self.inner.down_read_trylock();
+                if acquired {
+                    self.slow_read_acquired(reason);
                 }
-                table.clear(slot, self.addr());
+                acquired
             }
         }
-        if self.inner.down_read_trylock() {
-            self.maybe_enable_bias();
-            stats::record_slow_read(SlowReadReason::BiasDisabled);
-            true
-        } else {
-            false
+    }
+
+    /// The BRAVO fast path. On failure nothing is held, and the error says
+    /// why the reader must take the slow path. The flat global table is one
+    /// shard, so every event is attributed to shard 0.
+    fn try_fast_read(&self) -> Result<(), SlowReadReason> {
+        if !self.rbias.load(Ordering::Acquire) {
+            return Err(SlowReadReason::BiasDisabled);
         }
+        let table = global_table();
+        let slot = self.slot();
+        if !table.try_publish(slot, self.addr()) {
+            return Err(SlowReadReason::Collision { shard: 0 });
+        }
+        // SeqCst CAS + SeqCst re-check form the store-load fence against the
+        // writer's clear-then-scan.
+        if self.rbias.load(Ordering::SeqCst) {
+            StatsSink::Global.record_fast_read_in(0);
+            return Ok(());
+        }
+        table.clear(slot, self.addr());
+        Err(SlowReadReason::Raced)
+    }
+
+    fn slow_read_acquired(&self, reason: SlowReadReason) {
+        self.maybe_enable_bias();
+        StatsSink::Global.record_slow_read(reason);
     }
 
     fn maybe_enable_bias(&self) {
@@ -142,7 +141,7 @@ impl BravoRwSemaphore {
                 .should_enable(now_ns(), self.inhibit_until.load(Ordering::Relaxed))
         {
             self.rbias.store(true, Ordering::Release);
-            stats::record_bias_enabled();
+            StatsSink::Global.record_bias_enabled();
         }
     }
 
@@ -178,17 +177,15 @@ impl BravoRwSemaphore {
         if self.rbias.load(Ordering::Relaxed) {
             self.rbias.store(false, Ordering::SeqCst);
             let start = now_ns();
-            let table = global_table();
-            let conflicts = table.wait_for_readers(self.addr());
+            let rev = global_table().revoke(self.addr());
             let now = now_ns();
             self.inhibit_until.store(
                 self.policy.inhibit_until_after_revocation(start, now),
                 Ordering::Relaxed,
             );
-            stats::record_revocation_scan(table.len());
-            stats::record_write(true, conflicts as u64);
+            StatsSink::Global.record_write(Some(&rev));
         } else {
-            stats::record_write(false, 0);
+            StatsSink::Global.record_write(None);
         }
     }
 

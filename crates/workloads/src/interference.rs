@@ -22,7 +22,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use bravo::spec::{LockHandle, LockSpec, SpecError, StatsMode, TableSpec};
+use bravo::spec::{LockHandle, LockSpec, SpecError, TableSpec};
 use bravo::stats::Snapshot;
 use bravo::{DEFAULT_TABLE_SIZE, MAX_TRACKED_SHARDS};
 use rwlocks::{build_lock, LockKind};
@@ -81,10 +81,7 @@ impl InterferenceResult {
 }
 
 fn build_pool(spec: &LockSpec, locks: usize) -> Result<Vec<LockHandle>, SpecError> {
-    // Force per-lock sinks so the pool's collision/scan counters can be
-    // summed exactly, whatever stats mode the caller's spec carries.
-    let spec = spec.clone().with_stats(StatsMode::PerLock);
-    (0..locks.max(1)).map(|_| build_lock(&spec)).collect()
+    (0..locks.max(1)).map(|_| build_lock(spec)).collect()
 }
 
 fn pool_snapshot(pool: &[LockHandle]) -> Snapshot {

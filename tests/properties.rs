@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use bravo_repro::bravo::hash::{mix64, slot_index};
 use bravo_repro::bravo::policy::BiasPolicy;
-use bravo_repro::bravo::spec::{LockSpec, StatsMode, TableSpec};
+use bravo_repro::bravo::spec::{LockSpec, TableSpec};
 use bravo_repro::bravo::vrt::{ReaderTable, VisibleReadersTable};
 use bravo_repro::bravo::wait::{WaitMode, WaitQueue};
 use bravo_repro::bravo::{BravoRwLock, NumaTable, SectoredTable};
@@ -187,10 +187,6 @@ fn arbitrary_spec_strategy() -> impl Strategy<Value = LockSpec> {
             .prop_map(|(sectors, slots)| TableSpec::Sectored { sectors, slots }),
         (1usize..64, 1usize..65_536).prop_map(|(nodes, slots)| TableSpec::Numa { nodes, slots }),
     ];
-    let stats = prop_oneof![
-        (0u8..1).prop_map(|_| StatsMode::PerLock),
-        (0u8..1).prop_map(|_| StatsMode::Global),
-    ];
     let wait = prop_oneof![
         (0u8..1).prop_map(|_| WaitMode::Spin),
         (0u8..1).prop_map(|_| WaitMode::Park),
@@ -198,17 +194,14 @@ fn arbitrary_spec_strategy() -> impl Strategy<Value = LockSpec> {
     ];
     let adapt = any::<bool>();
     let shards = 1usize..64;
-    (kind, bias, table, stats, wait, adapt, shards).prop_map(
-        |(kind, bias, table, stats, wait, adapt, shards)| {
-            LockSpec::new(kind)
-                .with_bias(bias)
-                .with_table(table)
-                .with_stats(stats)
-                .with_wait(wait)
-                .with_adapt(adapt)
-                .with_shards(shards)
-        },
-    )
+    (kind, bias, table, wait, adapt, shards).prop_map(|(kind, bias, table, wait, adapt, shards)| {
+        LockSpec::new(kind)
+            .with_bias(bias)
+            .with_table(table)
+            .with_wait(wait)
+            .with_adapt(adapt)
+            .with_shards(shards)
+    })
 }
 
 proptest! {
