@@ -1,11 +1,14 @@
 //! A small `Get`/`Put`/`Delete` façade over one or more memtable shards,
 //! used by the server and the runnable examples.
 
+use std::collections::HashMap;
+
 use bravo::hash::key_shard;
 use bravo::spec::{LockHandle, LockSpec, SpecError};
 use bravo::stats::Snapshot;
+use rwlocks::build_lock;
 
-use crate::memtable::{BatchOp, MemTable, Value};
+use crate::memtable::{prepopulated_value, BatchOp, MemTable, Value};
 
 /// A minimal key-value store: `shards=N` key-hashed memtables (one by
 /// default), each guarded by its own GetLock built from the same spec.
@@ -38,23 +41,40 @@ impl Db {
     /// spec's `shards=N` knob selects how many key-hashed memtable shards
     /// to build, each with its own GetLock from the same spec.
     pub fn open(spec: impl Into<LockSpec>) -> Result<Self, SpecError> {
-        let spec = spec.into();
-        let shards = (0..spec.shards())
-            .map(|_| MemTable::new(spec.clone()))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
-            shards: shards.into_boxed_slice(),
-        })
+        Self::open_prepopulated(spec, 0)
     }
 
     /// Opens a store pre-loaded with keys `0..n` (handy for read-mostly
-    /// benchmarks and examples), each key routed to its owning shard.
+    /// benchmarks and examples), each key routed to its owning shard and
+    /// holding [`prepopulated_value`].
+    ///
+    /// The keys are loaded before the store is shared: each shard's map is
+    /// sized for exactly the keys routed to it, filled, and only then
+    /// wrapped in its memtable. The load therefore takes no lock, records
+    /// no lock statistics and never rehashes. Every GetLock is built first,
+    /// so a bad spec fails before any key is loaded.
     pub fn open_prepopulated(spec: impl Into<LockSpec>, n: u64) -> Result<Self, SpecError> {
-        let db = Self::open(spec)?;
+        let spec = spec.into();
+        let locks = (0..spec.shards())
+            .map(|_| build_lock(&spec))
+            .collect::<Result<Vec<_>, _>>()?;
+        let shards = locks.len();
+        let mut counts = vec![0usize; shards];
         for key in 0..n {
-            db.put(key, [key, key ^ 0xff, 0, 0]);
+            counts[key_shard(key, shards)] += 1;
         }
-        Ok(db)
+        let mut maps: Vec<HashMap<u64, Value>> =
+            counts.into_iter().map(HashMap::with_capacity).collect();
+        for key in 0..n {
+            maps[key_shard(key, shards)].insert(key, prepopulated_value(key));
+        }
+        Ok(Self {
+            shards: locks
+                .into_iter()
+                .zip(maps)
+                .map(|(lock, map)| MemTable::from_map(lock, map))
+                .collect(),
+        })
     }
 
     /// The shard owning `key`.
@@ -304,6 +324,14 @@ mod tests {
             let owner = bravo::hash::key_shard(key, db.shards());
             assert!(db.memtables()[owner].get(key).is_some());
         }
+    }
+
+    #[test]
+    fn prepopulation_is_not_lock_traffic() {
+        let db = Db::open_prepopulated(sharded(4), 10_000).unwrap();
+        let stats = db.lock_stats();
+        assert_eq!(stats.writes, 0, "prepopulation took a write lock");
+        assert_eq!(stats.total_reads(), 0, "prepopulation took a read lock");
     }
 
     #[test]

@@ -13,6 +13,15 @@ use rwlocks::build_lock;
 /// values.
 pub type Value = [u64; 4];
 
+/// The value prepopulation stores under `key`: `[key, key ^ 0xff, 0, 0]`.
+///
+/// Every prepopulated store ([`MemTable::prepopulated`],
+/// [`crate::Db::open_prepopulated`]) holds exactly this, so a client can
+/// check a read of an untouched key without asking the store first.
+pub fn prepopulated_value(key: u64) -> Value {
+    [key, key ^ 0xff, 0, 0]
+}
+
 /// One write in a batch: the serializable subset of the write API
 /// (`WriteBatch` frames carry these over the wire).
 ///
@@ -77,23 +86,31 @@ impl MemTable {
     /// Creates an empty memtable whose GetLock is built from the given
     /// spec (a [`rwlocks::LockKind`] or a parsed [`LockSpec`] both work).
     pub fn new(spec: impl Into<LockSpec>) -> Result<Self, SpecError> {
-        Ok(Self {
-            get_lock: build_lock(&spec.into())?,
-            data: UnsafeCell::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        })
+        Ok(Self::from_map(build_lock(&spec.into())?, HashMap::new()))
     }
 
-    /// Creates a memtable pre-populated with keys `0..n`, as `db_bench`
-    /// does before the measurement interval (`--num=10000` in the paper's
-    /// command line).
+    /// Creates a memtable pre-populated with keys `0..n`, each holding
+    /// [`prepopulated_value`], as `db_bench` does before the measurement
+    /// interval (`--num=10000` in the paper's command line).
+    ///
+    /// The keys are loaded into a map sized for all `n` before the table
+    /// exists, so no other thread can see it yet: the load takes no lock,
+    /// records no lock statistics and never rehashes.
     pub fn prepopulated(spec: impl Into<LockSpec>, n: u64) -> Result<Self, SpecError> {
-        let table = Self::new(spec)?;
-        for key in 0..n {
-            table.put(key, [key, key ^ 0xff, 0, 0]);
+        let get_lock = build_lock(&spec.into())?;
+        let mut data = HashMap::with_capacity(n as usize);
+        data.extend((0..n).map(|key| (key, prepopulated_value(key))));
+        Ok(Self::from_map(get_lock, data))
+    }
+
+    /// Wraps a ready, not yet shared map behind `get_lock`.
+    pub(crate) fn from_map(get_lock: LockHandle, data: HashMap<u64, Value>) -> Self {
+        Self {
+            get_lock,
+            data: UnsafeCell::new(data),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
-        Ok(table)
     }
 
     /// The GetLock handle (label, spec, per-lock statistics).
@@ -323,7 +340,15 @@ mod tests {
     fn prepopulation_matches_db_bench() {
         let t = MemTable::prepopulated(LockKind::Ba, 100).unwrap();
         assert_eq!(t.len(), 100);
-        assert_eq!(t.get(99).unwrap()[0], 99);
+        assert_eq!(t.get(99), Some(prepopulated_value(99)));
+    }
+
+    #[test]
+    fn prepopulation_is_not_lock_traffic() {
+        let t = MemTable::prepopulated(LockKind::BravoBa, 10_000).unwrap();
+        let stats = t.lock_stats();
+        assert_eq!(stats.writes, 0, "prepopulation took the write lock");
+        assert_eq!(stats.total_reads(), 0, "prepopulation took the read lock");
     }
 
     #[test]

@@ -86,6 +86,9 @@ pub struct ServerConfig {
     /// Lock spec for the store's GetLock (the `--lock SPEC` string).
     pub spec: LockSpec,
     /// Keys `0..prepopulate` loaded before serving, as `db_bench` does.
+    /// They are loaded after the listener binds but before the store is
+    /// shared, so the load takes no lock and records no lock statistics
+    /// (see [`Db::open_prepopulated`]).
     pub prepopulate: u64,
     /// Whether to log per-connection open/close lines to stderr.
     pub verbose: bool,
@@ -204,8 +207,10 @@ impl Server {
     /// `addr` (use port 0 for an ephemeral port; the bound address is
     /// reported by [`Server::local_addr`]).
     pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> Result<Self, ServeError> {
-        let db = Arc::new(Db::open_prepopulated(&config.spec, config.prepopulate)?);
+        // Bind first: an address in use must fail at once, not after
+        // loading the whole store.
         let listener = TcpListener::bind(addr)?;
+        let db = Arc::new(Db::open_prepopulated(&config.spec, config.prepopulate)?);
         let backend: Box<dyn Backend> = match config.backend {
             BackendKind::Threads => Box::new(ThreadedBackend::bind(
                 listener,
@@ -566,6 +571,7 @@ pub(crate) fn apply(db: &Db, request: Request) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kvstore::memtable::prepopulated_value;
     use rwlocks::LockKind;
 
     fn test_db() -> Db {
@@ -628,7 +634,7 @@ mod tests {
         }
         assert_eq!(
             apply(&db, Request::MultiGet { keys: vec![3, 99] }),
-            Response::Values(vec![Some([3, 3 ^ 0xff, 0, 0]), None])
+            Response::Values(vec![Some(prepopulated_value(3)), None])
         );
         assert_eq!(
             apply(
@@ -666,7 +672,11 @@ mod tests {
                     keys: vec![0, 7, 99]
                 }
             ),
-            Response::Values(vec![Some([0, 0xff, 0, 0]), Some([7, 7 ^ 0xff, 0, 0]), None])
+            Response::Values(vec![
+                Some(prepopulated_value(0)),
+                Some(prepopulated_value(7)),
+                None
+            ])
         );
         match apply(&db, Request::Scan { start: 0, limit: 8 }) {
             Response::Entries(entries) => {
@@ -694,6 +704,25 @@ mod tests {
         match Server::bind("127.0.0.1:0", config) {
             Err(ServeError::Spec(_)) => {}
             other => panic!("expected a spec error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn bind_fails_on_a_taken_port_before_loading_the_store() {
+        let taken = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = taken.local_addr().unwrap();
+        let mut config = ServerConfig::new(LockKind::BravoBa.spec());
+        // Far more keys than fit in memory: only a bind that fails before
+        // the load returns.
+        config.prepopulate = 1 << 40;
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(Server::bind(addr, config).map(drop));
+        });
+        match rx.recv_timeout(Duration::from_secs(5)) {
+            Ok(Err(ServeError::Io(_))) => {}
+            Ok(other) => panic!("expected an I/O error, got {other:?}"),
+            Err(_) => panic!("bind on a taken port loaded the store first"),
         }
     }
 

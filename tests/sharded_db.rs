@@ -13,7 +13,8 @@
 
 use std::collections::BTreeMap;
 
-use kvstore::memtable::Value;
+use bravo::hash::key_shard;
+use kvstore::memtable::{prepopulated_value, Value};
 use kvstore::{BatchOp, Db};
 use proptest::prelude::*;
 use rwlocks::LockKind;
@@ -61,16 +62,22 @@ fn apply_db(db: &Db, op: (u8, u64, u64)) {
 }
 
 proptest! {
-    /// After any op sequence, a cross-shard scan equals the sorted union
-    /// of the per-shard contents (each shard read through its own
-    /// memtable), equals a sequential BTreeMap model — for 1, 3 and 8
-    /// shards alike, at several (start, limit) windows.
+    /// After prepopulating keys `0..n` and any op sequence, a cross-shard
+    /// scan equals the sorted union of the per-shard contents (each shard
+    /// read through its own memtable), equals a sequential BTreeMap model
+    /// — for 1, 3 and 8 shards alike, at several (start, limit) windows.
+    /// Each shard starts with exactly the prepopulated keys routed to it.
     #[test]
-    fn scan_is_the_sorted_union_of_shard_contents(ops in ops_strategy()) {
+    fn scan_is_the_sorted_union_of_shard_contents(ops in ops_strategy(), n in 0u64..600) {
         for shards in [1usize, 3, 8] {
             let spec = LockKind::BravoBa.spec().with_shards(shards);
-            let db = Db::open(spec).expect("open sharded db");
-            let mut model = BTreeMap::new();
+            let db = Db::open_prepopulated(spec, n).expect("open sharded db");
+            for (shard, table) in db.memtables().iter().enumerate() {
+                let routed = (0..n).filter(|&k| key_shard(k, shards) == shard).count();
+                prop_assert_eq!(table.len(), routed, "shards={} shard={}", shards, shard);
+            }
+            let mut model: BTreeMap<u64, Value> =
+                (0..n).map(|k| (k, prepopulated_value(k))).collect();
             for &op in &ops {
                 apply_db(&db, op);
                 apply_model(&mut model, op);
