@@ -28,7 +28,7 @@ pub mod hash_cache;
 pub mod memtable;
 pub mod workloads;
 
-pub use db::Db;
+pub use db::{Db, OpenError};
 pub use hash_cache::{HashCache, KeyHashBuilder, KeyHasher};
 pub use memtable::{BatchOp, MemTable};
 pub use workloads::{

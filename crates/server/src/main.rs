@@ -17,7 +17,9 @@
 //! at 8) so connection counts can exceed host threads. With
 //! `--addr 127.0.0.1:0` the kernel picks an ephemeral port; `--port-file`
 //! writes the bound port there so scripts (CI's `server-smoke` step) can
-//! find it.
+//! find it. Once listening, `serve` prints one `bravod: serving …` line
+//! ending in `loaded in X.XXX s`, the time taken to bind and load the
+//! store; a store that cannot be built or allocated exits 2.
 //!
 //! `bench` drives the open-loop load generator against a running server
 //! and prints one result row (throughput, achieved-vs-target arrival rate,
@@ -30,7 +32,7 @@
 //! the target *operation* rate.
 
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bravo::spec::LockSpec;
 use server::loadgen::{self, LoadConfig};
@@ -124,6 +126,7 @@ fn serve(args: &[String]) {
         mux_scan_poller: false,
     };
     let workers = config.resolved_mux_workers();
+    let started = Instant::now();
     let server = match Server::bind(addr.as_str(), config) {
         Ok(server) => server,
         Err(e) => {
@@ -131,15 +134,13 @@ fn serve(args: &[String]) {
             std::process::exit(2);
         }
     };
+    let loaded = started.elapsed().as_secs_f64();
     let bound = server.local_addr();
-    match backend {
-        BackendKind::Threads => {
-            println!("bravod: serving {spec} on {bound} ({keys} keys, threads backend)")
-        }
-        BackendKind::Mux => println!(
-            "bravod: serving {spec} on {bound} ({keys} keys, mux backend, {workers} workers)"
-        ),
-    }
+    let serving = match backend {
+        BackendKind::Threads => "threads backend".to_string(),
+        BackendKind::Mux => format!("mux backend, {workers} workers"),
+    };
+    println!("bravod: serving {spec} on {bound} ({keys} keys, {serving}), loaded in {loaded:.3} s");
     if let Some(path) = port_file {
         // Written atomically-enough for scripts: the whole port in one call.
         if let Err(e) = std::fs::write(&path, format!("{}\n", bound.port())) {

@@ -29,7 +29,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bravo::spec::{LockSpec, SpecError};
-use kvstore::Db;
+use kvstore::{Db, OpenError};
 
 use crate::mux::MuxBackend;
 use crate::protocol::{write_frame, FrameDecoder, Request, Response};
@@ -87,8 +87,10 @@ pub struct ServerConfig {
     pub spec: LockSpec,
     /// Keys `0..prepopulate` loaded before serving, as `db_bench` does.
     /// They are loaded after the listener binds but before the store is
-    /// shared, so the load takes no lock and records no lock statistics
-    /// (see [`Db::open_prepopulated`]).
+    /// shared, so the load takes no lock and records no lock statistics;
+    /// the shards fill in parallel, one thread per core up to the shard
+    /// count. A size that cannot be allocated fails [`Server::bind`] with
+    /// [`ServeError::OutOfMemory`] (see [`Db::open_prepopulated`]).
     pub prepopulate: u64,
     /// Whether to log per-connection open/close lines to stderr.
     pub verbose: bool,
@@ -139,6 +141,11 @@ impl ServerConfig {
 pub enum ServeError {
     /// The lock spec was rejected by the catalog.
     Spec(SpecError),
+    /// The store for this many prepopulated keys could not be allocated.
+    OutOfMemory {
+        /// The requested [`ServerConfig::prepopulate`].
+        keys: u64,
+    },
     /// Binding or inspecting the listener failed.
     Io(io::Error),
 }
@@ -147,6 +154,9 @@ impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Spec(e) => write!(f, "cannot build the store's lock: {e}"),
+            ServeError::OutOfMemory { keys } => {
+                write!(f, "cannot allocate a store of {keys} keys")
+            }
             ServeError::Io(e) => write!(f, "cannot bind the listener: {e}"),
         }
     }
@@ -154,9 +164,12 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-impl From<SpecError> for ServeError {
-    fn from(e: SpecError) -> Self {
-        ServeError::Spec(e)
+impl From<OpenError> for ServeError {
+    fn from(e: OpenError) -> Self {
+        match e {
+            OpenError::Spec(e) => ServeError::Spec(e),
+            OpenError::OutOfMemory { keys } => ServeError::OutOfMemory { keys },
+        }
     }
 }
 
