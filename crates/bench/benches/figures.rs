@@ -15,7 +15,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
-use bravo::vrt::VisibleReadersTable;
+use bravo::vrt::{ReaderTable, VisibleReadersTable};
 use kernelsim::mm::{MmStruct, PAGE_SIZE};
 use kvstore::MemTable;
 use rwlocks::LockKind;
@@ -75,7 +75,7 @@ fn bench_revocation_scan(c: &mut Criterion) {
         group.bench_function(BenchmarkId::from_parameter(slots), |b| {
             // Scanning an empty table for a lock address that is nowhere in
             // it is exactly the writer's common revocation case.
-            b.iter(|| table.wait_for_readers(0xdead_beef))
+            b.iter(|| table.revoke(0xdead_beef).conflicts())
         });
     }
     group.finish();

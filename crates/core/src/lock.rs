@@ -5,9 +5,10 @@
 //! [`ReadToken`] that records whether the acquisition used the fast path
 //! (and if so, which slot of the visible readers table it occupies), and the
 //! token must be handed back to `read_unlock`. The guard-based, data-carrying
-//! form lives in [`crate::rwlock`]; kernel-style integrations (`rwsem`) use
-//! this raw form directly, exactly as the Linux patch threads the slot from
-//! acquisition to release.
+//! form lives in [`crate::rwlock`]. Kernel-style integrations (`rwsem`) use
+//! this raw form with the token-free release,
+//! [`BravoLock::read_unlock_token_free`], which re-derives the slot as the
+//! Linux patch's `up_read` does.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -82,11 +83,6 @@ impl ReadToken {
     /// Whether the acquisition used the BRAVO fast path.
     pub fn is_fast(&self) -> bool {
         self.slot.is_some()
-    }
-
-    /// The occupied table slot, when the fast path was used.
-    pub fn slot(&self) -> Option<usize> {
-        self.slot
     }
 }
 
@@ -263,7 +259,13 @@ impl<L: RawRwLock> BravoLock<L> {
         // undo the publication and take the slow path. The racing revoker
         // may already have seen our slot and parked on it, so the clear
         // needs the same wakeup as a fast-path release (no-op in spin mode).
-        table.clear(slot, addr);
+        if !table.clear(slot, addr) {
+            // Only a token-free release frees a slot it did not publish: a
+            // colliding slow reader of this lock released by freeing our
+            // publication instead of its count on the underlying lock, and
+            // woke any revoker itself. That count now grants our read.
+            return Ok(self.slow_read_acquired(SlowReadReason::Raced));
+        }
         #[cfg(feature = "schedcheck")]
         if mutation::lost_wakeup() {
             // Seeded bug: back out silently. The parked revoker never
@@ -316,12 +318,42 @@ impl<L: RawRwLock> BravoLock<L> {
         match token.slot {
             Some(slot) => {
                 let addr = self.addr();
-                self.table.table().clear(slot, addr);
+                let freed = self.table.table().clear(slot, addr);
+                debug_assert!(freed, "a fast reader's slot was freed by another");
                 // A parked revoking writer waits keyed on the lock address;
                 // wake it now that our slot is clear (no-op when spinning).
                 self.wait.notify_all(addr);
             }
             None => self.underlying.unlock_shared(),
+        }
+    }
+
+    /// Releases read permission without the [`ReadToken`]: the technique
+    /// of the paper's kernel patch (§4), whose `up_read` has nowhere to keep
+    /// the slot.
+    ///
+    /// The slot is re-derived with
+    /// [`slot_for_current`](crate::vrt::ReaderTable::slot_for_current) and
+    /// freed only if it still holds this lock's address; otherwise the
+    /// underlying lock is released. Two conditions make this sound:
+    ///
+    /// * the thread that acquired read permission releases it, so the
+    ///   re-derived slot is the one the acquisition published into;
+    /// * the underlying lock's reader count is anonymous. A slow reader
+    ///   whose slot collides with a fast reader of the same lock may free
+    ///   that reader's publication and keep its own count; the fast reader
+    ///   then finds its slot empty and releases that count instead.
+    ///
+    /// Every read release of a lock that uses this method must use it: a
+    /// [`read_unlock`](BravoLock::read_unlock) could find its slot freed by
+    /// a token-free release.
+    pub fn read_unlock_token_free(&self) {
+        let table = self.table.table();
+        let addr = self.addr();
+        if table.clear(table.slot_for_current(addr), addr) {
+            self.wait.notify_all(addr);
+        } else {
+            self.underlying.unlock_shared();
         }
     }
 
@@ -594,7 +626,7 @@ mod tests {
         assert_eq!(delta.shard_collisions[0], 1);
         assert_eq!(delta.slow_reads_disabled, 0);
         l.read_unlock(t);
-        table.clear(slot, squatter);
+        assert!(table.clear(slot, squatter));
     }
 
     #[test]
@@ -620,10 +652,7 @@ mod tests {
         let t = l.read_lock();
         assert!(t.is_fast());
         // The global table must not contain this lock's address.
-        assert_eq!(
-            crate::vrt::global_table().count_for(&l as *const _ as usize),
-            0
-        );
+        assert_eq!(TableHandle::global().table().count_for(l.addr()), 0);
         l.read_unlock(t);
     }
 

@@ -46,9 +46,9 @@ impl std::error::Error for TryLockError {}
 /// Calling a release function without holding the corresponding permission is
 /// a logic error. Implementations are encouraged to panic (at least in debug
 /// builds) rather than silently corrupt their state, but callers must not
-/// rely on any particular behaviour. The data-carrying wrappers in this
-/// workspace ([`crate::BravoRwLock`], `rwlocks::RwLock`) make misuse
-/// impossible by tying releases to RAII guards.
+/// rely on any particular behaviour. The data-carrying wrapper
+/// [`crate::BravoRwLock`] makes misuse impossible by tying releases to RAII
+/// guards.
 pub trait RawRwLock: Send + Sync {
     /// Creates a new, unlocked lock.
     fn new() -> Self

@@ -9,8 +9,8 @@
 //! deschedule a thread between any two shared-memory accesses.
 //!
 //! Discipline (enforced by `schedcheck lint`): the migrated lock modules
-//! (`raw`, `vrt`, `wait`, `lock` here; `counter`, `bytelock`,
-//! `mutex` in `rwlocks`) must import atomics as `crate::sync::atomic` (or
+//! (`raw`, `vrt`, `wait`, `lock` here; `counter` and `mutex` in
+//! `rwlocks`) must import atomics as `crate::sync::atomic` (or
 //! `bravo::sync::atomic`) and parking as `crate::sync::thread` — never
 //! `std::sync::atomic` or bare `std::thread::park` — so no access slips
 //! past the checker's instrumentation.

@@ -117,38 +117,32 @@ pub trait ReaderTable: Send + Sync {
     /// and re-checking the lock's bias flag.
     fn try_publish(&self, slot: usize, lock_addr: usize) -> bool;
 
-    /// Clears `slot`, which must currently hold `lock_addr` published by
-    /// this thread (the fast-path reader's release).
-    fn clear(&self, slot: usize, lock_addr: usize);
-
-    /// Reads the raw contents of `slot` (0 if empty).
-    fn peek(&self, slot: usize) -> usize;
+    /// Frees `slot` if it holds `lock_addr`: a compare-exchange from
+    /// `lock_addr` to 0 (the fast-path reader's release). Returns whether
+    /// the slot was freed.
+    ///
+    /// A reader that carries its slot from acquisition to release always
+    /// gets `true`. A token-free release re-derives the slot and may find
+    /// it empty or held by another lock; see
+    /// [`BravoLock::read_unlock_token_free`](crate::BravoLock::read_unlock_token_free).
+    fn clear(&self, slot: usize, lock_addr: usize) -> bool;
 
     /// The writer's revocation scan: waits until no slot this lock's
     /// readers can occupy holds `lock_addr`.
     fn revoke(&self, lock_addr: usize) -> Revocation {
-        self.revoke_with(lock_addr, WaitStrategy::spin())
-    }
-
-    /// Like [`revoke`](ReaderTable::revoke), with the waits between polls
-    /// dispatched through `wait` (a parking revoker is woken by the lock's
-    /// fast-path readers notifying `lock_addr` as they clear their slots).
-    fn revoke_with(&self, lock_addr: usize, wait: WaitStrategy) -> Revocation {
-        self.revoke_until_with(lock_addr, u64::MAX, wait)
+        self.revoke_until_with(lock_addr, u64::MAX, WaitStrategy::spin())
             .expect("unbounded revocation scan cannot time out")
     }
 
-    /// Bounded revocation: like [`revoke`](ReaderTable::revoke) but gives
-    /// up once the monotonic clock passes `deadline_ns`, returning `None`.
-    /// On timeout some fast readers may still be published; the caller must
-    /// not assume write permission is safe.
-    fn revoke_until(&self, lock_addr: usize, deadline_ns: u64) -> Option<Revocation> {
-        self.revoke_until_with(lock_addr, deadline_ns, WaitStrategy::spin())
-    }
-
-    /// Bounded revocation with a wait strategy: the one required revocation
-    /// entry point the layouts implement; the other `revoke*` methods are
-    /// provided shims over it.
+    /// The revocation entry point the layouts implement; [`revoke`] is a
+    /// spinning, unbounded shim over it. The waits between polls are
+    /// dispatched through `wait` (a parking revoker is woken by the lock's
+    /// fast-path readers notifying `lock_addr` as they clear their slots).
+    /// Gives up once the monotonic clock passes `deadline_ns`, returning
+    /// `None`; some fast readers may then still be published, and the
+    /// caller must not assume write permission is safe.
+    ///
+    /// [`revoke`]: ReaderTable::revoke
     fn revoke_until_with(
         &self,
         lock_addr: usize,
@@ -211,108 +205,14 @@ impl VisibleReadersTable {
         }
     }
 
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the table has zero slots (never true for tables created with
-    /// [`VisibleReadersTable::new`]).
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// Slot index for a `(lock, thread)` pair in this table.
     pub fn slot_for(&self, lock_addr: usize, thread_id: usize) -> usize {
         slot_index(lock_addr, thread_id, self.slots.len())
     }
 
-    /// Attempts to publish `lock_addr` in `slot`; see
-    /// [`ReaderTable::try_publish`].
-    pub fn try_publish(&self, slot: usize, lock_addr: usize) -> bool {
-        debug_assert_ne!(lock_addr, 0, "cannot publish a null lock address");
-        self.slots[slot]
-            .compare_exchange(0, lock_addr, Ordering::SeqCst, Ordering::Relaxed)
-            .is_ok()
-    }
-
-    /// Clears `slot`, which must currently hold `lock_addr` published by this
-    /// thread. This is the fast-path reader's release.
-    pub fn clear(&self, slot: usize, lock_addr: usize) {
-        let prev = self.slots[slot].swap(0, Ordering::Release);
-        debug_assert_eq!(
-            prev, lock_addr,
-            "slot cleared by a thread that did not own it"
-        );
-        // Silence the unused warning in release builds.
-        let _ = (prev, lock_addr);
-    }
-
     /// Reads the raw contents of `slot` (0 if empty).
     pub fn peek(&self, slot: usize) -> usize {
         self.slots[slot].load(Ordering::SeqCst)
-    }
-
-    /// Scans the whole table and waits until no slot holds `lock_addr`.
-    ///
-    /// This is the writer's revocation scan. It is **two-pass**: the first
-    /// sweep only collects the conflicting slot indices (the paper relies
-    /// on the hardware prefetcher making it cheap — ~1.1 ns per slot on
-    /// their testbed), and the second pass re-polls only those slots until
-    /// every conflicting reader departs, so the writer is not head-of-line
-    /// blocked on the first occupied slot. Returns the number of
-    /// conflicting readers that had to be waited for.
-    pub fn wait_for_readers(&self, lock_addr: usize) -> usize {
-        let mut pending = self.collect_conflicts(0..self.slots.len(), lock_addr);
-        let conflicts = pending.len();
-        drain_pending(
-            &self.slots,
-            &mut pending,
-            lock_addr,
-            u64::MAX,
-            WaitStrategy::spin(),
-        );
-        conflicts
-    }
-
-    /// Scans a sub-range of slots (used by tests and by range-restricted
-    /// embeddings) and waits, two-pass, for matching readers to depart.
-    pub fn wait_for_readers_in(&self, range: std::ops::Range<usize>, lock_addr: usize) -> usize {
-        let mut pending = self.collect_conflicts(range, lock_addr);
-        let conflicts = pending.len();
-        drain_pending(
-            &self.slots,
-            &mut pending,
-            lock_addr,
-            u64::MAX,
-            WaitStrategy::spin(),
-        );
-        conflicts
-    }
-
-    /// First revocation pass: indices in `range` currently publishing
-    /// `lock_addr`.
-    fn collect_conflicts(&self, range: std::ops::Range<usize>, lock_addr: usize) -> Vec<usize> {
-        range
-            .filter(|&i| self.slots[i].load(Ordering::SeqCst) == lock_addr)
-            .collect()
-    }
-
-    /// Number of currently occupied slots. Used by tests and by the
-    /// occupancy experiments; the value is a racy snapshot.
-    pub fn occupancy(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.load(Ordering::Relaxed) != 0)
-            .count()
-    }
-
-    /// Number of slots currently publishing `lock_addr` (racy snapshot).
-    pub fn count_for(&self, lock_addr: usize) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.load(Ordering::Relaxed) == lock_addr)
-            .count()
     }
 }
 
@@ -322,7 +222,7 @@ impl ReaderTable for VisibleReadersTable {
     }
 
     fn len(&self) -> usize {
-        self.len()
+        self.slots.len()
     }
 
     fn shards(&self) -> usize {
@@ -338,15 +238,19 @@ impl ReaderTable for VisibleReadersTable {
     }
 
     fn try_publish(&self, slot: usize, lock_addr: usize) -> bool {
-        VisibleReadersTable::try_publish(self, slot, lock_addr)
+        debug_assert_ne!(lock_addr, 0, "cannot publish a null lock address");
+        self.slots[slot]
+            .compare_exchange(0, lock_addr, Ordering::SeqCst, Ordering::Relaxed)
+            .is_ok()
     }
 
-    fn clear(&self, slot: usize, lock_addr: usize) {
-        VisibleReadersTable::clear(self, slot, lock_addr)
-    }
-
-    fn peek(&self, slot: usize) -> usize {
-        VisibleReadersTable::peek(self, slot)
+    fn clear(&self, slot: usize, lock_addr: usize) -> bool {
+        // Release pairs with the revoker's SeqCst scan, so the reader's
+        // critical section happens-before the writer's. A failed exchange
+        // publishes nothing: the caller releases through the underlying lock.
+        self.slots[slot]
+            .compare_exchange(lock_addr, 0, Ordering::Release, Ordering::Relaxed)
+            .is_ok()
     }
 
     fn revoke_until_with(
@@ -355,7 +259,11 @@ impl ReaderTable for VisibleReadersTable {
         deadline_ns: u64,
         wait: WaitStrategy,
     ) -> Option<Revocation> {
-        let mut pending = self.collect_conflicts(0..self.slots.len(), lock_addr);
+        // Two-pass: collect the conflicting slots first, then re-poll only
+        // those (see `drain_pending`).
+        let mut pending: Vec<usize> = (0..self.slots.len())
+            .filter(|&i| self.peek(i) == lock_addr)
+            .collect();
         let mut rev = Revocation {
             scanned_slots: self.slots.len(),
             ..Revocation::default()
@@ -369,11 +277,17 @@ impl ReaderTable for VisibleReadersTable {
     }
 
     fn occupancy(&self) -> usize {
-        self.occupancy()
+        self.slots
+            .iter()
+            .filter(|s| s.load(Ordering::Relaxed) != 0)
+            .count()
     }
 
     fn count_for(&self, lock_addr: usize) -> usize {
-        self.count_for(lock_addr)
+        self.slots
+            .iter()
+            .filter(|s| s.load(Ordering::Relaxed) == lock_addr)
+            .count()
     }
 }
 
@@ -433,16 +347,6 @@ impl SectoredTable {
         self.row_slots
     }
 
-    /// Total number of slots.
-    pub fn len(&self) -> usize {
-        self.rows * self.row_slots
-    }
-
-    /// Whether the table has zero slots (never true in practice).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Column a lock hashes to (same for every row, which is what lets the
     /// writer restrict its scan to one column).
     pub fn column_for(&self, lock_addr: usize) -> usize {
@@ -466,7 +370,7 @@ impl ReaderTable for SectoredTable {
     }
 
     fn len(&self) -> usize {
-        self.len()
+        self.rows * self.row_slots
     }
 
     fn shards(&self) -> usize {
@@ -485,12 +389,8 @@ impl ReaderTable for SectoredTable {
         self.storage.try_publish(slot, lock_addr)
     }
 
-    fn clear(&self, slot: usize, lock_addr: usize) {
+    fn clear(&self, slot: usize, lock_addr: usize) -> bool {
         self.storage.clear(slot, lock_addr)
-    }
-
-    fn peek(&self, slot: usize) -> usize {
-        self.storage.peek(slot)
     }
 
     fn revoke_until_with(
@@ -670,22 +570,17 @@ impl ReaderTable for NumaTable {
         }
     }
 
-    fn clear(&self, slot: usize, lock_addr: usize) {
+    fn clear(&self, slot: usize, lock_addr: usize) -> bool {
         let (shard, offset) = self.locate(slot);
         let shard = &self.shards[shard];
-        let prev = shard.slots[offset].swap(0, Ordering::Release);
-        debug_assert_eq!(
-            prev, lock_addr,
-            "slot cleared by a thread that did not own it"
-        );
-        let _ = (prev, lock_addr);
-        // After the slot itself: occupancy stays an upper bound throughout.
-        shard.occupancy.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    fn peek(&self, slot: usize) -> usize {
-        let (shard, offset) = self.locate(slot);
-        self.shards[shard].slots[offset].load(Ordering::SeqCst)
+        let freed = shard.slots[offset]
+            .compare_exchange(lock_addr, 0, Ordering::Release, Ordering::Relaxed)
+            .is_ok();
+        if freed {
+            // After the slot itself: occupancy stays an upper bound throughout.
+            shard.occupancy.fetch_sub(1, Ordering::SeqCst);
+        }
+        freed
     }
 
     fn revoke_until_with(
@@ -909,9 +804,14 @@ mod tests {
             !t.try_publish(slot, 0x2000),
             "occupied slot must refuse publication"
         );
-        t.clear(slot, addr);
+        assert!(t.clear(slot, addr));
         assert_eq!(t.peek(slot), 0);
         assert_eq!(t.occupancy(), 0);
+        assert!(!t.clear(slot, addr), "an empty slot cannot be freed");
+        assert!(t.try_publish(slot, 0x2000));
+        assert!(!t.clear(slot, addr), "another lock's slot cannot be freed");
+        assert_eq!(t.peek(slot), 0x2000);
+        assert!(t.clear(slot, 0x2000));
     }
 
     #[test]
@@ -924,10 +824,9 @@ mod tests {
         let t2 = Arc::clone(&t);
         let clearer = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(10));
-            t2.clear(slot, addr);
+            assert!(t2.clear(slot, addr));
         });
-        let conflicts = t.wait_for_readers(addr);
-        assert_eq!(conflicts, 1);
+        assert_eq!(t.revoke(addr).conflicts(), 1);
         assert_eq!(t.count_for(addr), 0);
         clearer.join().unwrap();
     }
@@ -952,10 +851,10 @@ mod tests {
             // head-of-line blocked on the earliest slot the whole time.
             std::thread::sleep(std::time::Duration::from_millis(5));
             for &slot in slots.iter().rev() {
-                t2.clear(slot, addr);
+                assert!(t2.clear(slot, addr));
             }
         });
-        assert_eq!(t.wait_for_readers(addr), 5);
+        assert_eq!(t.revoke(addr).conflicts(), 5);
         clearer.join().unwrap();
         assert_eq!(t.occupancy(), 0);
     }
@@ -967,8 +866,8 @@ mod tests {
         let slot = t.slot_for(other, 1);
         assert!(t.try_publish(slot, other));
         // Must return immediately: no slot holds 0x9000.
-        assert_eq!(t.wait_for_readers(0x9000), 0);
-        t.clear(slot, other);
+        assert_eq!(t.revoke(0x9000).conflicts(), 0);
+        assert!(t.clear(slot, other));
     }
 
     #[test]
@@ -989,7 +888,7 @@ mod tests {
         let addr = 0x6000;
         let slot = table.slot_for_current(addr);
         assert!(table.try_publish(slot, addr));
-        table.clear(slot, addr);
+        assert!(table.clear(slot, addr));
         let rev = table.revoke(addr);
         assert_eq!(rev.conflicts(), 0);
         assert_eq!(rev.scanned_slots, 64);
@@ -1026,7 +925,7 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 std::thread::sleep(std::time::Duration::from_millis(5));
-                ReaderTable::clear(&t, slot, addr);
+                assert!(ReaderTable::clear(&t, slot, addr));
             });
             let rev = t.revoke(addr);
             assert_eq!(rev.conflicts(), 1);
@@ -1066,7 +965,12 @@ mod tests {
         // A failed publish leaves no residue.
         assert!(!t.try_publish(slot, 0xb0));
         assert_eq!(t.shard_occupancy_hint(1), 1);
-        t.clear(slot, addr);
+        // A clear that frees nothing leaves the occupancy alone.
+        assert!(!t.clear(slot, 0xb0));
+        assert_eq!(t.shard_occupancy_hint(1), 1);
+        assert!(t.clear(slot, addr));
+        assert_eq!(t.shard_occupancy_hint(1), 0);
+        assert!(!t.clear(slot, addr));
         assert_eq!(t.shard_occupancy_hint(1), 0);
         assert_eq!(ReaderTable::occupancy(&t), 0);
     }
@@ -1087,7 +991,7 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 std::thread::sleep(std::time::Duration::from_millis(5));
-                t.clear(slot, addr);
+                assert!(t.clear(slot, addr));
             });
             let rev = t.revoke(addr);
             assert_eq!(rev.conflicts(), 1);
@@ -1105,8 +1009,10 @@ mod tests {
         assert!(t.try_publish(slot, addr));
         // The reader never departs within the budget.
         let deadline = now_ns() + 2_000_000; // 2 ms
-        assert!(t.revoke_until(addr, deadline).is_none());
-        t.clear(slot, addr);
+        assert!(t
+            .revoke_until_with(addr, deadline, WaitStrategy::spin())
+            .is_none());
+        assert!(t.clear(slot, addr));
         let rev = t.revoke(addr);
         assert_eq!(rev.conflicts(), 0);
     }
@@ -1120,13 +1026,13 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 std::thread::sleep(std::time::Duration::from_millis(20));
-                VisibleReadersTable::clear(&t, slot, addr);
+                assert!(VisibleReadersTable::clear(&t, slot, addr));
                 // What BravoLock::read_unlock does in park mode after
                 // clearing its slot.
                 WaitStrategy::park().notify_all(addr);
             });
-            let rev = ReaderTable::revoke_with(&*t, addr, WaitStrategy::park());
-            assert_eq!(rev.conflicts(), 1);
+            let rev = t.revoke_until_with(addr, u64::MAX, WaitStrategy::park());
+            assert_eq!(rev.map(|r| r.conflicts()), Some(1));
         });
         assert_eq!(ReaderTable::count_for(&*t, addr), 0);
     }

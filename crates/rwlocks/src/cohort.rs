@@ -201,7 +201,7 @@ impl std::fmt::Debug for CohortRwLock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rwlock::tests_support::{
+    use crate::tests_support::{
         exclusion_torture, mixed_torture, read_concurrency_smoke, try_lock_matrix,
     };
     use std::sync::atomic::AtomicBool;

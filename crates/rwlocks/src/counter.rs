@@ -184,9 +184,7 @@ impl std::fmt::Debug for CounterRwLock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rwlock::tests_support::{
-        exclusion_torture, read_concurrency_smoke, try_lock_matrix,
-    };
+    use crate::tests_support::{exclusion_torture, read_concurrency_smoke, try_lock_matrix};
 
     #[test]
     fn basic_semantics() {

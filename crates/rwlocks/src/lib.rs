@@ -16,15 +16,15 @@
 //! | MCS fair | [`FairRwLock`] | central counters, FIFO phases | task-fair |
 //!
 //! Supporting mutual-exclusion locks (ticket, MCS, and the NUMA-aware cohort
-//! mutex used by Cohort-RW) live in [`mutex`]. [`RwLock`] is a small
-//! data-carrying wrapper, generic over the raw lock, mirroring
-//! `std::sync::RwLock` without poisoning. [`footprint`] reports per-instance
-//! memory footprints, reproducing the size accounting of §5.
+//! mutex used by Cohort-RW) live in [`mutex`]. [`footprint`] reports
+//! per-instance memory footprints, reproducing the size accounting of §5.
+//! The BRAVO composites are built through the [`catalog`] (for example
+//! [`LockKind::BravoBa`]), and the data-carrying wrapper is
+//! [`bravo::BravoRwLock`].
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod bytelock;
 pub mod catalog;
 pub mod cohort;
 pub mod counter;
@@ -35,11 +35,10 @@ pub mod percpu;
 pub mod pf_q;
 pub mod pf_t;
 pub mod pthread_like;
-pub mod rwlock;
-pub mod seqlock;
+#[cfg(test)]
+mod tests_support;
 
 pub use bravo::{RawRwLock, RawTryRwLock, TryLockError};
-pub use bytelock::ByteLock;
 pub use catalog::{build_lock, LockKind};
 pub use cohort::CohortRwLock;
 pub use counter::CounterRwLock;
@@ -49,14 +48,3 @@ pub use percpu::PerCpuRwLock;
 pub use pf_q::PhaseFairQueueLock;
 pub use pf_t::PhaseFairTicketLock;
 pub use pthread_like::PthreadRwLock;
-pub use rwlock::{ReadGuard, RwLock, WriteGuard};
-pub use seqlock::SeqLock;
-
-/// "BA" is how the paper refers to the Brandenburg–Anderson PF-Q lock.
-pub type Ba = PhaseFairQueueLock;
-
-/// BRAVO-BA: the paper's primary composite lock.
-pub type BravoBa = bravo::ReentrantBravo<PhaseFairQueueLock>;
-
-/// BRAVO-pthread: BRAVO over the pthread-like reader-preference lock.
-pub type BravoPthread = bravo::ReentrantBravo<PthreadRwLock>;

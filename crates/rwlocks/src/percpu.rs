@@ -128,7 +128,7 @@ impl<R: RawRwLock> std::fmt::Debug for PerCpuRwLock<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rwlock::tests_support::{
+    use crate::tests_support::{
         exclusion_torture, mixed_torture, read_concurrency_smoke, try_lock_matrix,
     };
 

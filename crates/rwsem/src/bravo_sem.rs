@@ -1,11 +1,19 @@
 //! The BRAVO patch applied to the simulated rwsem (§4 of the paper).
+//!
+//! The patch is the user-space transformation itself: [`BravoRwSemaphore`]
+//! is [`BravoLock`] over [`RwSemaphore`], so the kernel simulation and the
+//! user-space locks run one BRAVO engine. Kernel `up_read` receives no
+//! token, so read releases use [`BravoLock::read_unlock_token_free`]: the
+//! slot is re-derived from `(current task, semaphore)` and freed by a
+//! compare-exchange from the semaphore's address, or else the underlying
+//! `up_read` runs. That is sound here because the task that acquired for
+//! read also releases (true of every simulated kernel workload), and the
+//! semaphore's reader count is anonymous, so a colliding slow reader may
+//! free a fast reader's slot and leave its own count for that reader to
+//! release. Every read release goes through `up_read`, as the method
+//! requires.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-use bravo::clock::now_ns;
-use bravo::policy::BiasPolicy;
-use bravo::stats::{SlowReadReason, StatsSink};
-use bravo::vrt::{global_table, ReaderTable};
+use bravo::{BiasPolicy, BravoLock, RawRwLock, RawTryRwLock, TableHandle, TryLockError};
 
 use crate::sem::{RwSemaphore, RwsemConfig};
 
@@ -17,24 +25,26 @@ use crate::sem::{RwSemaphore, RwsemConfig};
 ///   address)` into the process-global visible readers table and CAS the
 ///   semaphore's address into the slot; on success they skip the shared
 ///   count word entirely.
-/// * The release side re-derives the slot from the same hash and clears it
-///   if it holds this semaphore's address, falling back to the underlying
-///   `up_read` otherwise. This relies on the same simplifying assumption the
-///   kernel patch makes — the task that acquired for read also releases —
-///   which all the simulated kernel workloads satisfy.
-/// * Writers always take the underlying `down_write`; if `RBias` was set
-///   they revoke it and scan the table, and the inhibit-until policy
+/// * `up_read` re-derives the slot and frees it if it still holds this
+///   semaphore's address, falling back to the underlying `up_read`
+///   otherwise (see the module docs for why that is sound).
+/// * Writers always take the underlying `down_write`, then take the bias
+///   away and scan the table if it was set; the inhibit-until policy
 ///   (`N = 9`) bounds the writer slow-down exactly as in user space.
 /// * `down_read_trylock` tries the BRAVO fast path first and then the
 ///   underlying trylock, the option §3 describes and the kernel patch uses.
+///   `down_write_trylock` waits at most
+///   [`TRY_WRITE_BUDGET`](bravo::TRY_WRITE_BUDGET) for fast readers
+///   to leave.
 /// * The underlying semaphore runs with the owner-field fix (readers only
 ///   set the reader-owned bits when not already set).
-pub struct BravoRwSemaphore {
-    rbias: AtomicBool,
-    inhibit_until: AtomicU64,
-    inner: RwSemaphore,
-    policy: BiasPolicy,
-}
+///
+/// Statistics go to the process totals, and the flat global table is one
+/// shard, so every event is attributed to shard 0. The address published
+/// in the table is the semaphore's own.
+#[derive(Debug)]
+#[repr(transparent)]
+pub struct BravoRwSemaphore(BravoLock<RwSemaphore>);
 
 impl Default for BravoRwSemaphore {
     fn default() -> Self {
@@ -49,165 +59,109 @@ impl BravoRwSemaphore {
     }
 
     /// Creates the control variant used in §6.1: the patch is present but
-    /// `RBias` is never set, so the fast path and revocation never run.
+    /// `RBias` is never set, so the fast path and the table scan never run.
     pub fn with_bias_disabled() -> Self {
         Self::with_policy(BiasPolicy::Disabled)
     }
 
     /// Creates a BRAVO-patched semaphore with an explicit bias policy.
     pub fn with_policy(policy: BiasPolicy) -> Self {
-        Self {
-            rbias: AtomicBool::new(false),
-            inhibit_until: AtomicU64::new(0),
-            inner: RwSemaphore::with_config(RwsemConfig::bravo_patched()),
+        Self(BravoLock::with_parts(
+            RwSemaphore::with_config(RwsemConfig::bravo_patched()),
+            TableHandle::global(),
             policy,
-        }
+        ))
     }
 
     /// The underlying (patched-configuration) rwsem.
     pub fn inner(&self) -> &RwSemaphore {
-        &self.inner
+        self.0.underlying()
     }
 
     /// Whether reader bias is currently enabled (racy snapshot).
     pub fn is_reader_biased(&self) -> bool {
-        self.rbias.load(Ordering::Relaxed)
-    }
-
-    fn addr(&self) -> usize {
-        self as *const Self as usize
-    }
-
-    fn slot(&self) -> usize {
-        // The kernel patch hashes the `current` task pointer with the
-        // semaphore address; our task identity is the registered thread id.
-        global_table().slot_for(self.addr(), topology::current_thread_id().as_usize())
+        self.0.is_reader_biased()
     }
 
     /// Kernel `down_read` with the BRAVO fast path.
     pub fn down_read(&self) {
-        if let Err(reason) = self.try_fast_read() {
-            self.inner.down_read();
-            self.slow_read_acquired(reason);
-        }
+        // The token is not kept: `up_read` re-derives the slot.
+        let _ = self.0.read_lock();
     }
 
     /// Kernel `down_read_trylock`: BRAVO fast path first, then the
     /// underlying trylock.
     pub fn down_read_trylock(&self) -> bool {
-        match self.try_fast_read() {
-            Ok(()) => true,
-            Err(reason) => {
-                let acquired = self.inner.down_read_trylock();
-                if acquired {
-                    self.slow_read_acquired(reason);
-                }
-                acquired
-            }
-        }
+        self.0.try_read_lock().is_some()
     }
 
-    /// The BRAVO fast path. On failure nothing is held, and the error says
-    /// why the reader must take the slow path. The flat global table is one
-    /// shard, so every event is attributed to shard 0.
-    fn try_fast_read(&self) -> Result<(), SlowReadReason> {
-        if !self.rbias.load(Ordering::Acquire) {
-            return Err(SlowReadReason::BiasDisabled);
-        }
-        let table = global_table();
-        let slot = self.slot();
-        if !table.try_publish(slot, self.addr()) {
-            return Err(SlowReadReason::Collision { shard: 0 });
-        }
-        // SeqCst CAS + SeqCst re-check form the store-load fence against the
-        // writer's clear-then-scan.
-        if self.rbias.load(Ordering::SeqCst) {
-            StatsSink::Global.record_fast_read_in(0);
-            return Ok(());
-        }
-        table.clear(slot, self.addr());
-        Err(SlowReadReason::Raced)
-    }
-
-    fn slow_read_acquired(&self, reason: SlowReadReason) {
-        self.maybe_enable_bias();
-        StatsSink::Global.record_slow_read(reason);
-    }
-
-    fn maybe_enable_bias(&self) {
-        if !self.rbias.load(Ordering::Relaxed)
-            && self
-                .policy
-                .should_enable(now_ns(), self.inhibit_until.load(Ordering::Relaxed))
-        {
-            self.rbias.store(true, Ordering::Release);
-            StatsSink::Global.record_bias_enabled();
-        }
-    }
-
-    /// Kernel `up_read`: clears the published slot when the acquisition used
+    /// Kernel `up_read`: frees the published slot when the acquisition used
     /// the fast path, otherwise releases the underlying semaphore.
     pub fn up_read(&self) {
-        let table = global_table();
-        let slot = self.slot();
-        if table.peek(slot) == self.addr() {
-            table.clear(slot, self.addr());
-        } else {
-            self.inner.up_read();
-        }
+        self.0.read_unlock_token_free();
     }
 
-    /// Kernel `down_write` with bias revocation.
+    /// Kernel `down_write`; takes the read bias away if it was set.
     pub fn down_write(&self) {
-        self.inner.down_write();
-        self.revoke_if_biased();
+        self.0.write_lock();
     }
 
-    /// Kernel `down_write_trylock` with bias revocation on success.
+    /// Kernel `down_write_trylock`, with a bounded wait for fast readers.
     pub fn down_write_trylock(&self) -> bool {
-        if self.inner.down_write_trylock() {
-            self.revoke_if_biased();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn revoke_if_biased(&self) {
-        if self.rbias.load(Ordering::Relaxed) {
-            self.rbias.store(false, Ordering::SeqCst);
-            let start = now_ns();
-            let rev = global_table().revoke(self.addr());
-            let now = now_ns();
-            self.inhibit_until.store(
-                self.policy.inhibit_until_after_revocation(start, now),
-                Ordering::Relaxed,
-            );
-            StatsSink::Global.record_write(Some(&rev));
-        } else {
-            StatsSink::Global.record_write(None);
-        }
+        self.0.try_write_lock()
     }
 
     /// Kernel `up_write`.
     pub fn up_write(&self) {
-        self.inner.up_write();
+        self.0.write_unlock();
     }
 }
 
-impl std::fmt::Debug for BravoRwSemaphore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BravoRwSemaphore")
-            .field("rbias", &self.is_reader_biased())
-            .field("inner", &self.inner)
-            .finish_non_exhaustive()
+/// The rwsem as BRAVO's underlying lock `A`.
+impl RawRwLock for RwSemaphore {
+    fn new() -> Self {
+        RwSemaphore::new()
+    }
+
+    fn lock_shared(&self) {
+        self.down_read();
+    }
+
+    fn unlock_shared(&self) {
+        self.up_read();
+    }
+
+    fn lock_exclusive(&self) {
+        self.down_write();
+    }
+
+    fn unlock_exclusive(&self) {
+        self.up_write();
+    }
+}
+
+impl RawTryRwLock for RwSemaphore {
+    fn try_lock_shared(&self) -> Result<(), TryLockError> {
+        if self.down_read_trylock() {
+            Ok(())
+        } else {
+            Err(TryLockError::WouldBlock)
+        }
+    }
+
+    fn try_lock_exclusive(&self) -> Result<(), TryLockError> {
+        if self.down_write_trylock() {
+            Ok(())
+        } else {
+            Err(TryLockError::WouldBlock)
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64 as TestCounter;
+    use std::sync::atomic::{AtomicU64 as TestCounter, Ordering};
     use std::sync::Arc;
 
     #[test]
@@ -221,33 +175,6 @@ mod tests {
         sem.down_read();
         assert_eq!(sem.inner().active_readers(), 0);
         sem.up_read();
-    }
-
-    #[test]
-    fn writer_revokes_and_waits_for_fast_readers() {
-        let sem = Arc::new(BravoRwSemaphore::new());
-        sem.down_read();
-        sem.up_read();
-        sem.down_read(); // fast read, held across the writer's arrival
-        let entered = Arc::new(TestCounter::new(0));
-        std::thread::scope(|s| {
-            let sem2 = Arc::clone(&sem);
-            let entered2 = Arc::clone(&entered);
-            s.spawn(move || {
-                sem2.down_write();
-                entered2.store(1, Ordering::SeqCst);
-                sem2.up_write();
-            });
-            std::thread::sleep(std::time::Duration::from_millis(30));
-            assert_eq!(
-                entered.load(Ordering::SeqCst),
-                0,
-                "writer entered past a fast reader"
-            );
-            sem.up_read();
-        });
-        assert_eq!(entered.load(Ordering::SeqCst), 1);
-        assert!(!sem.is_reader_biased());
     }
 
     #[test]

@@ -17,10 +17,17 @@
 //! * **optimistic spinning** (spin-on-owner) before blocking;
 //! * a FIFO **wait queue** with reader-grouping wakeups.
 //!
-//! [`BravoRwSemaphore`] applies the paper's patch on top: a read fast path
-//! through the global visible readers table keyed by `(task, semaphore)`,
-//! with the release side locating the slot by re-hashing — the same
-//! "acquirer releases" simplifying assumption the kernel patch makes.
+//! [`BravoRwSemaphore`] applies the paper's patch on top. It is
+//! [`bravo::BravoLock`] over [`RwSemaphore`], the same engine as every
+//! user-space BRAVO lock: a read fast path through the global visible
+//! readers table keyed by `(task, semaphore)`. Since `up_read` carries no
+//! token, it uses the token-free release
+//! [`BravoLock::read_unlock_token_free`](bravo::BravoLock::read_unlock_token_free),
+//! which locates the slot by re-hashing and frees it only if it still holds
+//! the semaphore's address. That release may be used only when the task
+//! that acquired for read also releases (the simplifying assumption the
+//! kernel patch makes), when the underlying reader count is anonymous, and
+//! when every read release of the lock uses it.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

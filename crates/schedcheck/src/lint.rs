@@ -92,7 +92,6 @@ const MIGRATED: &[&str] = &[
     "crates/core/src/wait.rs",
     "crates/core/src/lock.rs",
     "crates/rwlocks/src/counter.rs",
-    "crates/rwlocks/src/bytelock.rs",
     "crates/rwlocks/src/mutex.rs",
     "crates/kvstore/src/memtable.rs",
 ];
