@@ -8,7 +8,7 @@ use bravo::spec::{LockHandle, LockSpec, SpecError};
 use bravo::stats::Snapshot;
 use rwlocks::build_lock;
 
-use crate::memtable::{prepopulated_value, BatchOp, MemTable, Value};
+use crate::memtable::{load_prepopulated, BatchOp, MemTable, Value};
 
 /// A minimal key-value store: `shards=N` key-hashed memtables (one by
 /// default), each guarded by its own GetLock built from the same spec.
@@ -46,13 +46,25 @@ impl Db {
 
     /// Opens a store pre-loaded with keys `0..n` (handy for read-mostly
     /// benchmarks and examples), each key routed to its owning shard and
-    /// holding [`prepopulated_value`].
+    /// holding [`prepopulated_value`](crate::memtable::prepopulated_value).
     ///
     /// The keys are loaded before the store is shared: each shard's map is
     /// sized for exactly the keys routed to it, filled, and only then
     /// wrapped in its memtable. The load therefore takes no lock, records
     /// no lock statistics and never rehashes. Every GetLock is built first,
     /// so a bad spec fails before any key is loaded.
+    ///
+    /// A shard whose table is 4 MiB or more (over 57,344 keys) is filled in
+    /// bucket order rather than key order. One pass over the shard's keys
+    /// splits them by the top bits of their home bucket under the map's own
+    /// hasher into one list per 256 KiB of table, and the map takes one
+    /// list at a time, so consecutive inserts stay in one window that fits
+    /// in L2 and the TLB's reach. While a thread fills a shard, the lists
+    /// take 8 to 16 bytes per key of that shard. This leans on std's
+    /// SwissTable starting a probe at `hash & (buckets - 1)`; were that to
+    /// change, only the speed would suffer, since the maps hold the same
+    /// keys in the same number of buckets either way. Smaller tables fit in
+    /// cache and fill in key order.
     ///
     /// Shards fill in parallel, one thread per core up to the shard count,
     /// each thread filling whole shards one map at a time. With one shard or one core the
@@ -299,7 +311,9 @@ impl From<SpecError> for OpenError {
 /// Every map is reserved for exactly its keys on the calling thread before
 /// any fill starts, so an impossible size fails here rather than aborting
 /// in a fill thread. Each thread then fills a run of whole shards, one map
-/// at a time.
+/// at a time; a map of 4 MiB or more fills in bucket order, 256 KiB of
+/// table at a time (see [`Db::open_prepopulated`]). No fill rehashes: every
+/// map keeps the capacity it was reserved with.
 fn shard_maps(
     n: u64,
     shards: usize,
@@ -321,11 +335,7 @@ fn shard_maps(
     }
     let fill = move |first: usize, maps: &mut [HashMap<u64, Value>]| {
         for (shard, map) in (first..).zip(maps) {
-            map.extend(
-                (0..n)
-                    .filter(|&key| key_shard(key, shards) == shard)
-                    .map(|key| (key, prepopulated_value(key))),
-            );
+            load_prepopulated(map, (0..n).filter(|&key| key_shard(key, shards) == shard));
         }
     };
     let per_thread = shards.div_ceil(threads);
@@ -371,6 +381,7 @@ impl std::fmt::Debug for Db {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memtable::{prepopulated_value, table_bytes, ORDERED_LOAD_MIN_BYTES};
     use bravo::spec::LockSpec;
     use rwlocks::LockKind;
     use std::sync::Arc;
@@ -434,22 +445,65 @@ mod tests {
         assert_eq!(stats.total_reads(), 0, "prepopulation took a read lock");
     }
 
+    /// Checks `shard_maps` at each thread count against a serial fill: the
+    /// same maps, each still at the capacity it was reserved with.
+    fn check_shard_maps(n: u64, shards: usize, threads: &[usize]) {
+        let mut serial = vec![HashMap::new(); shards];
+        for key in 0..n {
+            serial[key_shard(key, shards)].insert(key, prepopulated_value(key));
+        }
+        for &threads in threads {
+            let maps = shard_maps(n, shards, threads).unwrap();
+            assert_eq!(maps, serial, "shards={shards} threads={threads} n={n}");
+            for (map, reference) in maps.iter().zip(&serial) {
+                let reserved = HashMap::<u64, Value>::with_capacity(reference.len()).capacity();
+                assert_eq!(
+                    map.capacity(),
+                    reserved,
+                    "shards={shards} threads={threads} n={n}: the fill rehashed"
+                );
+            }
+        }
+    }
+
+    /// The fewest keys whose reserved table loads in bucket order.
+    fn ordered_load_min_keys() -> u64 {
+        let ordered = |keys: u64| {
+            table_bytes(&HashMap::with_capacity(keys as usize)) >= ORDERED_LOAD_MIN_BYTES
+        };
+        // Invariant: `lo` is below the threshold and `hi` reaches it.
+        let (mut lo, mut hi) = (0u64, 1 << 17);
+        assert!(ordered(hi));
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if ordered(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        hi
+    }
+
     #[test]
     fn shard_maps_match_a_serial_fill_at_every_thread_count() {
+        // Small tables: filled in key order.
         for shards in [1usize, 2, 3, 4, 8] {
             for n in [0u64, 1, 7, 10_000] {
-                let mut serial = vec![HashMap::new(); shards];
-                for key in 0..n {
-                    serial[key_shard(key, shards)].insert(key, prepopulated_value(key));
-                }
-                for threads in [1, 2, 3, shards + 1] {
-                    assert_eq!(
-                        shard_maps(n, shards, threads).unwrap(),
-                        serial,
-                        "shards={shards} threads={threads} n={n}"
-                    );
-                }
+                check_shard_maps(n, shards, &[1, 2, 3, shards + 1]);
             }
+        }
+        // The smallest stores whose every shard table is filled in bucket
+        // order.
+        let keys = ordered_load_min_keys();
+        for shards in [1usize, 4] {
+            let mut counts = vec![0u64; shards];
+            let mut n = 0;
+            while counts.iter().any(|&count| count < keys) {
+                counts[key_shard(n, shards)] += 1;
+                n += 1;
+            }
+            check_shard_maps(n, shards, &[1, 2]);
         }
     }
 

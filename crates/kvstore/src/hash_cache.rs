@@ -87,7 +87,8 @@ impl HashCache {
     ///
     /// The entries are loaded into a map sized for all `n` before the cache
     /// exists, so no other thread can see it yet: the load takes no lock,
-    /// records no lock statistics and never rehashes.
+    /// records no lock statistics and never rehashes (the loaded map has
+    /// the capacity of a map made `with_capacity(n)`).
     pub fn prepopulated(spec: impl Into<LockSpec>, n: u64) -> Result<Self, SpecError> {
         let lock = build_lock(&spec.into())?;
         let mut map = HashMap::with_capacity_and_hasher(n as usize, KeyHashBuilder);
@@ -240,6 +241,19 @@ mod tests {
         let c = HashCache::prepopulated(LockKind::PerCpu, 256).unwrap();
         assert_eq!(c.len(), 256);
         assert_eq!(c.lookup(255).unwrap().offset, 255 * 4096);
+    }
+
+    #[test]
+    fn prepopulation_never_rehashes() {
+        for n in [0u64, 1, 100, 10_000] {
+            let mut c = HashCache::prepopulated(LockKind::BravoBa, n).unwrap();
+            let reserved = HashMap::<u64, CacheEntry>::with_capacity(n as usize).capacity();
+            assert_eq!(
+                c.map.get_mut().capacity(),
+                reserved,
+                "n={n}: the load rehashed"
+            );
+        }
     }
 
     #[test]

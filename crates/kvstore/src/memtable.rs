@@ -3,6 +3,8 @@
 
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::mem::size_of;
 
 use bravo::spec::{LockHandle, LockSpec, SpecError};
 use bravo::stats::Snapshot;
@@ -20,6 +22,55 @@ pub type Value = [u64; 4];
 /// check a read of an untouched key without asking the store first.
 pub fn prepopulated_value(key: u64) -> Value {
     [key, key ^ 0xff, 0, 0]
+}
+
+/// A reserved table at least this large is loaded in bucket order by
+/// [`load_prepopulated`]; a smaller one stays in cache and loads as is.
+pub(crate) const ORDERED_LOAD_MIN_BYTES: usize = 4 << 20;
+/// How much of the table one part of a bucket-order load writes into:
+/// small enough to stay in L2 and within the TLB's reach.
+const ORDERED_LOAD_WINDOW_BYTES: usize = 256 << 10;
+
+/// Bytes of bucket storage in the table `map` has reserved: std's
+/// SwissTable reserves a power of two of buckets and fills them to 7/8.
+pub(crate) fn table_bytes(map: &HashMap<u64, Value>) -> usize {
+    map.capacity().next_power_of_two() * size_of::<(u64, Value)>()
+}
+
+/// Loads `keys`, each holding [`prepopulated_value`], into `map`, which is
+/// already reserved for exactly those keys: no insert rehashes.
+///
+/// A table under `ORDERED_LOAD_MIN_BYTES` (4 MiB) is filled in key order.
+/// A larger one is filled front to back: one pass routes each key to one of
+/// `table bytes / ORDERED_LOAD_WINDOW_BYTES` (256 KiB) lists, rounded up to
+/// a power of two, by the top bits of its home bucket `hash & (buckets - 1)`
+/// under the map's own hasher; the map then takes one list at a time, so
+/// each list's inserts land in one 256 KiB window instead of missing the
+/// cache and the TLB on every key. The window is only where std's
+/// SwissTable starts a probe; if that changes, the load is slower but the
+/// map holds the same keys.
+pub(crate) fn load_prepopulated(map: &mut HashMap<u64, Value>, keys: impl Iterator<Item = u64>) {
+    let bytes = table_bytes(map);
+    if bytes < ORDERED_LOAD_MIN_BYTES {
+        map.extend(keys.map(|key| (key, prepopulated_value(key))));
+        return;
+    }
+    let buckets = bytes / size_of::<(u64, Value)>();
+    let parts = (bytes / ORDERED_LOAD_WINDOW_BYTES).next_power_of_two();
+    let shift = (buckets / parts).trailing_zeros();
+    let mut lists = vec![Vec::new(); parts];
+    // Not `hash_one`: a second caller of it stops LLVM inlining SipHash
+    // into `HashMap::insert`, which slows every load, small ones included.
+    #[allow(clippy::manual_hash_one)]
+    for key in keys {
+        let mut hasher = map.hasher().build_hasher();
+        key.hash(&mut hasher);
+        let bucket = hasher.finish() as usize & (buckets - 1);
+        lists[bucket >> shift].push(key);
+    }
+    for list in lists {
+        map.extend(list.into_iter().map(|key| (key, prepopulated_value(key))));
+    }
 }
 
 /// One write in a batch: the serializable subset of the write API
@@ -95,11 +146,14 @@ impl MemTable {
     ///
     /// The keys are loaded into a map sized for all `n` before the table
     /// exists, so no other thread can see it yet: the load takes no lock,
-    /// records no lock statistics and never rehashes.
+    /// records no lock statistics and never rehashes (the loaded map has
+    /// the capacity of `HashMap::with_capacity(n)`). A table of 4 MiB or
+    /// more (over 57,344 keys) is filled in bucket order, 256 KiB of table at
+    /// a time; see [`crate::Db::open_prepopulated`].
     pub fn prepopulated(spec: impl Into<LockSpec>, n: u64) -> Result<Self, SpecError> {
         let get_lock = build_lock(&spec.into())?;
         let mut data = HashMap::with_capacity(n as usize);
-        data.extend((0..n).map(|key| (key, prepopulated_value(key))));
+        load_prepopulated(&mut data, 0..n);
         Ok(Self::from_map(get_lock, data))
     }
 
@@ -341,6 +395,20 @@ mod tests {
         let t = MemTable::prepopulated(LockKind::Ba, 100).unwrap();
         assert_eq!(t.len(), 100);
         assert_eq!(t.get(99), Some(prepopulated_value(99)));
+    }
+
+    #[test]
+    fn prepopulation_never_rehashes() {
+        // 100,000 keys reserve a 5 MiB table, which loads in bucket order.
+        assert!(table_bytes(&HashMap::with_capacity(100_000)) >= ORDERED_LOAD_MIN_BYTES);
+        for n in [0u64, 1, 100, 10_000, 100_000] {
+            let mut t = MemTable::prepopulated(LockKind::BravoBa, n).unwrap();
+            let data = t.data.get_mut();
+            let reserved = HashMap::<u64, Value>::with_capacity(n as usize).capacity();
+            assert_eq!(data.capacity(), reserved, "n={n}: the load rehashed");
+            assert_eq!(data.len() as u64, n);
+            assert!((0..n).all(|key| data.get(&key) == Some(&prepopulated_value(key))));
+        }
     }
 
     #[test]
