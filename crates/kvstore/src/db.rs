@@ -60,11 +60,11 @@ impl Db {
     /// hasher into one list per 256 KiB of table, and the map takes one
     /// list at a time, so consecutive inserts stay in one window that fits
     /// in L2 and the TLB's reach. While a thread fills a shard, the lists
-    /// take 8 to 16 bytes per key of that shard. This leans on std's
+    /// take about 9 bytes per key of that shard. This leans on std's
     /// SwissTable starting a probe at `hash & (buckets - 1)`; were that to
     /// change, only the speed would suffer, since the maps hold the same
-    /// keys in the same number of buckets either way. Smaller tables fit in
-    /// cache and fill in key order.
+    /// keys in the same number of buckets either way. Smaller tables fill
+    /// in key order, which is as fast or faster for them.
     ///
     /// Shards fill in parallel, one thread per core up to the shard count,
     /// each thread filling whole shards one map at a time. With one shard or one core the
@@ -74,12 +74,13 @@ impl Db {
     /// # Errors
     ///
     /// [`OpenError::Spec`] if the catalog rejects the spec, and
-    /// [`OpenError::OutOfMemory`] if the shard maps for `n` keys cannot be
-    /// allocated; both are returned before any key is loaded. With more
-    /// than one shard, the per-shard key counts are taken in one pass over
-    /// `0..n` before the maps are reserved, so an impossible `n` is only
-    /// reported after that pass: about 2 ns a key in a release build, or
-    /// over half an hour for `n = 2^40`. There is no size cap.
+    /// [`OpenError::OutOfMemory`] if the shard maps for `n` keys, or the key
+    /// lists of a bucket-order fill, cannot be allocated. A bad spec and
+    /// maps too large to reserve are reported before any key is loaded.
+    /// With more than one shard, the per-shard key counts are taken in one
+    /// pass over `0..n` before the maps are reserved, so an impossible `n`
+    /// is only reported after that pass: about 2 ns a key in a release
+    /// build, or over half an hour for `n = 2^40`. There is no size cap.
     pub fn open_prepopulated(spec: impl Into<LockSpec>, n: u64) -> Result<Self, OpenError> {
         let spec = spec.into();
         let locks = (0..spec.shards())
@@ -312,8 +313,10 @@ impl From<SpecError> for OpenError {
 /// any fill starts, so an impossible size fails here rather than aborting
 /// in a fill thread. Each thread then fills a run of whole shards, one map
 /// at a time; a map of 4 MiB or more fills in bucket order, 256 KiB of
-/// table at a time (see [`Db::open_prepopulated`]). No fill rehashes: every
-/// map keeps the capacity it was reserved with.
+/// table at a time (see [`Db::open_prepopulated`]). The key lists of that
+/// fill are allocated fallibly in the fill thread, and the first failure
+/// is returned once every thread has finished. No fill rehashes: every map
+/// keeps the capacity it was reserved with.
 fn shard_maps(
     n: u64,
     shards: usize,
@@ -328,29 +331,37 @@ fn shard_maps(
         }
     }
     let mut maps = Vec::with_capacity(shards);
-    for count in counts {
+    for &count in &counts {
         let mut map = HashMap::new();
         map.try_reserve(usize::try_from(count).unwrap_or(usize::MAX))?;
         maps.push(map);
     }
-    let fill = move |first: usize, maps: &mut [HashMap<u64, Value>]| {
-        for (shard, map) in (first..).zip(maps) {
-            load_prepopulated(map, (0..n).filter(|&key| key_shard(key, shards) == shard));
-        }
-    };
+    let counts = &counts;
+    let fill =
+        move |first: usize, maps: &mut [HashMap<u64, Value>]| -> Result<(), TryReserveError> {
+            for (shard, map) in (first..).zip(maps) {
+                let keys = (0..n).filter(|&key| key_shard(key, shards) == shard);
+                // The map's reservation above succeeded, so the count fits.
+                load_prepopulated(map, counts[shard] as usize, keys)?;
+            }
+            Ok(())
+        };
     let per_thread = shards.div_ceil(threads);
     std::thread::scope(|scope| {
+        let mut runs = (0..).step_by(per_thread).zip(maps.chunks_mut(per_thread));
+        let here = runs.next();
         // Spawn the other runs first, then fill run 0 here: one thread or
         // one run spawns nothing.
-        for (run, maps) in maps.chunks_mut(per_thread).enumerate().rev() {
-            let first = run * per_thread;
-            if run == 0 {
-                fill(first, maps);
-            } else {
-                scope.spawn(move || fill(first, maps));
-            }
+        let others: Vec<_> = runs
+            .map(|(first, maps)| scope.spawn(move || fill(first, maps)))
+            .collect();
+        let mut filled = here.map_or(Ok(()), |(first, maps)| fill(first, maps));
+        for other in others {
+            let other = other.join();
+            filled = filled.and(other.unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
         }
-    });
+        filled
+    })?;
     Ok(maps)
 }
 
@@ -381,7 +392,7 @@ impl std::fmt::Debug for Db {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memtable::{prepopulated_value, table_bytes, ORDERED_LOAD_MIN_BYTES};
+    use crate::memtable::{prepopulated_value, ORDERED_LOAD_MIN_KEYS};
     use bravo::spec::LockSpec;
     use rwlocks::LockKind;
     use std::sync::Arc;
@@ -466,25 +477,6 @@ mod tests {
         }
     }
 
-    /// The fewest keys whose reserved table loads in bucket order.
-    fn ordered_load_min_keys() -> u64 {
-        let ordered = |keys: u64| {
-            table_bytes(&HashMap::with_capacity(keys as usize)) >= ORDERED_LOAD_MIN_BYTES
-        };
-        // Invariant: `lo` is below the threshold and `hi` reaches it.
-        let (mut lo, mut hi) = (0u64, 1 << 17);
-        assert!(ordered(hi));
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if ordered(mid) {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        hi
-    }
-
     #[test]
     fn shard_maps_match_a_serial_fill_at_every_thread_count() {
         // Small tables: filled in key order.
@@ -495,11 +487,10 @@ mod tests {
         }
         // The smallest stores whose every shard table is filled in bucket
         // order.
-        let keys = ordered_load_min_keys();
         for shards in [1usize, 4] {
             let mut counts = vec![0u64; shards];
             let mut n = 0;
-            while counts.iter().any(|&count| count < keys) {
+            while counts.iter().any(|&count| count < ORDERED_LOAD_MIN_KEYS) {
                 counts[key_shard(n, shards)] += 1;
                 n += 1;
             }

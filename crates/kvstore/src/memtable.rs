@@ -2,7 +2,7 @@
 //! in-place updates.
 
 use std::cell::UnsafeCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, TryReserveError};
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::mem::size_of;
 
@@ -25,52 +25,72 @@ pub fn prepopulated_value(key: u64) -> Value {
 }
 
 /// A reserved table at least this large is loaded in bucket order by
-/// [`load_prepopulated`]; a smaller one stays in cache and loads as is.
-pub(crate) const ORDERED_LOAD_MIN_BYTES: usize = 4 << 20;
+/// [`load_prepopulated`]; a smaller one loads as fast or faster in key
+/// order.
+const ORDERED_LOAD_MIN_BYTES: usize = 4 << 20;
+/// The fewest keys whose reserved table reaches `ORDERED_LOAD_MIN_BYTES`:
+/// 57,344 keys reserve 65,536 buckets (2.5 MiB), one more key 131,072
+/// (5 MiB).
+#[cfg(test)]
+pub(crate) const ORDERED_LOAD_MIN_KEYS: u64 = 57_345;
 /// How much of the table one part of a bucket-order load writes into:
 /// small enough to stay in L2 and within the TLB's reach.
 const ORDERED_LOAD_WINDOW_BYTES: usize = 256 << 10;
 
-/// Bytes of bucket storage in the table `map` has reserved: std's
-/// SwissTable reserves a power of two of buckets and fills them to 7/8.
-pub(crate) fn table_bytes(map: &HashMap<u64, Value>) -> usize {
-    map.capacity().next_power_of_two() * size_of::<(u64, Value)>()
-}
-
 /// Loads `keys`, each holding [`prepopulated_value`], into `map`, which is
-/// already reserved for exactly those keys: no insert rehashes.
+/// already reserved for exactly those `count` keys: no insert rehashes.
 ///
-/// A table under `ORDERED_LOAD_MIN_BYTES` (4 MiB) is filled in key order.
-/// A larger one is filled front to back: one pass routes each key to one of
-/// `table bytes / ORDERED_LOAD_WINDOW_BYTES` (256 KiB) lists, rounded up to
-/// a power of two, by the top bits of its home bucket `hash & (buckets - 1)`
-/// under the map's own hasher; the map then takes one list at a time, so
-/// each list's inserts land in one 256 KiB window instead of missing the
-/// cache and the TLB on every key. The window is only where std's
-/// SwissTable starts a probe; if that changes, the load is slower but the
-/// map holds the same keys.
-pub(crate) fn load_prepopulated(map: &mut HashMap<u64, Value>, keys: impl Iterator<Item = u64>) {
-    let bytes = table_bytes(map);
+/// A table of `buckets = map.capacity().next_power_of_two()` buckets under
+/// `ORDERED_LOAD_MIN_BYTES` (4 MiB) is filled in key order. A larger one is
+/// filled front to back: one pass routes each key to one of `table bytes /
+/// ORDERED_LOAD_WINDOW_BYTES` (256 KiB) lists, rounded up to a power of
+/// two, by the top bits of its home bucket `hash & (buckets - 1)` under the
+/// map's own hasher; the map then takes one list at a time, so each list's
+/// inserts land in one 256 KiB window instead of missing the cache and the
+/// TLB on every key. The window is only where std's SwissTable starts a
+/// probe; if that changes, the load is slower but the map holds the same
+/// keys.
+///
+/// Fails, with `map` partly filled, only if the lists cannot be allocated:
+/// each reserves its share of `count` and some slack up front, about
+/// 9 bytes a key in all, and grows fallibly past it.
+pub(crate) fn load_prepopulated(
+    map: &mut HashMap<u64, Value>,
+    count: usize,
+    keys: impl Iterator<Item = u64>,
+) -> Result<(), TryReserveError> {
+    let buckets = map.capacity().next_power_of_two();
+    let bytes = buckets * size_of::<(u64, Value)>();
     if bytes < ORDERED_LOAD_MIN_BYTES {
         map.extend(keys.map(|key| (key, prepopulated_value(key))));
-        return;
+        return Ok(());
     }
-    let buckets = bytes / size_of::<(u64, Value)>();
     let parts = (bytes / ORDERED_LOAD_WINDOW_BYTES).next_power_of_two();
     let shift = (buckets / parts).trailing_zeros();
-    let mut lists = vec![Vec::new(); parts];
+    // A list's length is binomial around `share`; the slack is several
+    // standard deviations, so a list rarely grows.
+    let share = count / parts;
+    let mut lists = Vec::new();
+    lists.try_reserve_exact(parts)?;
+    for _ in 0..parts {
+        let mut list = Vec::new();
+        list.try_reserve_exact(share + share / 8 + 32)?;
+        lists.push(list);
+    }
     // Not `hash_one`: a second caller of it stops LLVM inlining SipHash
     // into `HashMap::insert`, which slows every load, small ones included.
     #[allow(clippy::manual_hash_one)]
     for key in keys {
         let mut hasher = map.hasher().build_hasher();
         key.hash(&mut hasher);
-        let bucket = hasher.finish() as usize & (buckets - 1);
-        lists[bucket >> shift].push(key);
+        let list = &mut lists[(hasher.finish() as usize & (buckets - 1)) >> shift];
+        list.try_reserve(1)?;
+        list.push(key);
     }
     for list in lists {
         map.extend(list.into_iter().map(|key| (key, prepopulated_value(key))));
     }
+    Ok(())
 }
 
 /// One write in a batch: the serializable subset of the write API
@@ -150,10 +170,17 @@ impl MemTable {
     /// the capacity of `HashMap::with_capacity(n)`). A table of 4 MiB or
     /// more (over 57,344 keys) is filled in bucket order, 256 KiB of table at
     /// a time; see [`crate::Db::open_prepopulated`].
+    ///
+    /// # Panics
+    ///
+    /// If the key lists of a bucket-order load cannot be allocated; the map
+    /// itself aborts the process if it cannot be.
+    /// [`crate::Db::open_prepopulated`] returns both failures as an error.
     pub fn prepopulated(spec: impl Into<LockSpec>, n: u64) -> Result<Self, SpecError> {
         let get_lock = build_lock(&spec.into())?;
         let mut data = HashMap::with_capacity(n as usize);
-        load_prepopulated(&mut data, 0..n);
+        load_prepopulated(&mut data, n as usize, 0..n)
+            .expect("the key lists of the load fit in memory");
         Ok(Self::from_map(get_lock, data))
     }
 
@@ -399,9 +426,20 @@ mod tests {
 
     #[test]
     fn prepopulation_never_rehashes() {
-        // 100,000 keys reserve a 5 MiB table, which loads in bucket order.
-        assert!(table_bytes(&HashMap::with_capacity(100_000)) >= ORDERED_LOAD_MIN_BYTES);
-        for n in [0u64, 1, 100, 10_000, 100_000] {
+        let table_bytes = |keys: u64| {
+            let reserved = HashMap::<u64, Value>::with_capacity(keys as usize).capacity();
+            reserved.next_power_of_two() * size_of::<(u64, Value)>()
+        };
+        assert!(table_bytes(ORDERED_LOAD_MIN_KEYS - 1) < ORDERED_LOAD_MIN_BYTES);
+        assert!(table_bytes(ORDERED_LOAD_MIN_KEYS) >= ORDERED_LOAD_MIN_BYTES);
+        for n in [
+            0u64,
+            1,
+            100,
+            10_000,
+            ORDERED_LOAD_MIN_KEYS - 1,
+            ORDERED_LOAD_MIN_KEYS,
+        ] {
             let mut t = MemTable::prepopulated(LockKind::BravoBa, n).unwrap();
             let data = t.data.get_mut();
             let reserved = HashMap::<u64, Value>::with_capacity(n as usize).capacity();
