@@ -74,7 +74,7 @@
 //! * [`wait`] — the blocking layer: parking waiter queues, the Linux futex
 //!   backend, and the [`WaitStrategy`] that lets every lock dispatch between
 //!   them (`wait=spin|park|futex`).
-//! * [`sys`] — the raw-syscall seam (futex, epoll): the single module
+//! * [`sys`] — the raw-syscall seam (futex, epoll, mem): the single module
 //!   allowed to declare foreign functions, enforced by `schedcheck lint`.
 //! * [`clock`] — the monotonic nanosecond clock BRAVO's policy relies on.
 

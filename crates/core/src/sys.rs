@@ -14,9 +14,14 @@
 //! * [`epoll`] — the level-triggered readiness binding the `server` crate's
 //!   mux poller consumes. It used to live in `server::sys`; it moved here so
 //!   the server is a *consumer* of the syscall seam, not a second owner.
+//! * [`mem`] — zeroed anonymous memory on transparent huge pages
+//!   (`mmap`/`madvise`/`munmap`), handed out as a safe `[u64]` region; the
+//!   `kvstore` memtable's flat table lives in it. Falls back to the global
+//!   allocator (with [`mem::NATIVE`] `false`) on targets without `mmap`.
 //!
 //! The `schedcheck lint` hard gate enforces single ownership: raw
-//! `syscall(`/`SYS_futex` invocations outside this file are build failures.
+//! `syscall(`/`SYS_futex` invocations and `extern "C"` blocks outside this
+//! file are build failures.
 
 /// Linux `futex(2)`: wait on and wake a 32-bit word in shared memory.
 ///
@@ -315,8 +320,309 @@ pub mod epoll {
     }
 }
 
+/// Zeroed memory for tables: large ones on transparent huge pages, faulted
+/// in ahead of use.
+///
+/// A [`mem::Region`] is a zeroed `[u64]` that frees itself on drop. One of
+/// at least [`mem::HUGE_PAGE`] bytes is, on Linux, an anonymous mapping of
+/// its own advised `MADV_HUGEPAGE`, so it sits on 2 MiB pages even where
+/// the host's THP mode is `madvise`, and [`mem::Region::populate`] faults
+/// any part of it in with one `MADV_POPULATE_WRITE` instead of one fault
+/// per 4 KiB page. A kernel that knows neither advice answers `EINVAL`,
+/// which is ignored: the region is then ordinary, lazily faulted memory. A
+/// smaller region, and every region on a target without the binding
+/// ([`mem::NATIVE`] `false`), comes from [`std::alloc::alloc_zeroed`],
+/// which recycles small blocks without faulting them in again; `populate`
+/// leaves it alone.
+pub mod mem {
+    pub use imp::NATIVE;
+    use std::alloc::{alloc_zeroed, dealloc, Layout};
+    use std::io;
+    use std::ops::{Deref, DerefMut, Range};
+    use std::ptr::NonNull;
+
+    /// The smallest region that gets a mapping of its own: one huge page.
+    pub const HUGE_PAGE: usize = 2 << 20;
+
+    /// An owned, zeroed, word-aligned run of `u64`s; freed on drop.
+    #[derive(Debug)]
+    pub struct Region {
+        ptr: NonNull<u64>,
+        words: usize,
+    }
+
+    // SAFETY: a Region exclusively owns its memory, like a `Box<[u64]>`;
+    // `&Region` only hands out shared `&[u64]` views.
+    unsafe impl Send for Region {}
+    // SAFETY: see above.
+    unsafe impl Sync for Region {}
+
+    /// Whether a region of `bytes` is mapped on its own (else it comes
+    /// from the allocator).
+    fn mapped(bytes: usize) -> bool {
+        NATIVE && bytes >= HUGE_PAGE
+    }
+
+    fn layout(bytes: usize) -> io::Result<Layout> {
+        Layout::from_size_align(bytes, 8).map_err(|_| io::Error::from(io::ErrorKind::OutOfMemory))
+    }
+
+    impl Region {
+        /// Allocates `words` zeroed words. Fails with
+        /// [`io::ErrorKind::OutOfMemory`] (or the kernel's `ENOMEM`) if the
+        /// memory cannot be had, never by aborting.
+        pub fn zeroed(words: usize) -> io::Result<Self> {
+            if words == 0 {
+                return Ok(Self {
+                    ptr: NonNull::dangling(),
+                    words: 0,
+                });
+            }
+            let bytes = words
+                .checked_mul(8)
+                .ok_or_else(|| io::Error::from(io::ErrorKind::OutOfMemory))?;
+            let layout = layout(bytes)?;
+            let ptr = if mapped(bytes) {
+                imp::map(bytes)?
+            } else {
+                // SAFETY: `layout` has a nonzero size.
+                let ptr = unsafe { alloc_zeroed(layout) };
+                NonNull::new(ptr.cast::<u64>())
+                    .ok_or_else(|| io::Error::from(io::ErrorKind::OutOfMemory))?
+            };
+            Ok(Self { ptr, words })
+        }
+
+        /// Faults the pages holding `words` of a mapped region in now,
+        /// writable, so the first touch of each costs no fault later; does
+        /// nothing to a region from the allocator. Fails only if the kernel
+        /// runs out of memory doing so.
+        ///
+        /// The kernel faults whole pages: a huge page is populated whole
+        /// once any word of it is asked for, and the calling core zeroes
+        /// it, so its words are likely in that core's cache afterwards.
+        ///
+        /// # Panics
+        ///
+        /// If `words` is not within the region.
+        pub fn populate(&mut self, words: Range<usize>) -> io::Result<()> {
+            assert!(
+                words.start <= words.end && words.end <= self.words,
+                "populate {words:?} of a {}-word region",
+                self.words
+            );
+            if words.is_empty() || !mapped(self.words * 8) {
+                return Ok(());
+            }
+            // `madvise` takes whole pages; the mapping covers whole pages.
+            const PAGE: usize = 4096;
+            let start = words.start * 8 / PAGE * PAGE;
+            let end = (words.end * 8).div_ceil(PAGE) * PAGE;
+            // SAFETY: `start` is below the region's byte length, so the
+            // offset stays inside its mapping.
+            let base = unsafe { self.ptr.as_ptr().cast::<u8>().add(start) };
+            imp::populate(base, end - start)
+        }
+    }
+
+    impl Deref for Region {
+        type Target = [u64];
+
+        fn deref(&self) -> &[u64] {
+            // SAFETY: `ptr` points to `words` zero-initialised, aligned
+            // u64s this Region owns (or is dangling with `words == 0`).
+            unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.words) }
+        }
+    }
+
+    impl DerefMut for Region {
+        fn deref_mut(&mut self) -> &mut [u64] {
+            // SAFETY: as in `deref`, and `&mut self` makes the view unique.
+            unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.words) }
+        }
+    }
+
+    impl Drop for Region {
+        fn drop(&mut self) {
+            let bytes = self.words * 8;
+            if bytes == 0 {
+                return;
+            }
+            if mapped(bytes) {
+                // SAFETY: `ptr` came from `imp::map` with exactly this
+                // length, and no view of it outlives `self`.
+                unsafe { imp::unmap(self.ptr, bytes) };
+            } else {
+                // SAFETY: `ptr` came from `alloc_zeroed` with this layout,
+                // which `zeroed` checked, and no view of it outlives `self`.
+                unsafe {
+                    dealloc(
+                        self.ptr.as_ptr().cast(),
+                        Layout::from_size_align_unchecked(bytes, 8),
+                    )
+                };
+            }
+        }
+    }
+
+    #[cfg(all(
+        target_os = "linux",
+        any(
+            target_arch = "x86_64",
+            target_arch = "aarch64",
+            target_arch = "riscv64"
+        )
+    ))]
+    mod imp {
+        use std::io;
+        use std::os::raw::{c_int, c_void};
+        use std::ptr::NonNull;
+
+        /// Anonymous mappings and both advices are bound on this target.
+        pub const NATIVE: bool = true;
+
+        const PROT_READ: c_int = 1;
+        const PROT_WRITE: c_int = 2;
+        const MAP_PRIVATE: c_int = 0x02;
+        const MAP_ANONYMOUS: c_int = 0x20;
+        const MADV_HUGEPAGE: c_int = 14;
+        const MADV_POPULATE_WRITE: c_int = 23;
+        const EINVAL: i32 = 22;
+
+        // These live in the C library `std` already links; declaring them
+        // here substitutes for the `libc` crate the offline build cannot
+        // fetch.
+        extern "C" {
+            fn mmap(
+                addr: *mut c_void,
+                len: usize,
+                prot: c_int,
+                flags: c_int,
+                fd: c_int,
+                offset: i64,
+            ) -> *mut c_void;
+            fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+            fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        }
+
+        /// `madvise`, with `EINVAL` (an advice this kernel does not know)
+        /// counted as success.
+        fn advise(ptr: *mut c_void, bytes: usize, advice: c_int) -> io::Result<()> {
+            // SAFETY: both advices only change how the kernel backs the
+            // mapped range `ptr..ptr + bytes`, which the caller owns;
+            // neither changes its contents.
+            if unsafe { madvise(ptr, bytes, advice) } == 0 {
+                return Ok(());
+            }
+            let e = io::Error::last_os_error();
+            match e.raw_os_error() {
+                Some(EINVAL) => Ok(()),
+                _ => Err(e),
+            }
+        }
+
+        pub fn map(bytes: usize) -> io::Result<NonNull<u64>> {
+            // SAFETY: a fresh private anonymous mapping aliases nothing;
+            // the kernel returns zeroed, page-aligned memory or MAP_FAILED.
+            let addr = unsafe {
+                mmap(
+                    std::ptr::null_mut(),
+                    bytes,
+                    PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS,
+                    -1,
+                    0,
+                )
+            };
+            if addr as isize == -1 {
+                return Err(io::Error::last_os_error());
+            }
+            let ptr = NonNull::new(addr.cast::<u64>())
+                .ok_or_else(|| io::Error::from(io::ErrorKind::OutOfMemory))?;
+            if let Err(e) = advise(addr, bytes, MADV_HUGEPAGE) {
+                // SAFETY: the mapping was made above and is not shared yet.
+                unsafe { unmap(ptr, bytes) };
+                return Err(e);
+            }
+            Ok(ptr)
+        }
+
+        pub fn populate(ptr: *mut u8, bytes: usize) -> io::Result<()> {
+            advise(ptr.cast(), bytes, MADV_POPULATE_WRITE)
+        }
+
+        /// # Safety
+        ///
+        /// `ptr..ptr + bytes` must be a whole mapping made by [`map`] that
+        /// nothing references any more.
+        pub unsafe fn unmap(ptr: NonNull<u64>, bytes: usize) {
+            // Nothing useful can be done if unmapping fails; the range
+            // leaks.
+            munmap(ptr.as_ptr().cast(), bytes);
+        }
+    }
+
+    #[cfg(not(all(
+        target_os = "linux",
+        any(
+            target_arch = "x86_64",
+            target_arch = "aarch64",
+            target_arch = "riscv64"
+        )
+    )))]
+    mod imp {
+        use std::io;
+        use std::ptr::NonNull;
+
+        /// No mapping binding on this target: every region comes from the
+        /// allocator, so the entry points below are never called.
+        pub const NATIVE: bool = false;
+
+        pub fn map(_bytes: usize) -> io::Result<NonNull<u64>> {
+            unreachable!("mem::map on a target without mmap; gate on mem::NATIVE")
+        }
+
+        pub fn populate(_ptr: *mut u8, _bytes: usize) -> io::Result<()> {
+            unreachable!("mem::populate on a target without mmap; gate on mem::NATIVE")
+        }
+
+        /// # Safety
+        ///
+        /// Never called; see [`NATIVE`].
+        pub unsafe fn unmap(_ptr: NonNull<u64>, _bytes: usize) {
+            unreachable!("mem::unmap on a target without mmap; gate on mem::NATIVE")
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    mod mem {
+        use super::super::mem::{Region, HUGE_PAGE};
+
+        #[test]
+        fn regions_are_zeroed_writable_and_populatable() {
+            // One from the allocator, one mapped on its own.
+            for words in [1000, HUGE_PAGE / 8 * 2 + 3] {
+                let mut region = Region::zeroed(words).unwrap();
+                assert_eq!(region.len(), words);
+                region.populate(1..words).unwrap();
+                region.populate(0..0).unwrap();
+                assert!(region.iter().all(|&w| w == 0));
+                region[0] = 1;
+                region[words - 1] = 2;
+                assert_eq!((region[0], region[words - 1]), (1, 2));
+            }
+            assert!(Region::zeroed(0).unwrap().is_empty());
+        }
+
+        #[test]
+        fn an_impossible_region_is_an_error_not_an_abort() {
+            assert!(Region::zeroed(usize::MAX).is_err());
+            assert!(Region::zeroed(1 << 60).is_err());
+        }
+    }
+
     #[cfg(all(
         target_os = "linux",
         any(

@@ -1,14 +1,13 @@
 //! A small `Get`/`Put`/`Delete` façade over one or more memtable shards,
 //! used by the server and the runnable examples.
 
-use std::collections::{HashMap, TryReserveError};
-
 use bravo::hash::key_shard;
 use bravo::spec::{LockHandle, LockSpec, SpecError};
 use bravo::stats::Snapshot;
 use rwlocks::build_lock;
 
-use crate::memtable::{load_prepopulated, BatchOp, MemTable, Value};
+use crate::memtable::{BatchOp, MemTable, Value};
+use crate::table;
 
 /// A minimal key-value store: `shards=N` key-hashed memtables (one by
 /// default), each guarded by its own GetLock built from the same spec.
@@ -48,39 +47,41 @@ impl Db {
     /// benchmarks and examples), each key routed to its owning shard and
     /// holding [`prepopulated_value`](crate::memtable::prepopulated_value).
     ///
-    /// The keys are loaded before the store is shared: each shard's map is
-    /// sized for exactly the keys routed to it, filled, and only then
-    /// wrapped in its memtable. The load therefore takes no lock, records
-    /// no lock statistics and never rehashes. Every GetLock is built first,
-    /// so a bad spec fails before any key is loaded.
+    /// The keys are loaded before the store is shared, so the load takes
+    /// no lock and records no lock statistics. Every GetLock is built
+    /// first, so a bad spec fails before any key is loaded.
     ///
-    /// A shard whose table is 4 MiB or more (over 57,344 keys) is filled in
-    /// bucket order rather than key order. One pass over the shard's keys
-    /// splits them by the top bits of their home bucket under the map's own
-    /// hasher into one list per 256 KiB of table, and the map takes one
-    /// list at a time, so consecutive inserts stay in one window that fits
-    /// in L2 and the TLB's reach. While a thread fills a shard, the lists
-    /// take about 9 bytes per key of that shard. This leans on std's
-    /// SwissTable starting a probe at `hash & (buckets - 1)`; were that to
-    /// change, only the speed would suffer, since the maps hold the same
-    /// keys in the same number of buckets either way. Smaller tables fill
-    /// in key order, which is as fast or faster for them.
+    /// The load is one pass over `0..n`, split into one range per core
+    /// when there is more than one shard (one thread per core, the calling
+    /// thread included; with one shard or one core nothing is spawned, and
+    /// there is no option for this):
     ///
-    /// Shards fill in parallel, one thread per core up to the shard count,
-    /// each thread filling whole shards one map at a time. With one shard or one core the
-    /// calling thread fills every map itself and no thread is spawned.
-    /// There is no option for this.
+    /// 1. Each thread counts its range's keys by shard. Each shard's table
+    ///    is then sized for exactly its keys, at most 3/4 full (2^21 slots
+    ///    per shard for 4,000,000 keys over 4 shards), and mapped.
+    /// 2. Each thread hashes each key of its range once and routes it to
+    ///    one list per (shard, 320 KiB window of that shard's table), by
+    ///    the window its home slot falls in. The lists take about 9 bytes a
+    ///    key.
+    /// 3. Each thread takes whole shards and places their keys one window
+    ///    at a time, so consecutive writes stay in L2. A table on huge
+    ///    pages has each window faulted in just before its keys are
+    ///    placed, so no write faults and the kernel's zeroing leaves the
+    ///    window in this core's cache.
+    ///
+    /// No table grows during the load.
     ///
     /// # Errors
     ///
     /// [`OpenError::Spec`] if the catalog rejects the spec, and
-    /// [`OpenError::OutOfMemory`] if the shard maps for `n` keys, or the key
-    /// lists of a bucket-order fill, cannot be allocated. A bad spec and
-    /// maps too large to reserve are reported before any key is loaded.
-    /// With more than one shard, the per-shard key counts are taken in one
-    /// pass over `0..n` before the maps are reserved, so an impossible `n`
-    /// is only reported after that pass: about 2 ns a key in a release
-    /// build, or over half an hour for `n = 2^40`. There is no size cap.
+    /// [`OpenError::OutOfMemory`] if the shard tables for `n` keys, or the
+    /// key lists of the load, cannot be allocated. A bad spec and tables
+    /// too large to map are reported before any key is routed. With more
+    /// than one shard, the per-shard key counts are taken in one pass over
+    /// `0..n` before the tables are mapped, so an impossible `n` is only
+    /// reported after that pass: about 4 ns a key on each core in a
+    /// release build, or over half an hour for `n = 2^40` on two cores.
+    /// There is no size cap.
     pub fn open_prepopulated(spec: impl Into<LockSpec>, n: u64) -> Result<Self, OpenError> {
         let spec = spec.into();
         let locks = (0..spec.shards())
@@ -95,13 +96,13 @@ impl Db {
         } else {
             1
         };
-        let maps =
-            shard_maps(n, shards, threads).map_err(|_| OpenError::OutOfMemory { keys: n })?;
+        let tables = table::prepopulated(n, shards, threads)
+            .map_err(|_| OpenError::OutOfMemory { keys: n })?;
         Ok(Self {
             shards: locks
                 .into_iter()
-                .zip(maps)
-                .map(|(lock, map)| MemTable::from_map(lock, map))
+                .zip(tables)
+                .map(|(lock, table)| MemTable::from_table(lock, table))
                 .collect(),
         })
     }
@@ -278,7 +279,7 @@ impl Db {
 pub enum OpenError {
     /// The catalog rejected the lock spec.
     Spec(SpecError),
-    /// The shard maps for this many prepopulated keys could not be
+    /// The tables for this many prepopulated keys could not be
     /// allocated.
     OutOfMemory {
         /// The requested number of prepopulated keys.
@@ -303,66 +304,6 @@ impl From<SpecError> for OpenError {
     fn from(e: SpecError) -> Self {
         OpenError::Spec(e)
     }
-}
-
-/// Builds the `shards` maps holding keys `0..n`, each key in the map
-/// [`key_shard`] routes it to, on up to `threads` (≥ 1) threads, the
-/// calling thread included.
-///
-/// Every map is reserved for exactly its keys on the calling thread before
-/// any fill starts, so an impossible size fails here rather than aborting
-/// in a fill thread. Each thread then fills a run of whole shards, one map
-/// at a time; a map of 4 MiB or more fills in bucket order, 256 KiB of
-/// table at a time (see [`Db::open_prepopulated`]). The key lists of that
-/// fill are allocated fallibly in the fill thread, and the first failure
-/// is returned once every thread has finished. No fill rehashes: every map
-/// keeps the capacity it was reserved with.
-fn shard_maps(
-    n: u64,
-    shards: usize,
-    threads: usize,
-) -> Result<Vec<HashMap<u64, Value>>, TryReserveError> {
-    let mut counts = vec![0u64; shards];
-    if shards == 1 {
-        counts[0] = n;
-    } else {
-        for key in 0..n {
-            counts[key_shard(key, shards)] += 1;
-        }
-    }
-    let mut maps = Vec::with_capacity(shards);
-    for &count in &counts {
-        let mut map = HashMap::new();
-        map.try_reserve(usize::try_from(count).unwrap_or(usize::MAX))?;
-        maps.push(map);
-    }
-    let counts = &counts;
-    let fill =
-        move |first: usize, maps: &mut [HashMap<u64, Value>]| -> Result<(), TryReserveError> {
-            for (shard, map) in (first..).zip(maps) {
-                let keys = (0..n).filter(|&key| key_shard(key, shards) == shard);
-                // The map's reservation above succeeded, so the count fits.
-                load_prepopulated(map, counts[shard] as usize, keys)?;
-            }
-            Ok(())
-        };
-    let per_thread = shards.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let mut runs = (0..).step_by(per_thread).zip(maps.chunks_mut(per_thread));
-        let here = runs.next();
-        // Spawn the other runs first, then fill run 0 here: one thread or
-        // one run spawns nothing.
-        let others: Vec<_> = runs
-            .map(|(first, maps)| scope.spawn(move || fill(first, maps)))
-            .collect();
-        let mut filled = here.map_or(Ok(()), |(first, maps)| fill(first, maps));
-        for other in others {
-            let other = other.join();
-            filled = filled.and(other.unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
-        }
-        filled
-    })?;
-    Ok(maps)
 }
 
 /// Iterates the maximal runs of a shard-sorted `(shard, pos)` index that
@@ -392,9 +333,10 @@ impl std::fmt::Debug for Db {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memtable::{prepopulated_value, ORDERED_LOAD_MIN_KEYS};
+    use crate::memtable::prepopulated_value;
     use bravo::spec::LockSpec;
     use rwlocks::LockKind;
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     fn sharded(shards: usize) -> LockSpec {
@@ -456,45 +398,49 @@ mod tests {
         assert_eq!(stats.total_reads(), 0, "prepopulation took a read lock");
     }
 
-    /// Checks `shard_maps` at each thread count against a serial fill: the
-    /// same maps, each still at the capacity it was reserved with.
-    fn check_shard_maps(n: u64, shards: usize, threads: &[usize]) {
-        let mut serial = vec![HashMap::new(); shards];
+    /// Checks a load at each thread count against a serial fill: the same
+    /// contents, each table at the slot count it was sized at.
+    fn check_load(n: u64, shards: usize, threads: &[usize]) {
+        let mut serial = vec![BTreeMap::new(); shards];
         for key in 0..n {
             serial[key_shard(key, shards)].insert(key, prepopulated_value(key));
         }
         for &threads in threads {
-            let maps = shard_maps(n, shards, threads).unwrap();
-            assert_eq!(maps, serial, "shards={shards} threads={threads} n={n}");
-            for (map, reference) in maps.iter().zip(&serial) {
-                let reserved = HashMap::<u64, Value>::with_capacity(reference.len()).capacity();
+            let tables = table::prepopulated(n, shards, threads).unwrap();
+            let loaded: Vec<BTreeMap<u64, Value>> =
+                tables.iter().map(|t| t.iter().collect()).collect();
+            assert_eq!(loaded, serial, "shards={shards} threads={threads} n={n}");
+            for (t, reference) in tables.iter().zip(&serial) {
                 assert_eq!(
-                    map.capacity(),
-                    reserved,
-                    "shards={shards} threads={threads} n={n}: the fill rehashed"
+                    Some(t.slots()),
+                    table::slots_for(reference.len()),
+                    "shards={shards} threads={threads} n={n}: a table grew"
                 );
             }
         }
     }
 
     #[test]
-    fn shard_maps_match_a_serial_fill_at_every_thread_count() {
-        // Small tables: filled in key order.
+    fn a_load_matches_a_serial_fill_at_every_thread_count() {
         for shards in [1usize, 2, 3, 4, 8] {
             for n in [0u64, 1, 7, 10_000] {
-                check_shard_maps(n, shards, &[1, 2, 3, shards + 1]);
+                check_load(n, shards, &[1, 2, 3, shards + 1]);
             }
         }
-        // The smallest stores whose every shard table is filled in bucket
-        // order.
-        for shards in [1usize, 4] {
-            let mut counts = vec![0u64; shards];
-            let mut n = 0;
-            while counts.iter().any(|&count| count < ORDERED_LOAD_MIN_KEYS) {
-                counts[key_shard(n, shards)] += 1;
-                n += 1;
-            }
-            check_shard_maps(n, shards, &[1, 2]);
+        // Tables of several placement windows each.
+        check_load(100_000, 4, &[1, 2]);
+    }
+
+    #[test]
+    fn the_benchmark_stores_are_sized_like_a_std_map() {
+        // serve-point's one table and serve-batch-large's four.
+        assert_eq!(table::slots_for(10_000), Some(1 << 14));
+        let mut counts = [0usize; 4];
+        for key in 0..4_000_000u64 {
+            counts[key_shard(key, 4)] += 1;
+        }
+        for count in counts {
+            assert_eq!(table::slots_for(count), Some(1 << 21), "{count} keys");
         }
     }
 

@@ -26,6 +26,7 @@
 pub mod db;
 pub mod hash_cache;
 pub mod memtable;
+mod table;
 pub mod workloads;
 
 pub use db::{Db, OpenError};

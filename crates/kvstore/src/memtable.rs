@@ -2,14 +2,14 @@
 //! in-place updates.
 
 use std::cell::UnsafeCell;
-use std::collections::{HashMap, TryReserveError};
-use std::hash::{BuildHasher, Hash, Hasher};
-use std::mem::size_of;
 
 use bravo::spec::{LockHandle, LockSpec, SpecError};
 use bravo::stats::Snapshot;
 use bravo::sync::atomic::{AtomicU64, Ordering};
 use rwlocks::build_lock;
+
+use crate::db::OpenError;
+use crate::table::{self, Table};
 
 /// A fixed-size value, standing in for RocksDB's small in-place-updatable
 /// values.
@@ -22,75 +22,6 @@ pub type Value = [u64; 4];
 /// check a read of an untouched key without asking the store first.
 pub fn prepopulated_value(key: u64) -> Value {
     [key, key ^ 0xff, 0, 0]
-}
-
-/// A reserved table at least this large is loaded in bucket order by
-/// [`load_prepopulated`]; a smaller one loads as fast or faster in key
-/// order.
-const ORDERED_LOAD_MIN_BYTES: usize = 4 << 20;
-/// The fewest keys whose reserved table reaches `ORDERED_LOAD_MIN_BYTES`:
-/// 57,344 keys reserve 65,536 buckets (2.5 MiB), one more key 131,072
-/// (5 MiB).
-#[cfg(test)]
-pub(crate) const ORDERED_LOAD_MIN_KEYS: u64 = 57_345;
-/// How much of the table one part of a bucket-order load writes into:
-/// small enough to stay in L2 and within the TLB's reach.
-const ORDERED_LOAD_WINDOW_BYTES: usize = 256 << 10;
-
-/// Loads `keys`, each holding [`prepopulated_value`], into `map`, which is
-/// already reserved for exactly those `count` keys: no insert rehashes.
-///
-/// A table of `buckets = map.capacity().next_power_of_two()` buckets under
-/// `ORDERED_LOAD_MIN_BYTES` (4 MiB) is filled in key order. A larger one is
-/// filled front to back: one pass routes each key to one of `table bytes /
-/// ORDERED_LOAD_WINDOW_BYTES` (256 KiB) lists, rounded up to a power of
-/// two, by the top bits of its home bucket `hash & (buckets - 1)` under the
-/// map's own hasher; the map then takes one list at a time, so each list's
-/// inserts land in one 256 KiB window instead of missing the cache and the
-/// TLB on every key. The window is only where std's SwissTable starts a
-/// probe; if that changes, the load is slower but the map holds the same
-/// keys.
-///
-/// Fails, with `map` partly filled, only if the lists cannot be allocated:
-/// each reserves its share of `count` and some slack up front, about
-/// 9 bytes a key in all, and grows fallibly past it.
-pub(crate) fn load_prepopulated(
-    map: &mut HashMap<u64, Value>,
-    count: usize,
-    keys: impl Iterator<Item = u64>,
-) -> Result<(), TryReserveError> {
-    let buckets = map.capacity().next_power_of_two();
-    let bytes = buckets * size_of::<(u64, Value)>();
-    if bytes < ORDERED_LOAD_MIN_BYTES {
-        map.extend(keys.map(|key| (key, prepopulated_value(key))));
-        return Ok(());
-    }
-    let parts = (bytes / ORDERED_LOAD_WINDOW_BYTES).next_power_of_two();
-    let shift = (buckets / parts).trailing_zeros();
-    // A list's length is binomial around `share`; the slack is several
-    // standard deviations, so a list rarely grows.
-    let share = count / parts;
-    let mut lists = Vec::new();
-    lists.try_reserve_exact(parts)?;
-    for _ in 0..parts {
-        let mut list = Vec::new();
-        list.try_reserve_exact(share + share / 8 + 32)?;
-        lists.push(list);
-    }
-    // Not `hash_one`: a second caller of it stops LLVM inlining SipHash
-    // into `HashMap::insert`, which slows every load, small ones included.
-    #[allow(clippy::manual_hash_one)]
-    for key in keys {
-        let mut hasher = map.hasher().build_hasher();
-        key.hash(&mut hasher);
-        let list = &mut lists[(hasher.finish() as usize & (buckets - 1)) >> shift];
-        list.try_reserve(1)?;
-        list.push(key);
-    }
-    for list in lists {
-        map.extend(list.into_iter().map(|key| (key, prepopulated_value(key))));
-    }
-    Ok(())
 }
 
 /// One write in a batch: the serializable subset of the write API
@@ -132,16 +63,24 @@ impl BatchOp {
     }
 }
 
-/// The in-memory table: a pre-sized hash map of keys to in-place-updatable
+/// The in-memory table: a flat hash table of keys to in-place-updatable
 /// values, with reads and in-place writes mediated by the **GetLock** — the
 /// reader-writer lock the paper's `readwhilewriting` run contends on
 /// (`--inplace_update_num_locks=1` collapses RocksDB's lock striping to a
 /// single lock, which is exactly what the figure measures).
+///
+/// The table probes linearly over 40-byte slots (the key and the value),
+/// hashes with a per-table SipHash key like a std `HashMap`, deletes by
+/// backward shift and doubles before it is 3/4 full. A table of 2 MiB or
+/// more (2^16 slots and up, over 24,576 keys) sits in an anonymous mapping
+/// of its own on transparent huge pages ([`bravo::sys::mem`]). See
+/// [`MemTable::prepopulated`] for how a table is loaded.
 pub struct MemTable {
     get_lock: LockHandle,
-    /// Key → value map. Guarded by `get_lock` (shared for `get`, exclusive
-    /// for mutations), mirroring how RocksDB guards in-place updates.
-    data: UnsafeCell<HashMap<u64, Value>>,
+    /// The keys and values. Guarded by `get_lock` (shared for `get`,
+    /// exclusive for mutations), mirroring how RocksDB guards in-place
+    /// updates.
+    data: UnsafeCell<Table>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -157,35 +96,38 @@ impl MemTable {
     /// Creates an empty memtable whose GetLock is built from the given
     /// spec (a [`rwlocks::LockKind`] or a parsed [`LockSpec`] both work).
     pub fn new(spec: impl Into<LockSpec>) -> Result<Self, SpecError> {
-        Ok(Self::from_map(build_lock(&spec.into())?, HashMap::new()))
+        Ok(Self::from_table(build_lock(&spec.into())?, Table::new()))
     }
 
     /// Creates a memtable pre-populated with keys `0..n`, each holding
     /// [`prepopulated_value`], as `db_bench` does before the measurement
     /// interval (`--num=10000` in the paper's command line).
     ///
-    /// The keys are loaded into a map sized for all `n` before the table
-    /// exists, so no other thread can see it yet: the load takes no lock,
-    /// records no lock statistics and never rehashes (the loaded map has
-    /// the capacity of `HashMap::with_capacity(n)`). A table of 4 MiB or
-    /// more (over 57,344 keys) is filled in bucket order, 256 KiB of table at
-    /// a time; see [`crate::Db::open_prepopulated`].
+    /// The keys are loaded before the table is shared, so the load takes no
+    /// lock and records no lock statistics. The table is sized for all `n`
+    /// keys up front (at most 3/4 full, so 2^14 slots for 10,000 keys) and
+    /// never grows during the load: the keys are hashed once, grouped by
+    /// which 320 KiB window of the table their home slot falls in, and
+    /// placed one window at a time.
+    /// This is the one-shard case of [`crate::Db::open_prepopulated`], on
+    /// the calling thread.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// If the key lists of a bucket-order load cannot be allocated; the map
-    /// itself aborts the process if it cannot be.
-    /// [`crate::Db::open_prepopulated`] returns both failures as an error.
-    pub fn prepopulated(spec: impl Into<LockSpec>, n: u64) -> Result<Self, SpecError> {
+    /// [`OpenError::Spec`] if the catalog rejects the spec, and
+    /// [`OpenError::OutOfMemory`] if the table or the key lists of its load
+    /// cannot be allocated.
+    pub fn prepopulated(spec: impl Into<LockSpec>, n: u64) -> Result<Self, OpenError> {
         let get_lock = build_lock(&spec.into())?;
-        let mut data = HashMap::with_capacity(n as usize);
-        load_prepopulated(&mut data, n as usize, 0..n)
-            .expect("the key lists of the load fit in memory");
-        Ok(Self::from_map(get_lock, data))
+        let data = table::prepopulated(n, 1, 1)
+            .map_err(|_| OpenError::OutOfMemory { keys: n })?
+            .pop()
+            .expect("a one-shard load builds one table");
+        Ok(Self::from_table(get_lock, data))
     }
 
-    /// Wraps a ready, not yet shared map behind `get_lock`.
-    pub(crate) fn from_map(get_lock: LockHandle, data: HashMap<u64, Value>) -> Self {
+    /// Wraps a ready, not yet shared table behind `get_lock`.
+    pub(crate) fn from_table(get_lock: LockHandle, data: Table) -> Self {
         Self {
             get_lock,
             data: UnsafeCell::new(data),
@@ -214,7 +156,7 @@ impl MemTable {
     pub fn get(&self, key: u64) -> Option<Value> {
         self.get_lock.lock_shared();
         // SAFETY: the GetLock is held shared; writers hold it exclusively.
-        let value = unsafe { (*self.data.get()).get(&key).copied() };
+        let value = unsafe { (*self.data.get()).get(key) };
         self.get_lock.unlock_shared();
         match value {
             Some(v) => {
@@ -246,8 +188,7 @@ impl MemTable {
         self.get_lock.lock_exclusive();
         // SAFETY: the GetLock is held exclusively.
         unsafe {
-            let entry = (*self.data.get()).entry(key).or_insert([0; 4]);
-            f(entry);
+            f((*self.data.get()).entry(key));
         }
         self.get_lock.unlock_exclusive();
     }
@@ -265,8 +206,7 @@ impl MemTable {
         let mut entries: Vec<(u64, Value)> = unsafe {
             (*self.data.get())
                 .iter()
-                .filter(|(k, _)| **k >= start)
-                .map(|(k, v)| (*k, *v))
+                .filter(|(k, _)| *k >= start)
                 .collect()
         };
         entries.sort_unstable_by_key(|(k, _)| *k);
@@ -305,7 +245,7 @@ impl MemTable {
         unsafe {
             let data = &*self.data.get();
             for (slot, key) in requests {
-                let value = data.get(&key).copied();
+                let value = data.get(key);
                 match value {
                     Some(_) => hits += 1,
                     None => misses += 1,
@@ -344,13 +284,12 @@ impl MemTable {
                         data.insert(key, value);
                     }
                     BatchOp::Merge { key, delta } => {
-                        let entry = data.entry(key).or_insert([0; 4]);
-                        for (word, d) in entry.iter_mut().zip(delta) {
+                        for (word, d) in data.entry(key).iter_mut().zip(delta) {
                             *word = word.wrapping_add(d);
                         }
                     }
                     BatchOp::Delete { key } => {
-                        data.remove(&key);
+                        data.remove(key);
                     }
                 }
             }
@@ -362,7 +301,7 @@ impl MemTable {
     pub fn delete(&self, key: u64) -> Option<Value> {
         self.get_lock.lock_exclusive();
         // SAFETY: the GetLock is held exclusively.
-        let prev = unsafe { (*self.data.get()).remove(&key) };
+        let prev = unsafe { (*self.data.get()).remove(key) };
         self.get_lock.unlock_exclusive();
         prev
     }
@@ -426,26 +365,27 @@ mod tests {
 
     #[test]
     fn prepopulation_never_rehashes() {
-        let table_bytes = |keys: u64| {
-            let reserved = HashMap::<u64, Value>::with_capacity(keys as usize).capacity();
-            reserved.next_power_of_two() * size_of::<(u64, Value)>()
-        };
-        assert!(table_bytes(ORDERED_LOAD_MIN_KEYS - 1) < ORDERED_LOAD_MIN_BYTES);
-        assert!(table_bytes(ORDERED_LOAD_MIN_KEYS) >= ORDERED_LOAD_MIN_BYTES);
-        for n in [
-            0u64,
-            1,
-            100,
-            10_000,
-            ORDERED_LOAD_MIN_KEYS - 1,
-            ORDERED_LOAD_MIN_KEYS,
-        ] {
+        for (n, slots) in [(0u64, 16), (1, 16), (100, 256), (10_000, 1 << 14)] {
             let mut t = MemTable::prepopulated(LockKind::BravoBa, n).unwrap();
             let data = t.data.get_mut();
-            let reserved = HashMap::<u64, Value>::with_capacity(n as usize).capacity();
-            assert_eq!(data.capacity(), reserved, "n={n}: the load rehashed");
+            assert_eq!(data.slots(), slots, "n={n}");
+            assert_eq!(
+                Some(data.slots()),
+                table::slots_for(n as usize),
+                "n={n}: grew"
+            );
             assert_eq!(data.len() as u64, n);
-            assert!((0..n).all(|key| data.get(&key) == Some(&prepopulated_value(key))));
+            assert!((0..n).all(|key| data.get(key) == Some(prepopulated_value(key))));
+        }
+    }
+
+    #[test]
+    fn a_memtable_too_large_to_allocate_is_an_error() {
+        for n in [1 << 44, u64::MAX] {
+            match MemTable::prepopulated(LockKind::BravoBa, n) {
+                Err(OpenError::OutOfMemory { keys }) => assert_eq!(keys, n),
+                other => panic!("expected an allocation error for {n} keys, got {other:?}"),
+            }
         }
     }
 

@@ -8,6 +8,7 @@ use bravo::spec::{LockSpec, SpecError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::db::OpenError;
 use crate::hash_cache::{CacheEntry, HashCache};
 use crate::memtable::MemTable;
 
@@ -32,12 +33,13 @@ impl ReadWhileWritingResult {
 /// the memtable's single GetLock, for `duration`.
 ///
 /// `num_keys` corresponds to `db_bench --num` (the paper uses 10 000).
+/// Fails if the spec is rejected or the memtable cannot be allocated.
 pub fn run_readwhilewriting(
     spec: impl Into<LockSpec>,
     readers: usize,
     num_keys: u64,
     duration: Duration,
-) -> Result<ReadWhileWritingResult, SpecError> {
+) -> Result<ReadWhileWritingResult, OpenError> {
     let table = Arc::new(MemTable::prepopulated(spec, num_keys)?);
     let stop = Arc::new(AtomicBool::new(false));
     let reads = Arc::new(AtomicU64::new(0));

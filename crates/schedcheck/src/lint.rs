@@ -14,11 +14,12 @@
 //! * **raw-atomics** — `std::sync::atomic` mentioned inside a module that
 //!   was migrated to the `core::sync` facade; going behind the facade's
 //!   back makes the checker blind to those accesses.
-//! * **raw-syscall** — `syscall(` / `SYS_futex` outside `bravo::sys`, the
-//!   single audited owner of every foreign function the workspace calls.
-//!   A second futex call site would dodge both the `futex_*` counters and
-//!   the schedcheck virtual futex, making its wakeups invisible to the
-//!   model checker.
+//! * **raw-syscall** — `syscall(` / `SYS_futex` / `extern "C"` outside
+//!   `bravo::sys`, the single audited owner of every foreign function the
+//!   workspace calls. A second futex call site would dodge both the
+//!   `futex_*` counters and the schedcheck virtual futex, making its
+//!   wakeups invisible to the model checker; a second `extern "C"` block
+//!   (an `mmap`, a `madvise`) would put `unsafe` FFI outside the audit.
 //!
 //! The scan is lexical by design: it reads lines, strips `//` comments, and
 //! substring-matches. That catches the honest mistakes (someone pasting a
@@ -76,11 +77,11 @@ const RULES: &[Rule] = &[
     },
     Rule {
         name: "raw-syscall",
-        patterns: &["syscall(", "SYS_futex"],
+        patterns: &["syscall(", "SYS_futex", "extern \"C\""],
         allow: &["crates/core/src/sys.rs", "crates/schedcheck/"],
-        why: "raw syscalls live in bravo::sys, the single audited FFI seam; a second \
-              futex/epoll call site bypasses the futex_* counters and the schedcheck \
-              virtual futex",
+        why: "raw syscalls and foreign functions live in bravo::sys, the single audited \
+              FFI seam; a second futex/epoll call site bypasses the futex_* counters and \
+              the schedcheck virtual futex",
     },
 ];
 
@@ -339,6 +340,28 @@ mod tests {
         .unwrap();
         let violations = lint_tree(&root).unwrap();
         assert!(violations.is_empty(), "{violations:?}");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_foreign_function_block_is_rejected_outside_the_seam() {
+        let root = temp_tree("extern");
+        fs::write(
+            root.join("crates/demo/src/lib.rs"),
+            "extern \"C\" {\n    fn madvise(addr: *mut u8, len: usize, advice: i32) -> i32;\n}\n",
+        )
+        .unwrap();
+        fs::create_dir_all(root.join("crates/core/src")).unwrap();
+        fs::write(
+            root.join("crates/core/src/sys.rs"),
+            "extern \"C\" {\n    fn munmap(addr: *mut u8, len: usize) -> i32;\n}\n",
+        )
+        .unwrap();
+        let violations = lint_tree(&root).unwrap();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(violations[0].rule, "raw-syscall");
+        assert_eq!(violations[0].line, 1);
+        assert!(violations[0].file.to_string_lossy().contains("demo"));
         let _ = fs::remove_dir_all(&root);
     }
 
