@@ -75,7 +75,7 @@ fn bench_revocation_scan(c: &mut Criterion) {
         group.bench_function(BenchmarkId::from_parameter(slots), |b| {
             // Scanning an empty table for a lock address that is nowhere in
             // it is exactly the writer's common revocation case.
-            b.iter(|| table.revoke(0xdead_beef).conflicts())
+            b.iter(|| table.revoke(0xdead_beef).conflicts)
         });
     }
     group.finish();

@@ -20,8 +20,7 @@
 //! Expected shape: read-mostly traffic keeps BRAVO composites on the fast
 //! path (`fast_read_pct` high), so added connections raise throughput
 //! without the reader-count-proportional writer penalty the underlying
-//! lock would pay; the `table=numa` layouts trade slot budget for
-//! node-local publication exactly as in fig1.
+//! lock would pay.
 //!
 //! Pass `--lock SPEC` (repeatable) to sweep explicit lock specs instead of
 //! the default `BA` vs `BRAVO-BA` pair (plus their parking and futex

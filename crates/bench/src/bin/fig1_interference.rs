@@ -7,19 +7,18 @@
 //! paper's claim: the fraction never drops below ~0.94.
 //!
 //! Pass `--lock SPEC` (repeatable) to change the base composite(s) — each
-//! must be a BRAVO composite on a *process-shared* table layout (`global`
-//! or `numa:<nodes>x<slots>`); the comparator run overrides the table to
+//! must be a BRAVO composite on a *process-shared* table (`table=global`,
+//! the default: the flat global table for `BRAVO-BA`, the sectored global
+//! table for `BRAVO-2D-BA`); the comparator run overrides the table to
 //! `private:4096`. Beyond the paper's fraction, each row reports the
 //! table-level interference directly: cross-lock slot collisions in the
-//! shared run (total and per shard) and the average slots a revoking
-//! writer scans (`scan_slots_per_revoke`, measured by a revocation probe
-//! over the shared pool after the read phase). Running both a flat and a
-//! `numa:` base in one invocation shows the sharded layout's win: the flat
-//! global writer always walks all 4096 slots, the NUMA writer skips every
-//! shard its occupancy counter proves empty.
+//! shared run (`xlock_collisions`) and the average slots a revoking writer
+//! scans (`scan_slots_per_revoke`, measured by a revocation probe over the
+//! shared pool after the read phase). Running `BRAVO-BA` and `BRAVO-2D-BA`
+//! in one invocation shows the trade: the flat global writer walks all 4096
+//! slots, the sectored writer one column of a slot per row.
 
 use bench::{banner, fmt_f64, header, row, HarnessArgs};
-use bravo::stats::format_shard_counts;
 use bravo::wait::WaitMode;
 use rwlocks::LockKind;
 use workloads::interference::{interference_run_spec, paper_lock_pool_series, InterferenceResult};
@@ -62,7 +61,6 @@ fn main() {
         "private_ops",
         "throughput_fraction",
         "xlock_collisions",
-        "collisions_per_shard",
         "scan_slots_per_revoke",
         "wait_mode",
         "adapt_flips",
@@ -96,7 +94,6 @@ fn main() {
                 result.private_table_ops.to_string(),
                 fmt_f64(result.fraction()),
                 result.shared_collisions.to_string(),
-                format_shard_counts(&result.shard_collisions, result.shards),
                 fmt_f64(result.scan_slots_per_revocation()),
                 base.wait().to_string(),
                 delta.adapt_flips.to_string(),

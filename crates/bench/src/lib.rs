@@ -681,8 +681,8 @@ mod tests {
     #[test]
     fn csv_cells_quote_only_when_needed() {
         assert_eq!(
-            csv_cell("BRAVO-BA?n=9&table=numa:2x1024"),
-            "BRAVO-BA?n=9&table=numa:2x1024"
+            csv_cell("BRAVO-BA?n=9&wait=futex"),
+            "BRAVO-BA?n=9&wait=futex"
         );
         assert_eq!(csv_cell("a,b"), "\"a,b\"");
         assert_eq!(csv_cell("say \"hi\""), "\"say \"\"hi\"\"\"");

@@ -58,7 +58,7 @@
 //! * [`raw`] — the [`RawRwLock`] trait that underlying locks implement, plus
 //!   a minimal default spin lock.
 //! * [`vrt`] — the visible readers table behind the [`ReaderTable`]
-//!   abstraction: the flat, sectored and NUMA-sharded layouts, the
+//!   abstraction: the flat and sectored layouts, the
 //!   process-shared instances, and the [`TableHandle`] locks hold.
 //! * [`lock`] — [`BravoLock`], the raw (token-based) form of the algorithm
 //!   and the only BRAVO engine: BRAVO-2D, sketched in the paper's
@@ -104,7 +104,6 @@ pub use rwlock::{BravoReadGuard, BravoRwLock, BravoWriteGuard};
 pub use spec::{LockHandle, LockSpec, SpecError, SpecParseError, TableSpec};
 pub use stats::{LockStats, Snapshot, StatsSink};
 pub use vrt::{
-    NumaTable, ReaderTable, Revocation, SectoredTable, TableHandle, VisibleReadersTable,
-    DEFAULT_TABLE_SIZE, MAX_TRACKED_SHARDS,
+    ReaderTable, Revocation, SectoredTable, TableHandle, VisibleReadersTable, DEFAULT_TABLE_SIZE,
 };
 pub use wait::{FutexEventCount, WaitMode, WaitQueue, WaitStrategy};

@@ -92,8 +92,8 @@ impl ReadToken {
 /// reader-bias flag and the inhibit-until timestamp — plus the handle to the
 /// visible readers table (globally shared by default, hence zero bytes of
 /// per-lock state in the paper's C embodiment) and the bias policy. The
-/// lock is written against the [`ReaderTable`](crate::vrt::ReaderTable) abstraction, so any layout —
-/// flat, sectored, NUMA-sharded — can stand behind the handle; BRAVO-2D is
+/// lock is written against the [`ReaderTable`](crate::vrt::ReaderTable) abstraction, so either
+/// layout — flat or sectored — can stand behind the handle; BRAVO-2D is
 /// this lock over [`TableHandle::global_sectored`].
 pub struct BravoLock<L = DefaultRwLock> {
     rbias: AtomicBool,
@@ -245,14 +245,13 @@ impl<L: RawRwLock> BravoLock<L> {
         let slot = table.slot_for_current(addr);
         if !table.try_publish(slot, addr) {
             // Slot occupied: a collision with another (lock, thread) pair.
-            let shard = table.shard_of_slot(slot);
-            return Err(SlowReadReason::Collision { shard });
+            return Err(SlowReadReason::Collision);
         }
         // The successful CAS is SeqCst and doubles as the store-load fence
         // between publishing our slot and re-checking RBias (Dekker-style
         // with the writer's clear-then-scan sequence).
         if self.rbias.load(Ordering::SeqCst) {
-            self.stats.record_fast_read_in(table.shard_of_slot(slot));
+            self.stats.record_fast_read();
             return Ok(ReadToken { slot: Some(slot) });
         }
         // A writer revoked bias between our publication and the re-check;
@@ -623,7 +622,6 @@ mod tests {
         assert!(!t.is_fast());
         let delta = l.stats().snapshot().since(&before);
         assert_eq!(delta.slow_reads_collision, 1);
-        assert_eq!(delta.shard_collisions[0], 1);
         assert_eq!(delta.slow_reads_disabled, 0);
         l.read_unlock(t);
         assert!(table.clear(slot, squatter));
@@ -868,27 +866,6 @@ mod tests {
             }
         });
         assert_eq!(counter.load(Ordering::Relaxed), 1_000);
-    }
-
-    #[test]
-    fn numa_table_still_excludes() {
-        // The layout is a constructor argument; the lock must be correct
-        // over any ReaderTable.
-        let l = Bravo::with_instrumented(
-            DefaultRwLock::new(),
-            TableHandle::numa(2, 64),
-            BiasPolicy::paper_default(),
-            StatsSink::per_lock(),
-        );
-        l.read_unlock(l.read_lock());
-        let t = l.read_lock();
-        assert!(t.is_fast());
-        l.read_unlock(t);
-        l.write_lock();
-        assert!(!l.is_reader_biased());
-        l.write_unlock();
-        assert!(l.stats().snapshot().fast_reads >= 1);
-        assert!(l.stats().snapshot().revocations >= 1);
     }
 
     #[test]

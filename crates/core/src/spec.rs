@@ -16,7 +16,6 @@
 //! BRAVO-BA?bias=disabled
 //! BRAVO-BA?table=private:4096
 //! BRAVO-2D-BA?table=sectored:4x256
-//! BRAVO-BA?table=numa:2x1024
 //! ```
 //!
 //! Grammar: `KIND[?param&param...]` with parameters
@@ -25,7 +24,7 @@
 //! |-----|--------|---------|
 //! | `n` | integer | [`BiasPolicy::InhibitUntil`] with that multiplier |
 //! | `bias` | `disabled`, `bernoulli:<inverse_p>`, `inhibit:<n>` | the other [`BiasPolicy`] forms (`inhibit:<n>` is the long form of `n=<n>`) |
-//! | `table` | `global`, `private:<slots>`, `sectored:<sectors>x<slots>`, `numa:<nodes>x<slots>`, bare `numa` | the [`TableSpec`] (bare `numa` auto-sizes from the machine topology, see [`TableSpec::numa_auto`]) |
+//! | `table` | `global`, `private:<slots>`, `sectored:<sectors>x<slots>` | the [`TableSpec`] |
 //! | `wait` | `spin`, `park`, `futex` | the [`WaitMode`] contended waiters use (parking queues or kernel futex sleeps instead of spinning; `futex` falls back to `park` where the syscall is unavailable) |
 //! | `adapt` | `on`, `off` | whether an [`AdaptiveBias`] controller gates bias on the sampled read ratio (BRAVO composites only) |
 //! | `shards` | integer ≥ 1 | how many key-hashed data shards a spec-driven store (e.g. `kvstore::Db`) partitions itself into, each shard guarded by its own lock built from this spec; `1` (the default) keeps the single-lock layout |
@@ -66,56 +65,16 @@ pub enum TableSpec {
         /// Slots per row (rounded up to a power of two at construction).
         slots: usize,
     },
-    /// A NUMA-sharded table, **process-shared** per geometry like the
-    /// global flat table: `nodes` shards of `slots` slots, readers publish
-    /// into their home-node shard, writers skip empty shards during
-    /// revocation.
-    Numa {
-        /// Number of shards (one per NUMA node; nodes wrap round-robin if
-        /// the machine has more).
-        nodes: usize,
-        /// Slots per shard (rounded up to a power of two at construction).
-        slots: usize,
-    },
 }
 
 impl TableSpec {
-    /// The auto-sized NUMA layout selected by the bare `table=numa` spec
-    /// form: one shard per node of [`topology::machine`], with
-    /// `DEFAULT_TABLE_SIZE / nodes × 2` slots per shard, so the sharded
-    /// layout carries twice the flat global table's aggregate slot budget
-    /// and in-shard collision counts stay comparable under same-node load.
-    ///
-    /// The geometry is resolved *when the spec is parsed* (freezing the
-    /// process-global machine if it was not already frozen), so the
-    /// resulting spec prints its concrete `numa:<nodes>x<slots>` form and
-    /// the Display ↔ FromStr round-trip is preserved.
-    pub fn numa_auto() -> Self {
-        let nodes = topology::numa_nodes().max(1);
-        TableSpec::Numa {
-            nodes,
-            slots: (crate::vrt::DEFAULT_TABLE_SIZE / nodes).max(1) * 2,
-        }
-    }
-
     /// Whether this layout resolves to a *process-shared* table (one table
     /// for every lock built with the same spec) rather than a table owned
     /// per lock instance. The interference experiment requires a shared
     /// base layout — an owned base would be interference-free by
     /// construction.
     pub fn is_process_shared(&self) -> bool {
-        matches!(self, TableSpec::Global | TableSpec::Numa { .. })
-    }
-
-    /// Number of shards the layout's revocation scan distinguishes (what
-    /// the per-shard statistics report against): 1 for flat layouts, one
-    /// per row/node otherwise.
-    pub fn shards(&self) -> usize {
-        match self {
-            TableSpec::Global | TableSpec::Private { .. } => 1,
-            TableSpec::Sectored { sectors, .. } => *sectors,
-            TableSpec::Numa { nodes, .. } => (*nodes).max(1),
-        }
+        matches!(self, TableSpec::Global)
     }
 }
 
@@ -125,7 +84,6 @@ impl std::fmt::Display for TableSpec {
             TableSpec::Global => f.write_str("global"),
             TableSpec::Private { slots } => write!(f, "private:{slots}"),
             TableSpec::Sectored { sectors, slots } => write!(f, "sectored:{sectors}x{slots}"),
-            TableSpec::Numa { nodes, slots } => write!(f, "numa:{nodes}x{slots}"),
         }
     }
 }
@@ -141,14 +99,14 @@ impl std::fmt::Display for TableSpec {
 /// ```
 /// use bravo::spec::{LockSpec, TableSpec};
 ///
-/// let spec: LockSpec = "BRAVO-BA?n=99&table=numa:2x1024&wait=park"
+/// let spec: LockSpec = "BRAVO-2D-BA?n=99&table=sectored:4x256&wait=park"
 ///     .parse()
 ///     .unwrap();
-/// assert_eq!(spec.kind(), "BRAVO-BA");
-/// assert_eq!(spec.table(), TableSpec::Numa { nodes: 2, slots: 1024 });
+/// assert_eq!(spec.kind(), "BRAVO-2D-BA");
+/// assert_eq!(spec.table(), TableSpec::Sectored { sectors: 4, slots: 256 });
 ///
 /// // Display omits defaults, so any result-table label round-trips.
-/// assert_eq!(spec.to_string(), "BRAVO-BA?n=99&table=numa:2x1024&wait=park");
+/// assert_eq!(spec.to_string(), "BRAVO-2D-BA?n=99&table=sectored:4x256&wait=park");
 /// assert_eq!(spec.to_string().parse::<LockSpec>().unwrap(), spec);
 ///
 /// // Explicitly-spelled defaults collapse back to the bare kind...
@@ -249,8 +207,7 @@ impl LockSpec {
     /// itself into (1 — the default — means the single-lock layout). This
     /// knob configures the *store around* the lock, not the lock itself:
     /// the catalog builds one independent lock per shard from the same
-    /// spec. Distinct from [`TableSpec::shards`], which counts a reader
-    /// *table*'s revocation-scan shards.
+    /// spec.
     pub fn shards(&self) -> usize {
         self.shards
     }
@@ -436,16 +393,8 @@ fn parse_table(value: &str) -> Result<TableSpec, SpecParseError> {
         let (sectors, slots) = parse_geometry("sectored", geometry)?;
         return Ok(TableSpec::Sectored { sectors, slots });
     }
-    if value == "numa" {
-        return Ok(TableSpec::numa_auto());
-    }
-    if let Some(geometry) = value.strip_prefix("numa:") {
-        let (nodes, slots) = parse_geometry("numa", geometry)?;
-        return Ok(TableSpec::Numa { nodes, slots });
-    }
     Err(SpecParseError::new(format!(
-        "table must be 'global', 'private:<slots>', 'sectored:<sectors>x<slots>', \
-         'numa:<nodes>x<slots>' or bare 'numa' (auto-sized from the machine topology), \
+        "table must be 'global', 'private:<slots>' or 'sectored:<sectors>x<slots>', \
          got '{value}'"
     )))
 }
@@ -739,10 +688,6 @@ mod tests {
                 sectors: 4,
                 slots: 256,
             }),
-            LockSpec::new("BRAVO-BA").with_table(TableSpec::Numa {
-                nodes: 2,
-                slots: 1024,
-            }),
             LockSpec::new("BA").with_wait(WaitMode::Park),
             LockSpec::new("BRAVO-BA").with_adapt(true),
             LockSpec::new("BRAVO-BA")
@@ -783,6 +728,8 @@ mod tests {
             "BA?table=sectored:4",
             "BA?table=private:0",
             "BA?table=sectored:0x8",
+            "BA?table=numa",
+            "BA?table=numa:2x1024",
             "BA?table=numa:2",
             "BA?table=numa:0x64",
             "BA?table=numa:2x0",
@@ -807,18 +754,7 @@ mod tests {
     }
 
     #[test]
-    fn numa_layout_parses_and_classifies_as_shared() {
-        let spec: LockSpec = "BRAVO-BA?table=numa:2x1024".parse().unwrap();
-        assert_eq!(
-            spec.table(),
-            TableSpec::Numa {
-                nodes: 2,
-                slots: 1024
-            }
-        );
-        assert!(spec.table().is_process_shared());
-        assert_eq!(spec.table().shards(), 2);
-        assert_eq!(spec.to_string(), "BRAVO-BA?table=numa:2x1024");
+    fn only_the_global_layout_is_process_shared() {
         assert!(TableSpec::Global.is_process_shared());
         assert!(!TableSpec::Private { slots: 64 }.is_process_shared());
         assert!(!TableSpec::Sectored {
@@ -826,29 +762,17 @@ mod tests {
             slots: 64
         }
         .is_process_shared());
-        assert_eq!(TableSpec::Global.shards(), 1);
-        assert_eq!(
-            TableSpec::Sectored {
-                sectors: 4,
-                slots: 64
-            }
-            .shards(),
-            4
+        // A removed layout is rejected with the layouts that remain.
+        let err = "BRAVO-BA?table=numa:2x1024"
+            .parse::<LockSpec>()
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("'global', 'private:<slots>' or 'sectored:<sectors>x<slots>'"),
+            "{err}"
         );
-    }
-
-    #[test]
-    fn bare_numa_auto_sizes_from_the_machine_topology() {
-        let spec: LockSpec = "BRAVO-BA?table=numa".parse().unwrap();
-        let nodes = topology::numa_nodes().max(1);
-        let slots = (crate::vrt::DEFAULT_TABLE_SIZE / nodes).max(1) * 2;
-        assert_eq!(spec.table(), TableSpec::Numa { nodes, slots });
-        assert_eq!(spec.table(), TableSpec::numa_auto());
-        // The resolved geometry is concrete, so Display prints it and the
-        // round-trip invariant holds.
-        let text = spec.to_string();
-        assert_eq!(text, format!("BRAVO-BA?table=numa:{nodes}x{slots}"));
-        assert_eq!(text.parse::<LockSpec>().unwrap(), spec);
+        let (listed, _) = err.split_once(", got").unwrap();
+        assert!(!listed.contains("numa"), "{err}");
     }
 
     #[test]
@@ -866,7 +790,7 @@ mod tests {
         conn.unlock_exclusive();
         // Same statistics channel: events recorded through the relabelled
         // clone are visible through the original.
-        conn.stats().record_fast_read_in(0);
+        conn.stats().record_fast_read();
         assert_eq!(handle.snapshot().fast_reads, 1);
     }
 
@@ -950,7 +874,7 @@ mod tests {
             Arc::new(DefaultRwLock::new()),
             StatsSink::per_lock(),
         );
-        a.stats().record_fast_read_in(0);
+        a.stats().record_fast_read();
         assert_eq!(a.snapshot().fast_reads, 1);
         assert_eq!(b.snapshot().fast_reads, 0);
     }

@@ -13,27 +13,28 @@
 //! [`StatsSink::PerLock`] events. A fast read or a collision is one write to
 //! one counter word. Process totals ([`snapshot`]) are summed at read time
 //! from the thread blocks, the live per-lock blocks and the final counts of
-//! dropped ones, and the totals a [`Snapshot`] reports for fast reads,
-//! collisions and wait conflicts are summed from their per-shard counters.
-//! The instrumentation thus does not introduce the write-sharing BRAVO is
-//! designed to remove — the same reason the paper keeps `lockstat` disabled
-//! while measuring.
+//! dropped ones. The instrumentation thus does not introduce the
+//! write-sharing BRAVO is designed to remove — the same reason the paper
+//! keeps `lockstat` disabled while measuring.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use topology::CachePadded;
 
-use crate::vrt::{tracked_shard, Revocation, MAX_TRACKED_SHARDS};
+use crate::vrt::Revocation;
 
-/// One thread's (or stripe's) private counter block. Totals that a
-/// [`Snapshot`] derives from the per-shard arrays are not stored.
+/// One thread's (or stripe's) private counter block: one word per
+/// [`Snapshot`] field, so a block fits one cache sector.
 #[derive(Default)]
 struct ThreadCounters {
+    fast_reads: AtomicU64,
     slow_reads_disabled: AtomicU64,
+    slow_reads_collision: AtomicU64,
     slow_reads_raced: AtomicU64,
     writes: AtomicU64,
     revocations: AtomicU64,
+    revocation_wait_conflicts: AtomicU64,
     revocation_scan_slots: AtomicU64,
     bias_enabled: AtomicU64,
     parked_waits: AtomicU64,
@@ -41,18 +42,18 @@ struct ThreadCounters {
     futex_wakes: AtomicU64,
     futex_eagain: AtomicU64,
     adapt_flips: AtomicU64,
-    shard_publishes: [AtomicU64; MAX_TRACKED_SHARDS],
-    shard_collisions: [AtomicU64; MAX_TRACKED_SHARDS],
-    shard_conflicts: [AtomicU64; MAX_TRACKED_SHARDS],
 }
 
 impl ThreadCounters {
     fn accumulate_into(&self, out: &mut Snapshot) {
         let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        out.fast_reads += load(&self.fast_reads);
         out.slow_reads_disabled += load(&self.slow_reads_disabled);
+        out.slow_reads_collision += load(&self.slow_reads_collision);
         out.slow_reads_raced += load(&self.slow_reads_raced);
         out.writes += load(&self.writes);
         out.revocations += load(&self.revocations);
+        out.revocation_wait_conflicts += load(&self.revocation_wait_conflicts);
         out.revocation_scan_slots += load(&self.revocation_scan_slots);
         out.bias_enabled += load(&self.bias_enabled);
         out.parked_waits += load(&self.parked_waits);
@@ -60,17 +61,6 @@ impl ThreadCounters {
         out.futex_wakes += load(&self.futex_wakes);
         out.futex_eagain += load(&self.futex_eagain);
         out.adapt_flips += load(&self.adapt_flips);
-        for shard in 0..MAX_TRACKED_SHARDS {
-            let publishes = load(&self.shard_publishes[shard]);
-            let collisions = load(&self.shard_collisions[shard]);
-            let conflicts = load(&self.shard_conflicts[shard]);
-            out.shard_publishes[shard] += publishes;
-            out.shard_collisions[shard] += collisions;
-            out.shard_conflicts[shard] += conflicts;
-            out.fast_reads += publishes;
-            out.slow_reads_collision += collisions;
-            out.revocation_wait_conflicts += conflicts;
-        }
     }
 }
 
@@ -85,10 +75,7 @@ pub enum SlowReadReason {
     /// The lock's bias flag was not set when the reader arrived.
     BiasDisabled,
     /// The hashed slot in the visible readers table was already occupied.
-    Collision {
-        /// Table shard of the occupied slot (flat tables use shard 0).
-        shard: usize,
-    },
+    Collision,
     /// The CAS succeeded but a writer cleared the bias flag concurrently and
     /// the reader lost the race on the re-check.
     Raced,
@@ -97,13 +84,12 @@ pub enum SlowReadReason {
 /// Immutable snapshot of the aggregated counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Snapshot {
-    /// Reads that completed on the BRAVO fast path (the sum of
-    /// [`shard_publishes`](Self::shard_publishes)).
+    /// Reads that completed on the BRAVO fast path.
     pub fast_reads: u64,
     /// Slow reads because bias was disabled.
     pub slow_reads_disabled: u64,
-    /// Slow reads because of a slot collision (the sum of
-    /// [`shard_collisions`](Self::shard_collisions)).
+    /// Slow reads because of a slot collision — the cross-lock conflicts
+    /// the interference experiment reports.
     pub slow_reads_collision: u64,
     /// Slow reads because the reader lost the race with a revoking writer.
     pub slow_reads_raced: u64,
@@ -111,8 +97,7 @@ pub struct Snapshot {
     pub writes: u64,
     /// Write acquisitions that performed revocation.
     pub revocations: u64,
-    /// Fast-path readers that revoking writers had to wait for (the sum of
-    /// [`shard_conflicts`](Self::shard_conflicts)).
+    /// Fast-path readers that revoking writers had to wait for.
     pub revocation_wait_conflicts: u64,
     /// Total slots visited by revocation scans.
     pub revocation_scan_slots: u64,
@@ -136,15 +121,6 @@ pub struct Snapshot {
     /// Adaptive-bias policy flips (enable or disable decisions taken by an
     /// `adapt=on` lock's epoch sampler).
     pub adapt_flips: u64,
-    /// Fast-path publications per tracked table shard (occupancy pressure;
-    /// flat tables attribute everything to shard 0, shards beyond
-    /// [`MAX_TRACKED_SHARDS`] fold into the last bucket).
-    pub shard_publishes: [u64; MAX_TRACKED_SHARDS],
-    /// Slot collisions per tracked table shard — the cross-lock conflicts
-    /// the interference experiment reports.
-    pub shard_collisions: [u64; MAX_TRACKED_SHARDS],
-    /// Revocation-wait conflicts per tracked table shard.
-    pub shard_conflicts: [u64; MAX_TRACKED_SHARDS],
 }
 
 impl Snapshot {
@@ -179,11 +155,6 @@ impl Snapshot {
         }
     }
 
-    /// Total cross-lock slot collisions over the tracked shards.
-    pub fn total_shard_collisions(&self) -> u64 {
-        self.shard_collisions.iter().sum()
-    }
-
     /// Average slots visited per revocation scan (0 when there were none).
     pub fn scan_slots_per_revocation(&self) -> f64 {
         if self.revocations == 0 {
@@ -211,9 +182,6 @@ impl Snapshot {
             futex_wakes: self.futex_wakes - earlier.futex_wakes,
             futex_eagain: self.futex_eagain - earlier.futex_eagain,
             adapt_flips: self.adapt_flips - earlier.adapt_flips,
-            shard_publishes: array_sub(&self.shard_publishes, &earlier.shard_publishes),
-            shard_collisions: array_sub(&self.shard_collisions, &earlier.shard_collisions),
-            shard_conflicts: array_sub(&self.shard_conflicts, &earlier.shard_conflicts),
         }
     }
 
@@ -236,36 +204,8 @@ impl Snapshot {
             futex_wakes: self.futex_wakes + other.futex_wakes,
             futex_eagain: self.futex_eagain + other.futex_eagain,
             adapt_flips: self.adapt_flips + other.adapt_flips,
-            shard_publishes: array_add(&self.shard_publishes, &other.shard_publishes),
-            shard_collisions: array_add(&self.shard_collisions, &other.shard_collisions),
-            shard_conflicts: array_add(&self.shard_conflicts, &other.shard_conflicts),
         }
     }
-}
-
-fn array_sub(
-    a: &[u64; MAX_TRACKED_SHARDS],
-    b: &[u64; MAX_TRACKED_SHARDS],
-) -> [u64; MAX_TRACKED_SHARDS] {
-    std::array::from_fn(|i| a[i] - b[i])
-}
-
-fn array_add(
-    a: &[u64; MAX_TRACKED_SHARDS],
-    b: &[u64; MAX_TRACKED_SHARDS],
-) -> [u64; MAX_TRACKED_SHARDS] {
-    std::array::from_fn(|i| a[i] + b[i])
-}
-
-/// Formats the first `shards` tracked buckets of a per-shard counter array
-/// as a compact `a:b:…` cell for result tables.
-pub fn format_shard_counts(counts: &[u64; MAX_TRACKED_SHARDS], shards: usize) -> String {
-    counts
-        .iter()
-        .take(shards.clamp(1, MAX_TRACKED_SHARDS))
-        .map(|c| c.to_string())
-        .collect::<Vec<_>>()
-        .join(":")
 }
 
 /// Number of counter stripes in a [`LockStats`] block. Threads hash over the
@@ -280,7 +220,7 @@ type Stripes = Arc<[CachePadded<ThreadCounters>; LOCK_STAT_STRIPES]>;
 struct Registry {
     /// Every thread's block. Blocks are leaked deliberately: a thread may
     /// exit while an aggregator still wants to read its totals, and a block
-    /// is a few hundred bytes.
+    /// is one cache sector.
     threads: Vec<&'static CachePadded<ThreadCounters>>,
     /// The stripes of every live [`LockStats`].
     locks: Vec<Stripes>,
@@ -451,11 +391,10 @@ impl StatsSink {
         }
     }
 
-    /// Records a fast-path read acquisition that published into the given
-    /// table shard.
+    /// Records a fast-path read acquisition.
     #[inline]
-    pub fn record_fast_read_in(&self, shard: usize) {
-        self.counters(|c| bump(&c.shard_publishes[tracked_shard(shard)], 1));
+    pub fn record_fast_read(&self) {
+        self.counters(|c| bump(&c.fast_reads, 1));
     }
 
     /// Records a slow-path read acquisition and why it was slow.
@@ -464,7 +403,7 @@ impl StatsSink {
         self.counters(|c| {
             let counter = match reason {
                 SlowReadReason::BiasDisabled => &c.slow_reads_disabled,
-                SlowReadReason::Collision { shard } => &c.shard_collisions[tracked_shard(shard)],
+                SlowReadReason::Collision => &c.slow_reads_collision,
                 SlowReadReason::Raced => &c.slow_reads_raced,
             };
             bump(counter, 1);
@@ -480,11 +419,7 @@ impl StatsSink {
             if let Some(rev) = revocation {
                 bump(&c.revocations, 1);
                 bump(&c.revocation_scan_slots, rev.scanned_slots as u64);
-                for (counter, &n) in c.shard_conflicts.iter().zip(&rev.conflicts_per_shard) {
-                    if n > 0 {
-                        bump(counter, n);
-                    }
-                }
+                bump(&c.revocation_wait_conflicts, rev.conflicts);
             }
         });
     }
@@ -515,23 +450,24 @@ impl std::fmt::Debug for StatsSink {
 mod tests {
     use super::*;
 
-    /// A revocation that waited for `conflicts` readers in shard 0.
+    /// A revocation that waited for `conflicts` readers.
     fn revocation(conflicts: u64, scanned_slots: usize) -> Revocation {
-        let mut rev = Revocation {
+        Revocation {
             scanned_slots,
-            ..Revocation::default()
-        };
-        rev.conflicts_per_shard[0] = conflicts;
-        rev
+            conflicts,
+        }
     }
 
     /// Sum of every counter word in a block: how many increments it took.
     fn words(c: &ThreadCounters) -> u64 {
         let ThreadCounters {
+            fast_reads,
             slow_reads_disabled,
+            slow_reads_collision,
             slow_reads_raced,
             writes,
             revocations,
+            revocation_wait_conflicts,
             revocation_scan_slots,
             bias_enabled,
             parked_waits,
@@ -539,15 +475,15 @@ mod tests {
             futex_wakes,
             futex_eagain,
             adapt_flips,
-            shard_publishes,
-            shard_collisions,
-            shard_conflicts,
         } = c;
         [
+            fast_reads,
             slow_reads_disabled,
+            slow_reads_collision,
             slow_reads_raced,
             writes,
             revocations,
+            revocation_wait_conflicts,
             revocation_scan_slots,
             bias_enabled,
             parked_waits,
@@ -557,9 +493,6 @@ mod tests {
             adapt_flips,
         ]
         .into_iter()
-        .chain(shard_publishes)
-        .chain(shard_collisions)
-        .chain(shard_conflicts)
         .map(|w| w.load(Ordering::Relaxed))
         .sum()
     }
@@ -598,9 +531,6 @@ mod tests {
             futex_wakes,
             futex_eagain,
             adapt_flips,
-            shard_publishes,
-            shard_collisions,
-            shard_conflicts,
         } = *s;
         [
             fast_reads,
@@ -618,20 +548,16 @@ mod tests {
             futex_eagain,
             adapt_flips,
         ]
-        .into_iter()
-        .chain(shard_publishes)
-        .chain(shard_collisions)
-        .chain(shard_conflicts)
-        .collect()
+        .into()
     }
 
     #[test]
     fn counters_accumulate_and_diff() {
         let sink = StatsSink::Global;
         let before = snapshot();
-        sink.record_fast_read_in(0);
-        sink.record_fast_read_in(0);
-        sink.record_slow_read(SlowReadReason::Collision { shard: 0 });
+        sink.record_fast_read();
+        sink.record_fast_read();
+        sink.record_slow_read(SlowReadReason::Collision);
         sink.record_write(Some(&revocation(3, 0)));
         sink.record_write(None);
         sink.record_bias_enabled();
@@ -662,7 +588,7 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..100 {
-                        StatsSink::Global.record_fast_read_in(0);
+                        StatsSink::Global.record_fast_read();
                     }
                 });
             }
@@ -675,8 +601,8 @@ mod tests {
     fn per_lock_sinks_do_not_bleed_into_each_other() {
         let a = StatsSink::per_lock();
         let b = StatsSink::per_lock();
-        a.record_fast_read_in(0);
-        a.record_fast_read_in(0);
+        a.record_fast_read();
+        a.record_fast_read();
         b.record_write(Some(&revocation(1, 64)));
         let sa = a.snapshot();
         let sb = b.snapshot();
@@ -694,7 +620,7 @@ mod tests {
         // summed into the process totals at snapshot time.
         let before = snapshot();
         let sink = StatsSink::per_lock();
-        sink.record_slow_read(SlowReadReason::Collision { shard: 0 });
+        sink.record_slow_read(SlowReadReason::Collision);
         sink.record_bias_enabled();
         let delta = snapshot().since(&before);
         assert!(delta.slow_reads_collision >= 1);
@@ -708,7 +634,7 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..50 {
-                        sink.record_fast_read_in(0);
+                        sink.record_fast_read();
                     }
                 });
             }
@@ -719,7 +645,7 @@ mod tests {
     #[test]
     fn global_sink_snapshot_matches_process_totals() {
         let sink = StatsSink::default();
-        sink.record_fast_read_in(0);
+        sink.record_fast_read();
         // A Global sink resolves to the process aggregate.
         assert!(sink.snapshot().fast_reads >= 1);
     }
@@ -728,27 +654,25 @@ mod tests {
     fn per_lock_events_write_one_counter_word() {
         let sink = StatsSink::per_lock();
         let local = local_words();
-        sink.record_fast_read_in(1);
+        sink.record_fast_read();
         assert_eq!(stripe_words(&sink), 1, "a fast read is one increment");
-        sink.record_slow_read(SlowReadReason::Collision { shard: 2 });
+        sink.record_slow_read(SlowReadReason::Collision);
         assert_eq!(stripe_words(&sink), 2, "a collision is one increment");
         assert_eq!(local_words(), local, "the thread's block is untouched");
         let s = sink.snapshot();
-        assert_eq!((s.fast_reads, s.shard_publishes[1]), (1, 1));
-        assert_eq!((s.slow_reads_collision, s.shard_collisions[2]), (1, 1));
+        assert_eq!((s.fast_reads, s.slow_reads_collision), (1, 1));
     }
 
     #[test]
     fn global_events_write_one_word_of_the_callers_block() {
         let before = local_words();
         let snap = local_snapshot();
-        StatsSink::Global.record_fast_read_in(3);
+        StatsSink::Global.record_fast_read();
         assert_eq!(local_words(), before + 1);
-        StatsSink::Global.record_slow_read(SlowReadReason::Collision { shard: 0 });
+        StatsSink::Global.record_slow_read(SlowReadReason::Collision);
         assert_eq!(local_words(), before + 2);
         let delta = local_snapshot().since(&snap);
-        assert_eq!((delta.fast_reads, delta.shard_publishes[3]), (1, 1));
-        assert_eq!(delta.slow_reads_collision, 1);
+        assert_eq!((delta.fast_reads, delta.slow_reads_collision), (1, 1));
     }
 
     #[test]
@@ -760,8 +684,8 @@ mod tests {
             s.spawn(|| {
                 for _ in 0..LOCKS {
                     let sink = StatsSink::per_lock();
-                    sink.record_fast_read_in(0);
-                    sink.record_slow_read(SlowReadReason::Collision { shard: 1 });
+                    sink.record_fast_read();
+                    sink.record_slow_read(SlowReadReason::Collision);
                     sink.record_write(Some(&revocation(2, 16)));
                 }
                 done.store(true, Ordering::Relaxed);
@@ -779,59 +703,39 @@ mod tests {
         });
         let delta = snapshot().since(&before);
         assert!(delta.fast_reads >= LOCKS);
-        assert!(delta.shard_collisions[1] >= LOCKS);
+        assert!(delta.slow_reads_collision >= LOCKS);
         assert!(delta.revocations >= LOCKS);
         assert!(delta.revocation_wait_conflicts >= 2 * LOCKS);
         assert!(delta.revocation_scan_slots >= 16 * LOCKS);
     }
 
     #[test]
-    fn shard_counters_attribute_fold_and_diff() {
+    fn counters_attribute_diff_and_merge() {
         let sink = StatsSink::per_lock();
-        sink.record_fast_read_in(1);
-        sink.record_fast_read_in(1);
-        sink.record_slow_read(SlowReadReason::Collision { shard: 0 });
-        // Shards past the tracked range fold into the last bucket.
-        sink.record_slow_read(SlowReadReason::Collision {
-            shard: MAX_TRACKED_SHARDS + 3,
-        });
-        let mut per_shard = [0u64; MAX_TRACKED_SHARDS];
-        per_shard[2] = 4;
-        let rev = Revocation {
-            scanned_slots: 128,
-            conflicts_per_shard: per_shard,
-        };
-        assert_eq!(rev.conflicts(), 4);
-        sink.record_write(Some(&rev));
+        sink.record_fast_read();
+        sink.record_fast_read();
+        sink.record_slow_read(SlowReadReason::Collision);
+        sink.record_write(Some(&revocation(4, 128)));
         let s = sink.snapshot();
         assert_eq!(s.fast_reads, 2);
-        assert_eq!(s.shard_publishes[1], 2);
-        assert_eq!(s.slow_reads_collision, 2);
-        assert_eq!(s.shard_collisions[0], 1);
-        assert_eq!(s.shard_collisions[MAX_TRACKED_SHARDS - 1], 1);
-        assert_eq!(s.total_shard_collisions(), 2);
-        assert_eq!(s.shard_conflicts[2], 4);
+        assert_eq!(s.slow_reads_collision, 1);
         assert_eq!(s.revocation_wait_conflicts, 4);
         assert_eq!(s.revocation_scan_slots, 128);
-        // Diff and merge stay elementwise.
-        let d = s.since(&Snapshot::default());
-        assert_eq!(d.shard_publishes, s.shard_publishes);
+        // Diff and merge stay fieldwise.
+        assert_eq!(s.since(&Snapshot::default()), s);
         let m = s.merged(&s);
-        assert_eq!(m.shard_conflicts[2], 8);
+        assert_eq!(m.revocation_wait_conflicts, 8);
         assert_eq!(m.fast_reads, 4);
+        assert_eq!(m.since(&s), s);
     }
 
     #[test]
-    fn shard_cells_format_compactly() {
-        let mut counts = [0u64; MAX_TRACKED_SHARDS];
-        counts[0] = 3;
-        counts[1] = 1;
-        assert_eq!(format_shard_counts(&counts, 2), "3:1");
-        assert_eq!(format_shard_counts(&counts, 1), "3");
-        assert_eq!(format_shard_counts(&counts, 0), "3");
+    fn a_counter_block_fills_one_sector() {
+        // Every lock carries `LOCK_STAT_STRIPES` of these blocks: a per-shard
+        // or per-node array here would multiply every lock's stats footprint.
         assert_eq!(
-            format_shard_counts(&counts, MAX_TRACKED_SHARDS + 4),
-            "3:1:0:0:0:0:0:0"
+            std::mem::size_of::<CachePadded<ThreadCounters>>(),
+            topology::SECTOR
         );
     }
 
@@ -849,7 +753,7 @@ mod tests {
     #[test]
     fn fast_read_fraction_is_bounded() {
         let before = snapshot();
-        StatsSink::Global.record_fast_read_in(0);
+        StatsSink::Global.record_fast_read();
         StatsSink::Global.record_slow_read(SlowReadReason::BiasDisabled);
         let delta = snapshot().since(&before);
         let f = delta.fast_read_fraction();

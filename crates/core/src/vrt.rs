@@ -15,22 +15,14 @@
 //! * [`SectoredTable`] — the **sectored** (BRAVO-2D) layout from the
 //!   paper's future-work list: one row per logical CPU, lock-hashed
 //!   columns, so writers revoke by scanning a single column.
-//! * [`NumaTable`] — the **NUMA-sharded** layout: one shard per NUMA node.
-//!   A reader publishes into its home-node shard (via the topology
-//!   registry), so publications are always node-local, and each shard keeps
-//!   an occupancy counter so a revoking writer skips empty shards entirely
-//!   instead of walking every slot.
 //!
 //! Locks hold a [`TableHandle`], which resolves either to a process-shared
-//! table (the flat global, the sectored global, or a per-geometry shared
-//! NUMA table) or to a table owned by the lock instance.
+//! table (the flat global or the sectored global) or to a table owned by
+//! the lock instance.
 
 use std::sync::{Arc, OnceLock};
 
 use crate::sync::atomic::{AtomicUsize, Ordering};
-use crate::sync::Mutex;
-
-use topology::CachePadded;
 
 use crate::hash::{mix64, slot_index};
 use crate::wait::WaitStrategy;
@@ -41,39 +33,19 @@ pub const DEFAULT_TABLE_SIZE: usize = 4096;
 /// Default number of slots per row of the sectored (BRAVO-2D) layout.
 pub const DEFAULT_ROW_SLOTS: usize = 64;
 
-/// How many shards the statistics layer tracks individually; shards beyond
-/// this fold into the last bucket. (Machines with more NUMA nodes than this
-/// are rare, and the fold only coarsens reporting, never correctness.)
-pub const MAX_TRACKED_SHARDS: usize = 8;
-
-/// Folds a shard index into the statistics layer's tracked range.
-pub fn tracked_shard(shard: usize) -> usize {
-    shard.min(MAX_TRACKED_SHARDS - 1)
-}
-
 /// Outcome of one revocation scan: what the writer had to wait for and how
-/// much of the table it visited, broken down per shard for the statistics
-/// layer.
+/// much of the table it visited.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Revocation {
-    /// Slots the scan visited (for a NUMA table, a skipped empty shard
-    /// counts as one visited slot — the occupancy probe).
+    /// Slots the scan visited.
     pub scanned_slots: usize,
-    /// Conflicts attributed to each tracked shard (see
-    /// [`MAX_TRACKED_SHARDS`]); flat tables report everything in shard 0.
-    pub conflicts_per_shard: [u64; MAX_TRACKED_SHARDS],
-}
-
-impl Revocation {
-    /// Fast-path readers the writer had to wait for, over all shards.
-    pub fn conflicts(&self) -> u64 {
-        self.conflicts_per_shard.iter().sum()
-    }
+    /// Fast-path readers the writer had to wait for.
+    pub conflicts: u64,
 }
 
 /// A visible readers table layout.
 ///
-/// All three layouts (flat, sectored, NUMA-sharded) implement this trait;
+/// Both layouts (flat and sectored) implement this trait;
 /// BRAVO composites are written against it, so a lock's layout is chosen by
 /// its [`TableSpec`](crate::spec::TableSpec) instead of by its type.
 ///
@@ -83,7 +55,7 @@ impl Revocation {
 /// concurrent [`revoke`](ReaderTable::revoke) for the same lock address
 /// (the BRAVO safety property).
 pub trait ReaderTable: Send + Sync {
-    /// Short name of the layout (`"flat"`, `"sectored"`, `"numa"`).
+    /// Short name of the layout (`"flat"`, `"sectored"`).
     fn layout(&self) -> &'static str;
 
     /// Total number of slots.
@@ -95,18 +67,9 @@ pub trait ReaderTable: Send + Sync {
         self.len() == 0
     }
 
-    /// Number of shards a revocation scan distinguishes: 1 for the flat
-    /// layout, one per row for the sectored layout, one per node for the
-    /// NUMA layout.
-    fn shards(&self) -> usize;
-
-    /// Shard containing `slot` (not folded; callers fold for statistics via
-    /// [`tracked_shard`]).
-    fn shard_of_slot(&self, slot: usize) -> usize;
-
     /// Slot the *calling thread* publishes `lock_addr` into, per this
     /// layout's placement rule (thread-hashed for flat, CPU row for
-    /// sectored, home-node shard for NUMA).
+    /// sectored).
     fn slot_for_current(&self, lock_addr: usize) -> usize;
 
     /// Attempts to publish `lock_addr` in `slot` (the fast-path reader's
@@ -225,14 +188,6 @@ impl ReaderTable for VisibleReadersTable {
         self.slots.len()
     }
 
-    fn shards(&self) -> usize {
-        1
-    }
-
-    fn shard_of_slot(&self, _slot: usize) -> usize {
-        0
-    }
-
     fn slot_for_current(&self, lock_addr: usize) -> usize {
         self.slot_for(lock_addr, topology::current_thread_id().as_usize())
     }
@@ -264,11 +219,10 @@ impl ReaderTable for VisibleReadersTable {
         let mut pending: Vec<usize> = (0..self.slots.len())
             .filter(|&i| self.peek(i) == lock_addr)
             .collect();
-        let mut rev = Revocation {
+        let rev = Revocation {
             scanned_slots: self.slots.len(),
-            ..Revocation::default()
+            conflicts: pending.len() as u64,
         };
-        rev.conflicts_per_shard[0] = pending.len() as u64;
         if drain_pending(&self.slots, &mut pending, lock_addr, deadline_ns, wait) {
             Some(rev)
         } else {
@@ -373,14 +327,6 @@ impl ReaderTable for SectoredTable {
         self.rows * self.row_slots
     }
 
-    fn shards(&self) -> usize {
-        self.rows
-    }
-
-    fn shard_of_slot(&self, slot: usize) -> usize {
-        slot / self.row_slots
-    }
-
     fn slot_for_current(&self, lock_addr: usize) -> usize {
         self.slot_for(topology::current_cpu(), lock_addr)
     }
@@ -406,13 +352,10 @@ impl ReaderTable for SectoredTable {
             .map(|row| row * self.row_slots + column)
             .filter(|&slot| self.storage.peek(slot) == lock_addr)
             .collect();
-        let mut rev = Revocation {
+        let rev = Revocation {
             scanned_slots: self.rows,
-            ..Revocation::default()
+            conflicts: pending.len() as u64,
         };
-        for &slot in &pending {
-            rev.conflicts_per_shard[tracked_shard(self.shard_of_slot(slot))] += 1;
-        }
         if drain_pending(
             &self.storage.slots,
             &mut pending,
@@ -444,196 +387,6 @@ impl std::fmt::Debug for SectoredTable {
     }
 }
 
-/// One shard of a [`NumaTable`]: its slots plus a cache-padded occupancy
-/// counter that lets revoking writers skip the shard when it is empty.
-struct NumaShard {
-    /// Upper bound on the number of published entries in this shard:
-    /// readers increment *before* publishing and decrement *after*
-    /// clearing, so `occupancy == 0` proves the shard holds no publication.
-    occupancy: CachePadded<AtomicUsize>,
-    slots: Box<[AtomicUsize]>,
-}
-
-/// The NUMA-sharded layout: one shard of slots per NUMA node.
-///
-/// A fast-path reader publishes into the shard of its home node (via
-/// [`topology::current_shard`]), hashing `(lock, thread)` within the shard
-/// exactly like the flat layout — so same-node readers of one lock still
-/// diffuse over the shard, while the publication cache line is always
-/// node-local. A revoking writer probes each shard's occupancy counter and
-/// scans only the shards that can hold a reader, so on a machine where the
-/// lock's readers live on a subset of nodes (or after they departed) the
-/// scan touches a fraction of the slots the flat layout would walk.
-pub struct NumaTable {
-    shards: Box<[NumaShard]>,
-    slots_per_shard: usize,
-}
-
-impl NumaTable {
-    /// Creates a table with `nodes` shards of `slots_per_shard` slots each.
-    /// `slots_per_shard` is rounded up to a power of two.
-    pub fn new(nodes: usize, slots_per_shard: usize) -> Self {
-        let nodes = nodes.max(1);
-        let slots_per_shard = slots_per_shard.max(1).next_power_of_two();
-        let shards = (0..nodes)
-            .map(|_| NumaShard {
-                occupancy: CachePadded::new(AtomicUsize::new(0)),
-                slots: (0..slots_per_shard)
-                    .map(|_| AtomicUsize::new(0))
-                    .collect::<Vec<_>>()
-                    .into_boxed_slice(),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Self {
-            shards,
-            slots_per_shard,
-        }
-    }
-
-    /// Slots per shard.
-    pub fn slots_per_shard(&self) -> usize {
-        self.slots_per_shard
-    }
-
-    /// Number of shards (one per NUMA node at construction).
-    pub fn node_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Deterministic slot for a `(lock, thread)` pair homed on `node`.
-    /// This is the placement [`ReaderTable::slot_for_current`] applies to
-    /// the calling thread; exposed separately so tests can check the
-    /// distribution without going through the thread registry.
-    pub fn slot_for_thread_on_node(
-        &self,
-        lock_addr: usize,
-        thread_id: usize,
-        node: usize,
-    ) -> usize {
-        let shard = node % self.shards.len();
-        shard * self.slots_per_shard + slot_index(lock_addr, thread_id, self.slots_per_shard)
-    }
-
-    /// Racy snapshot of one shard's published-entry upper bound (tests).
-    pub fn shard_occupancy_hint(&self, shard: usize) -> usize {
-        self.shards[shard].occupancy.load(Ordering::SeqCst)
-    }
-
-    fn locate(&self, slot: usize) -> (usize, usize) {
-        (slot / self.slots_per_shard, slot % self.slots_per_shard)
-    }
-}
-
-impl ReaderTable for NumaTable {
-    fn layout(&self) -> &'static str {
-        "numa"
-    }
-
-    fn len(&self) -> usize {
-        self.shards.len() * self.slots_per_shard
-    }
-
-    fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_of_slot(&self, slot: usize) -> usize {
-        slot / self.slots_per_shard
-    }
-
-    fn slot_for_current(&self, lock_addr: usize) -> usize {
-        self.slot_for_thread_on_node(
-            lock_addr,
-            topology::current_thread_id().as_usize(),
-            topology::current_shard(self.shards.len()),
-        )
-    }
-
-    fn try_publish(&self, slot: usize, lock_addr: usize) -> bool {
-        debug_assert_ne!(lock_addr, 0, "cannot publish a null lock address");
-        let (shard, offset) = self.locate(slot);
-        let shard = &self.shards[shard];
-        // Occupancy rises *before* the publish CAS: a writer that observes
-        // occupancy == 0 (after its SeqCst bias clear) is therefore
-        // guaranteed no granted fast reader hides in this shard — the
-        // reader's increment is SeqCst-ordered before its bias re-check.
-        shard.occupancy.fetch_add(1, Ordering::SeqCst);
-        if shard.slots[offset]
-            .compare_exchange(0, lock_addr, Ordering::SeqCst, Ordering::Relaxed)
-            .is_ok()
-        {
-            true
-        } else {
-            shard.occupancy.fetch_sub(1, Ordering::SeqCst);
-            false
-        }
-    }
-
-    fn clear(&self, slot: usize, lock_addr: usize) -> bool {
-        let (shard, offset) = self.locate(slot);
-        let shard = &self.shards[shard];
-        let freed = shard.slots[offset]
-            .compare_exchange(lock_addr, 0, Ordering::Release, Ordering::Relaxed)
-            .is_ok();
-        if freed {
-            // After the slot itself: occupancy stays an upper bound throughout.
-            shard.occupancy.fetch_sub(1, Ordering::SeqCst);
-        }
-        freed
-    }
-
-    fn revoke_until_with(
-        &self,
-        lock_addr: usize,
-        deadline_ns: u64,
-        wait: WaitStrategy,
-    ) -> Option<Revocation> {
-        let mut rev = Revocation::default();
-        for (index, shard) in self.shards.iter().enumerate() {
-            if shard.occupancy.load(Ordering::SeqCst) == 0 {
-                // Empty shard: the occupancy probe is the whole visit.
-                rev.scanned_slots += 1;
-                continue;
-            }
-            rev.scanned_slots += shard.slots.len();
-            let mut pending: Vec<usize> = (0..shard.slots.len())
-                .filter(|&i| shard.slots[i].load(Ordering::SeqCst) == lock_addr)
-                .collect();
-            rev.conflicts_per_shard[tracked_shard(index)] += pending.len() as u64;
-            if !drain_pending(&shard.slots, &mut pending, lock_addr, deadline_ns, wait) {
-                return None;
-            }
-        }
-        Some(rev)
-    }
-
-    fn occupancy(&self) -> usize {
-        self.shards
-            .iter()
-            .flat_map(|s| s.slots.iter())
-            .filter(|s| s.load(Ordering::Relaxed) != 0)
-            .count()
-    }
-
-    fn count_for(&self, lock_addr: usize) -> usize {
-        self.shards
-            .iter()
-            .flat_map(|s| s.slots.iter())
-            .filter(|s| s.load(Ordering::Relaxed) == lock_addr)
-            .count()
-    }
-}
-
-impl std::fmt::Debug for NumaTable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NumaTable")
-            .field("shards", &self.shards.len())
-            .field("slots_per_shard", &self.slots_per_shard)
-            .finish()
-    }
-}
-
 static GLOBAL: OnceLock<VisibleReadersTable> = OnceLock::new();
 
 /// Returns the process-global flat table (4096 slots, created on first
@@ -650,36 +403,6 @@ pub fn global_sectored_table() -> &'static SectoredTable {
     GLOBAL_2D.get_or_init(|| SectoredTable::new(topology::logical_cpus(), DEFAULT_ROW_SLOTS))
 }
 
-/// Registry of process-shared NUMA tables, one per distinct geometry.
-///
-/// NUMA tables are shared like the flat global table — every lock built
-/// with `table=numa:<nodes>x<slots>` publishes into the *same* table for
-/// that geometry, which is what makes the layout comparable to the global
-/// flat table in the interference experiment. Tables are leaked (a handful
-/// of geometries per process, each a few KiB).
-static NUMA_TABLES: OnceLock<Mutex<Vec<&'static NumaTable>>> = OnceLock::new();
-
-/// Returns the process-shared NUMA table for the given geometry, creating
-/// it on first use. Geometry is normalized exactly as [`NumaTable::new`]
-/// normalizes it, so `numa:2x1000` and `numa:2x1024` share one table.
-pub fn shared_numa_table(nodes: usize, slots_per_shard: usize) -> &'static NumaTable {
-    let nodes = nodes.max(1);
-    let slots_per_shard = slots_per_shard.max(1).next_power_of_two();
-    let mut tables = NUMA_TABLES
-        .get_or_init(|| Mutex::new(Vec::new()))
-        .lock()
-        .expect("numa table registry poisoned");
-    if let Some(table) = tables
-        .iter()
-        .find(|t| t.node_shards() == nodes && t.slots_per_shard() == slots_per_shard)
-    {
-        return table;
-    }
-    let table: &'static NumaTable = Box::leak(Box::new(NumaTable::new(nodes, slots_per_shard)));
-    tables.push(table);
-    table
-}
-
 /// Which visible readers table a BRAVO composite publishes into.
 ///
 /// Production BRAVO uses the process-shared tables (zero bytes of per-lock
@@ -694,7 +417,6 @@ pub fn shared_numa_table(nodes: usize, slots_per_shard: usize) -> &'static NumaT
 /// let shared = TableHandle::global();
 /// assert_eq!(shared.table().layout(), "flat");
 /// assert_eq!(shared.table().len(), DEFAULT_TABLE_SIZE);
-/// assert_eq!(shared.table().shards(), 1);
 ///
 /// // Figure 1's comparator: a table owned by one lock, immune to
 /// // inter-lock interference. Sizes round up to a power of two.
@@ -702,15 +424,14 @@ pub fn shared_numa_table(nodes: usize, slots_per_shard: usize) -> &'static NumaT
 /// assert_eq!(private.table().len(), 1024);
 ///
 /// // The sectored (BRAVO-2D) layout revokes by scanning one column, so a
-/// // 4-row geometry reports 4 revocation-scan shards.
+/// // 4-row geometry visits 4 slots per revocation.
 /// let sectored = TableHandle::sectored(4, 64);
 /// assert_eq!(sectored.table().layout(), "sectored");
-/// assert_eq!(sectored.table().shards(), 4);
+/// assert_eq!(sectored.table().revoke(0x1000).scanned_slots, 4);
 /// ```
 #[derive(Clone)]
 pub enum TableHandle {
-    /// A process-shared table (the flat global, the sectored global, or a
-    /// per-geometry shared NUMA table).
+    /// A process-shared table (the flat global or the sectored global).
     Shared(&'static (dyn ReaderTable + 'static)),
     /// A table owned by (a group of) lock instances.
     Owned(Arc<dyn ReaderTable>),
@@ -731,11 +452,6 @@ impl TableHandle {
     /// The process-global sectored table (the BRAVO-2D default).
     pub fn global_sectored() -> Self {
         TableHandle::Shared(global_sectored_table())
-    }
-
-    /// The process-shared NUMA table for the given geometry.
-    pub fn numa(nodes: usize, slots_per_shard: usize) -> Self {
-        TableHandle::Shared(shared_numa_table(nodes, slots_per_shard))
     }
 
     /// A fresh private flat table with `size` slots.
@@ -771,10 +487,9 @@ impl std::fmt::Debug for TableHandle {
         let t = self.table();
         write!(
             f,
-            "TableHandle::{scope}({} layout, {} slots, {} shards)",
+            "TableHandle::{scope}({} layout, {} slots)",
             t.layout(),
-            t.len(),
-            t.shards()
+            t.len()
         )
     }
 }
@@ -826,7 +541,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(10));
             assert!(t2.clear(slot, addr));
         });
-        assert_eq!(t.revoke(addr).conflicts(), 1);
+        assert_eq!(t.revoke(addr).conflicts, 1);
         assert_eq!(t.count_for(addr), 0);
         clearer.join().unwrap();
     }
@@ -854,7 +569,7 @@ mod tests {
                 assert!(t2.clear(slot, addr));
             }
         });
-        assert_eq!(t.revoke(addr).conflicts(), 5);
+        assert_eq!(t.revoke(addr).conflicts, 5);
         clearer.join().unwrap();
         assert_eq!(t.occupancy(), 0);
     }
@@ -866,7 +581,7 @@ mod tests {
         let slot = t.slot_for(other, 1);
         assert!(t.try_publish(slot, other));
         // Must return immediately: no slot holds 0x9000.
-        assert_eq!(t.revoke(0x9000).conflicts(), 0);
+        assert_eq!(t.revoke(0x9000).conflicts, 0);
         assert!(t.clear(slot, other));
     }
 
@@ -883,14 +598,12 @@ mod tests {
         let t = VisibleReadersTable::new(64);
         let table: &dyn ReaderTable = &t;
         assert_eq!(table.layout(), "flat");
-        assert_eq!(table.shards(), 1);
-        assert_eq!(table.shard_of_slot(63), 0);
         let addr = 0x6000;
         let slot = table.slot_for_current(addr);
         assert!(table.try_publish(slot, addr));
         assert!(table.clear(slot, addr));
         let rev = table.revoke(addr);
-        assert_eq!(rev.conflicts(), 0);
+        assert_eq!(rev.conflicts, 0);
         assert_eq!(rev.scanned_slots, 64);
     }
 
@@ -901,7 +614,6 @@ mod tests {
         assert_eq!(t.row_slots(), 64);
         assert_eq!(t.len(), 256);
         assert_eq!(t.revocation_scan_len(), 4);
-        assert_eq!(ReaderTable::shards(&t), 4);
     }
 
     #[test]
@@ -928,84 +640,17 @@ mod tests {
                 assert!(ReaderTable::clear(&t, slot, addr));
             });
             let rev = t.revoke(addr);
-            assert_eq!(rev.conflicts(), 1);
+            assert_eq!(rev.conflicts, 1);
             assert_eq!(rev.scanned_slots, 4, "column scan visits one slot per row");
-            assert_eq!(
-                rev.conflicts_per_shard[2], 1,
-                "conflict attributed to row 2"
-            );
         });
         assert_eq!(ReaderTable::occupancy(&t), 0);
     }
 
     #[test]
-    fn numa_geometry_and_placement() {
-        let t = NumaTable::new(4, 60);
-        assert_eq!(t.node_shards(), 4);
-        assert_eq!(t.slots_per_shard(), 64);
-        assert_eq!(ReaderTable::len(&t), 256);
-        for node in 0..4 {
-            let slot = t.slot_for_thread_on_node(0xbeef0, 7, node);
-            assert_eq!(t.shard_of_slot(slot), node, "publication not node-local");
-        }
-        // Node ids beyond the shard count wrap.
-        let wrapped = t.slot_for_thread_on_node(0xbeef0, 7, 6);
-        assert_eq!(t.shard_of_slot(wrapped), 2);
-    }
-
-    #[test]
-    fn numa_occupancy_counter_tracks_publications() {
-        let t = NumaTable::new(2, 16);
-        let addr = 0xa0;
-        let slot = t.slot_for_thread_on_node(addr, 1, 1);
-        assert_eq!(t.shard_occupancy_hint(1), 0);
-        assert!(t.try_publish(slot, addr));
-        assert_eq!(t.shard_occupancy_hint(1), 1);
-        assert_eq!(t.shard_occupancy_hint(0), 0);
-        // A failed publish leaves no residue.
-        assert!(!t.try_publish(slot, 0xb0));
-        assert_eq!(t.shard_occupancy_hint(1), 1);
-        // A clear that frees nothing leaves the occupancy alone.
-        assert!(!t.clear(slot, 0xb0));
-        assert_eq!(t.shard_occupancy_hint(1), 1);
-        assert!(t.clear(slot, addr));
-        assert_eq!(t.shard_occupancy_hint(1), 0);
-        assert!(!t.clear(slot, addr));
-        assert_eq!(t.shard_occupancy_hint(1), 0);
-        assert_eq!(ReaderTable::occupancy(&t), 0);
-    }
-
-    #[test]
-    fn numa_revocation_skips_empty_shards() {
-        let t = NumaTable::new(4, 64);
-        let addr = 0xcc0;
-        // Nothing published anywhere: every shard is skipped with a single
-        // occupancy probe.
-        let rev = t.revoke(addr);
-        assert_eq!(rev.conflicts(), 0);
-        assert_eq!(rev.scanned_slots, 4, "one probe per empty shard");
-
-        // One reader on node 2: its shard is walked, the others skipped.
-        let slot = t.slot_for_thread_on_node(addr, 3, 2);
-        assert!(t.try_publish(slot, addr));
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-                assert!(t.clear(slot, addr));
-            });
-            let rev = t.revoke(addr);
-            assert_eq!(rev.conflicts(), 1);
-            assert_eq!(rev.scanned_slots, 64 + 3);
-            assert_eq!(rev.conflicts_per_shard[2], 1);
-            assert_eq!(rev.conflicts_per_shard[0], 0);
-        });
-    }
-
-    #[test]
-    fn numa_bounded_revocation_times_out_and_recovers() {
-        let t = NumaTable::new(2, 16);
+    fn bounded_revocation_times_out_and_recovers() {
+        let t = VisibleReadersTable::new(16);
         let addr = 0xdd0;
-        let slot = t.slot_for_thread_on_node(addr, 0, 0);
+        let slot = t.slot_for(addr, 0);
         assert!(t.try_publish(slot, addr));
         // The reader never departs within the budget.
         let deadline = now_ns() + 2_000_000; // 2 ms
@@ -1014,7 +659,7 @@ mod tests {
             .is_none());
         assert!(t.clear(slot, addr));
         let rev = t.revoke(addr);
-        assert_eq!(rev.conflicts(), 0);
+        assert_eq!(rev.conflicts, 0);
     }
 
     #[test]
@@ -1032,18 +677,9 @@ mod tests {
                 WaitStrategy::park().notify_all(addr);
             });
             let rev = t.revoke_until_with(addr, u64::MAX, WaitStrategy::park());
-            assert_eq!(rev.map(|r| r.conflicts()), Some(1));
+            assert_eq!(rev.map(|r| r.conflicts), Some(1));
         });
         assert_eq!(ReaderTable::count_for(&*t, addr), 0);
-    }
-
-    #[test]
-    fn shared_numa_tables_dedupe_by_normalized_geometry() {
-        let a = shared_numa_table(2, 1000) as *const NumaTable;
-        let b = shared_numa_table(2, 1024) as *const NumaTable;
-        assert_eq!(a, b, "geometry must be normalized before dedup");
-        let c = shared_numa_table(4, 1024) as *const NumaTable;
-        assert_ne!(a, c);
     }
 
     #[test]
@@ -1059,20 +695,6 @@ mod tests {
             p2.table() as *const dyn ReaderTable as *const u8
         ));
         assert_eq!(TableHandle::global_sectored().table().layout(), "sectored");
-        assert_eq!(TableHandle::numa(2, 64).table().layout(), "numa");
         assert_eq!(TableHandle::sectored(4, 16).table().len(), 64);
-    }
-
-    #[test]
-    fn tracked_shard_folds_the_tail() {
-        assert_eq!(tracked_shard(0), 0);
-        assert_eq!(
-            tracked_shard(MAX_TRACKED_SHARDS - 1),
-            MAX_TRACKED_SHARDS - 1
-        );
-        assert_eq!(
-            tracked_shard(MAX_TRACKED_SHARDS + 5),
-            MAX_TRACKED_SHARDS - 1
-        );
     }
 }

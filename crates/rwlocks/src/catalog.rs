@@ -164,15 +164,13 @@ impl std::fmt::Display for LockKind {
 /// a bare `table=global` (or an absent parameter) means: the flat global
 /// table for the flat composites, the sectored global table for BRAVO-2D.
 /// `private:`/`sectored:` geometries build tables owned by the lock
-/// instance; `numa:` geometries resolve to the process-shared table for
-/// that geometry (see [`bravo::vrt::shared_numa_table`]).
+/// instance.
 fn resolve_table(spec: &LockSpec, sectored_default: bool) -> TableHandle {
     match spec.table() {
         TableSpec::Global if sectored_default => TableHandle::global_sectored(),
         TableSpec::Global => TableHandle::global(),
         TableSpec::Private { slots } => TableHandle::private(slots),
         TableSpec::Sectored { sectors, slots } => TableHandle::sectored(sectors, slots),
-        TableSpec::Numa { nodes, slots } => TableHandle::numa(nodes, slots),
     }
 }
 
@@ -247,7 +245,7 @@ fn plain<L: RawTryRwLock + 'static>(spec: &LockSpec) -> Result<LockHandle, SpecE
 /// The kind is resolved through [`LockKind::parse`]; bias and table
 /// parameters are honoured for BRAVO composites and rejected (not ignored)
 /// for plain locks. Every BRAVO composite accepts every table layout
-/// (`global`, `private:`, `sectored:`, `numa:`); a bare `global` resolves to
+/// (`global`, `private:`, `sectored:`); a bare `global` resolves to
 /// the flat global table, except on `BRAVO-2D-BA` where it selects the
 /// sectored global table. Every handle gets its own per-lock statistics
 /// sink; BRAVO composites record into it, plain locks perform no recording,
@@ -399,7 +397,7 @@ mod tests {
             Err(SpecError::UnsupportedTable { .. })
         ));
         assert!(matches!(
-            build_lock(&"Cohort-RW?table=numa:2x64".parse().unwrap()),
+            build_lock(&"Cohort-RW?table=sectored:2x64".parse().unwrap()),
             Err(SpecError::UnsupportedTable { .. })
         ));
         // Adaptive bias on a non-BRAVO kind (there is no bias to adapt).
@@ -464,12 +462,7 @@ mod tests {
         // sectored tables, BRAVO-2D rejected flat ones); with the unified
         // ReaderTable abstraction the kind only picks the default, and
         // every layout is constructible for every BRAVO composite.
-        let layouts = [
-            "",
-            "?table=private:256",
-            "?table=sectored:4x64",
-            "?table=numa:2x128",
-        ];
+        let layouts = ["", "?table=private:256", "?table=sectored:4x64"];
         for &kind in LockKind::all() {
             if !kind.is_bravo() {
                 continue;
@@ -495,25 +488,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn numa_specs_share_one_table_per_geometry() {
-        // Two locks built from the same numa spec publish into the same
-        // process-shared table; per-shard publish counters prove the
-        // publications landed in the caller's home-node shard.
-        let spec: LockSpec = "BRAVO-BA?table=numa:2x128".parse().unwrap();
-        let a = build_lock(&spec).unwrap();
-        let b = build_lock(&spec).unwrap();
-        for lock in [&a, &b] {
-            lock.lock_shared();
-            lock.unlock_shared();
-            lock.lock_shared();
-            lock.unlock_shared();
-        }
-        let home = topology::current_shard(2);
-        assert!(a.snapshot().shard_publishes[home] >= 1);
-        assert!(b.snapshot().shard_publishes[home] >= 1);
     }
 
     #[test]

@@ -24,7 +24,6 @@ fn trylock_blames_a_slot_collision_not_disabled_bias() {
     let delta = stats::snapshot().since(&before);
     assert_eq!(sem.inner().active_readers(), 1, "the read must be slow");
     assert_eq!(delta.slow_reads_collision, 1);
-    assert_eq!(delta.shard_collisions[0], 1);
     assert_eq!(delta.slow_reads_disabled, 0);
     sem.up_read();
     table.clear(slot, squatter);

@@ -68,7 +68,7 @@ bravod: the BRAVO reproduction's RPC server and open-loop load generator
                [--duration-ms MS] [--seed S] [--batch K] [--label TEXT]
                [--csv PATH]
 
-SPEC follows the lock-spec grammar, e.g. BRAVO-BA?shards=8&table=numa:2x1024.
+SPEC follows the lock-spec grammar, e.g. BRAVO-BA?shards=8&wait=futex.
 --backend threads (default) serves one thread per connection; --backend mux
 multiplexes nonblocking sockets over --workers event loops, so connections
 can outnumber host threads. --batch K > 1 packs each arrival into one

@@ -15,9 +15,9 @@
 //!   writable (after a short tick so an idle pool does not spin), and the
 //!   worker's nonblocking reads/writes discover the truth. O(connections)
 //!   per tick instead of O(ready), but correct on any platform with
-//!   nonblocking sockets — and selectable on Linux (`BRAVOD_MUX_POLLER=scan`
-//!   or [`crate::ServerConfig::mux_scan_poller`]) so the portable path
-//!   stays tested.
+//!   nonblocking sockets — and selectable on Linux
+//!   ([`crate::ServerConfig::mux_scan_poller`]) so the portable path stays
+//!   tested.
 
 use std::collections::HashSet;
 use std::io;
@@ -56,18 +56,13 @@ pub enum Poller {
 
 impl Poller {
     /// Opens the best poller available: `epoll` on Linux, the scan fallback
-    /// elsewhere. `force_scan` (or `BRAVOD_MUX_POLLER=scan` in the
-    /// environment) selects the fallback even on Linux.
+    /// elsewhere. `force_scan` selects the fallback even on Linux.
     pub fn new(force_scan: bool) -> io::Result<Self> {
-        let scan = force_scan
-            || std::env::var("BRAVOD_MUX_POLLER")
-                .map(|v| v == "scan")
-                .unwrap_or(false);
         #[cfg(target_os = "linux")]
-        if !scan {
+        if !force_scan {
             return Ok(Poller::Epoll(EpollPoller::new()?));
         }
-        let _ = scan;
+        let _ = force_scan;
         Ok(Poller::Scan(ScanPoller::default()))
     }
 

@@ -27,9 +27,7 @@ mod registry;
 
 pub use machine::{Machine, MachineBuilder};
 pub use padded::CachePadded;
-pub use registry::{
-    current_cpu, current_node, current_shard, current_thread_id, registered_threads, ThreadId,
-};
+pub use registry::{current_cpu, current_node, current_thread_id, registered_threads, ThreadId};
 
 /// Unit of coherence on the simulated machine, in bytes.
 pub const CACHE_LINE: usize = 64;

@@ -59,16 +59,6 @@ pub fn current_node() -> usize {
     machine().node_of_cpu(current_cpu())
 }
 
-/// Home shard of the calling thread in a table sharded `shards` ways.
-///
-/// Shards are assigned per NUMA node: a reader always publishes into the
-/// shard of its home node, so tables sharded one-per-node keep every
-/// publication node-local. When a table has fewer shards than the machine
-/// has nodes, nodes wrap around the shards round-robin.
-pub fn current_shard(shards: usize) -> usize {
-    current_node() % shards.max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,15 +96,6 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn current_shard_wraps_and_handles_degenerate_counts() {
-        assert!(current_shard(4) < 4);
-        assert_eq!(current_shard(1), 0);
-        // A zero shard count is clamped rather than dividing by zero.
-        assert_eq!(current_shard(0), 0);
-        assert_eq!(current_shard(usize::MAX), current_node());
     }
 
     #[test]

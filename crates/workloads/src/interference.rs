@@ -9,22 +9,21 @@
 //! construction). The paper's result: the worst-case penalty stays under
 //! 6 %.
 //!
-//! The experiment accepts any *process-shared* base layout — the flat
-//! global table or a `numa:<nodes>x<slots>` sharded table — and, beyond the
-//! paper's throughput fraction, reports the table-level interference
-//! directly: cross-lock slot collisions (total and per shard) during the
-//! shared run, and the average number of slots a revoking writer scans
-//! (measured by a revocation probe over the shared pool after the read
-//! phase). The NUMA layout's shard-skipping makes that last number
-//! collapse: a flat-global writer always walks all 4096 slots, a sharded
-//! writer only walks shards that can still hold a reader.
+//! The experiment accepts any BRAVO composite over a *process-shared*
+//! table — `BRAVO-BA` over the flat global table or `BRAVO-2D-BA` over the
+//! sectored global table — and, beyond the paper's throughput fraction,
+//! reports the table-level interference directly: cross-lock slot
+//! collisions during the shared run, and the average number of slots a
+//! revoking writer scans (measured by a revocation probe over the shared
+//! pool after the read phase). A flat-global writer always walks all 4096
+//! slots; a sectored writer walks one column, a slot per row.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use bravo::spec::{LockHandle, LockSpec, SpecError, TableSpec};
 use bravo::stats::Snapshot;
-use bravo::{DEFAULT_TABLE_SIZE, MAX_TRACKED_SHARDS};
+use bravo::DEFAULT_TABLE_SIZE;
 use rwlocks::{build_lock, LockKind};
 
 use crate::harness::{run_for, WorkloadRng};
@@ -34,8 +33,6 @@ use crate::harness::{run_for, WorkloadRng};
 pub struct InterferenceResult {
     /// Number of locks in the pool.
     pub locks: usize,
-    /// Shards the shared table distinguishes (1 for the flat global table).
-    pub shards: usize,
     /// Read acquisitions completed with the shared table.
     pub shared_table_ops: u64,
     /// Read acquisitions completed with private per-lock tables.
@@ -44,8 +41,6 @@ pub struct InterferenceResult {
     /// found their slot occupied and fell back to the slow path), summed
     /// over the pool.
     pub shared_collisions: u64,
-    /// The shared run's collisions broken down per tracked shard.
-    pub shard_collisions: [u64; MAX_TRACKED_SHARDS],
     /// Revocations performed by the post-run revocation probe over the
     /// shared pool.
     pub revocations: u64,
@@ -67,7 +62,7 @@ impl InterferenceResult {
     /// Average slots a revoking writer scanned in the shared arrangement
     /// (0 when the probe performed no revocation). This is the writer-side
     /// interference cost of the layout: ~4096 for the flat global table,
-    /// close to the occupied-shard count for a NUMA table. Delegates to
+    /// one slot per row for the sectored global table. Delegates to
     /// [`Snapshot::scan_slots_per_revocation`] so the metric has one
     /// definition.
     pub fn scan_slots_per_revocation(&self) -> f64 {
@@ -125,7 +120,7 @@ fn revocation_probe(pool: &[LockHandle]) {
 /// per lock instance.
 ///
 /// The base spec must name a BRAVO composite on a *process-shared* table
-/// layout (`global` or `numa:<nodes>x<slots>`) — the experiment measures
+/// layout (`table=global`, the default) — the experiment measures
 /// shared-table interference, so a base whose locks own their tables would
 /// compare interference-free configurations and produce a meaningless
 /// fraction; it is rejected up front. Both pools are built (and therefore
@@ -148,23 +143,31 @@ pub fn interference_run_spec(
     });
     let shared_pool = build_pool(base, locks)?;
     let private_pool = build_pool(&private, locks)?;
+    Ok(run_pools(&shared_pool, &private_pool, threads, duration))
+}
 
-    let shared_table_ops = measure(&shared_pool, threads, duration);
-    revocation_probe(&shared_pool);
-    let shared = pool_snapshot(&shared_pool);
+/// Measures both built pools: the shared run, its revocation probe, then
+/// the private comparator.
+fn run_pools(
+    shared_pool: &[LockHandle],
+    private_pool: &[LockHandle],
+    threads: usize,
+    duration: Duration,
+) -> InterferenceResult {
+    let shared_table_ops = measure(shared_pool, threads, duration);
+    revocation_probe(shared_pool);
+    let shared = pool_snapshot(shared_pool);
 
-    let private_table_ops = measure(&private_pool, threads, duration);
+    let private_table_ops = measure(private_pool, threads, duration);
 
-    Ok(InterferenceResult {
-        locks,
-        shards: base.table().shards(),
+    InterferenceResult {
+        locks: shared_pool.len(),
         shared_table_ops,
         private_table_ops,
         shared_collisions: shared.slow_reads_collision,
-        shard_collisions: shared.shard_collisions,
         revocations: shared.revocations,
         revocation_scan_slots: shared.revocation_scan_slots,
-    })
+    }
 }
 
 /// Runs the interference experiment for one pool size with the paper's
@@ -188,6 +191,7 @@ pub fn paper_lock_pool_series() -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bravo::vrt::{global_sectored_table, DEFAULT_ROW_SLOTS};
 
     #[test]
     fn pool_series_matches_the_paper() {
@@ -203,7 +207,6 @@ mod tests {
         assert!(r.shared_table_ops > 0);
         assert!(r.private_table_ops > 0);
         assert!(r.fraction() > 0.0);
-        assert_eq!(r.shards, 1);
     }
 
     #[test]
@@ -232,22 +235,43 @@ mod tests {
     }
 
     #[test]
-    fn numa_base_is_accepted_and_scans_fewer_slots_than_flat() {
-        let base: LockSpec = "BRAVO-BA?table=numa:2x1024".parse().unwrap();
-        let numa =
-            interference_run_spec(&base, 4, 2, Duration::from_millis(40)).expect("numa base");
-        assert_eq!(numa.shards, 2);
-        assert!(numa.shared_table_ops > 0);
-        assert!(numa.revocations >= 1);
-        // The probe runs after readers departed: occupancy-based shard
-        // skipping keeps the scan tiny, far below the flat table's 4096.
-        let flat = interference_run(4, 2, Duration::from_millis(40));
-        assert!(
-            numa.scan_slots_per_revocation() < flat.scan_slots_per_revocation(),
-            "numa revocations ({}) should scan fewer slots than flat ({})",
-            numa.scan_slots_per_revocation(),
-            flat.scan_slots_per_revocation()
+    fn sectored_base_is_accepted_and_scans_fewer_slots_than_flat() {
+        let base = LockKind::Bravo2dBa.spec();
+        let accepted =
+            interference_run_spec(&base, 4, 2, Duration::from_millis(20)).expect("sectored base");
+        assert!(accepted.shared_table_ops > 0);
+
+        // One lock more than a row has columns: a thread holding a fast read
+        // on every lock must collide in its own row, whichever row that is.
+        let locks = DEFAULT_ROW_SLOTS + 1;
+        let shared = build_pool(&base, locks).unwrap();
+        let private = build_pool(
+            &base.clone().with_table(TableSpec::Private {
+                slots: DEFAULT_TABLE_SIZE,
+            }),
+            locks,
+        )
+        .unwrap();
+        for lock in &shared {
+            // The first read enables bias.
+            lock.lock_shared();
+            lock.unlock_shared();
+        }
+        shared.iter().for_each(|lock| lock.lock_shared());
+        shared.iter().rev().for_each(|lock| lock.unlock_shared());
+
+        let r = run_pools(&shared, &private, 2, Duration::from_millis(40));
+        assert!(r.shared_collisions >= 1, "no collision was seeded");
+        assert_eq!(
+            r.shared_collisions,
+            pool_snapshot(&shared).slow_reads_collision,
+            "collisions in every row count"
         );
+        assert!(r.revocations >= 1);
+        // A column scan visits one slot per row, not the flat 4096.
+        let rows = global_sectored_table().rows() as f64;
+        assert_eq!(r.scan_slots_per_revocation(), rows);
+        assert!(rows < DEFAULT_TABLE_SIZE as f64);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use bravo_repro::bravo::policy::BiasPolicy;
 use bravo_repro::bravo::spec::{LockSpec, TableSpec};
 use bravo_repro::bravo::vrt::{ReaderTable, VisibleReadersTable};
 use bravo_repro::bravo::wait::{WaitMode, WaitQueue};
-use bravo_repro::bravo::{BravoRwLock, NumaTable, SectoredTable};
+use bravo_repro::bravo::{BravoRwLock, SectoredTable};
 use bravo_repro::rwlocks::{LockKind, PhaseFairQueueLock};
 use bravo_repro::topology::Machine;
 
@@ -102,62 +102,6 @@ proptest! {
         prop_assert!(slot < t.len());
     }
 
-    /// NUMA placement invariants: a publication always lands in the home
-    /// node's shard (wrapping when the machine has more nodes than the
-    /// table has shards), and the in-shard index stays in range.
-    #[test]
-    fn numa_table_pins_publications_to_the_home_shard(
-        nodes in 1usize..16,
-        slots in 1usize..512,
-        addr in (1usize..usize::MAX / 2).prop_map(|a| a * 2),
-        tid in 0usize..100_000,
-        node in 0usize..64,
-    ) {
-        let t = NumaTable::new(nodes, slots);
-        let slot = t.slot_for_thread_on_node(addr, tid, node);
-        prop_assert!(slot < t.len());
-        prop_assert_eq!(t.shard_of_slot(slot), node % t.node_shards());
-    }
-
-    /// Dispersion across NUMA shards: `slot_index` must spread `(lock,
-    /// thread)` pairs over a shard without systematic collision — for a
-    /// fixed lock, same-node threads occupy close to one slot each (the
-    /// same balls-into-bins bound the flat table satisfies), and the
-    /// in-shard index must not depend on the node (so cross-node readers
-    /// of one lock occupy the *same relative* slot of different shards,
-    /// never fewer).
-    #[test]
-    fn numa_shards_spread_lock_thread_pairs(
-        shard_slots_log2 in 4u32..12,
-        addr in (1usize..usize::MAX / 2).prop_map(|a| a * 2),
-        threads in 2usize..128,
-    ) {
-        let t = NumaTable::new(4, 1usize << shard_slots_log2);
-        let per_node: Vec<std::collections::HashSet<usize>> = (0..4)
-            .map(|node| {
-                (0..threads)
-                    .map(|tid| t.slot_for_thread_on_node(addr, tid, node))
-                    .collect()
-            })
-            .collect();
-        for (node, distinct) in per_node.iter().enumerate() {
-            // Same loose bound as the flat-table dispersion property: at
-            // least half the balls-into-bins ideal.
-            prop_assert!(
-                distinct.len() * 2 >= threads.min(t.slots_per_shard() / 2),
-                "node {node}: only {} distinct slots for {threads} threads",
-                distinct.len()
-            );
-        }
-        // The in-shard offset is node-independent by construction.
-        for tid in 0..threads {
-            let offsets: std::collections::HashSet<usize> = (0..4)
-                .map(|node| t.slot_for_thread_on_node(addr, tid, node) % t.slots_per_shard())
-                .collect();
-            prop_assert_eq!(offsets.len(), 1);
-        }
-    }
-
     /// The machine topology maps every CPU to a valid node and is exactly
     /// partitioned.
     #[test]
@@ -185,7 +129,6 @@ fn arbitrary_spec_strategy() -> impl Strategy<Value = LockSpec> {
         (1usize..100_000).prop_map(|slots| TableSpec::Private { slots }),
         (1usize..512, 1usize..4_096)
             .prop_map(|(sectors, slots)| TableSpec::Sectored { sectors, slots }),
-        (1usize..64, 1usize..65_536).prop_map(|(nodes, slots)| TableSpec::Numa { nodes, slots }),
     ];
     let wait = prop_oneof![
         (0u8..1).prop_map(|_| WaitMode::Spin),

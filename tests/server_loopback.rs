@@ -58,7 +58,7 @@ fn crud_round_trip_over_a_real_socket() {
 #[test]
 fn concurrent_connections_run_a_mixed_workload() {
     for (backend, scan) in flavours() {
-        let server = quick_server("BRAVO-BA?table=numa:2x1024", 64, backend, scan);
+        let server = quick_server("BRAVO-2D-BA", 64, backend, scan);
         let addr = server.local_addr();
         let total_ops = AtomicU64::new(0);
         std::thread::scope(|s| {
