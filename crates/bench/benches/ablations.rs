@@ -31,11 +31,12 @@ fn bench_table_size(c: &mut Criterion) {
     small(&mut group);
     for slots in [256usize, 4096, 65536] {
         let lock: BravoLock<PhaseFairQueueLock> = BravoLock::with_private_table(slots);
-        lock.read_unlock(lock.read_lock()); // prime bias
+        lock.read_lock(); // prime bias
+        lock.read_unlock();
         group.bench_function(BenchmarkId::from_parameter(slots), |b| {
             b.iter(|| {
-                let t = lock.read_lock();
-                lock.read_unlock(t);
+                lock.read_lock();
+                lock.read_unlock();
             })
         });
     }
@@ -49,10 +50,10 @@ fn bench_table_size(c: &mut Criterion) {
             b.iter(|| {
                 // One fast read enables + publishes, then a write revokes and
                 // scans the whole private table.
-                let t = lock.read_lock();
-                lock.read_unlock(t);
-                let t = lock.read_lock();
-                lock.read_unlock(t);
+                lock.read_lock();
+                lock.read_unlock();
+                lock.read_lock();
+                lock.read_unlock();
                 lock.write_lock();
                 lock.write_unlock();
             })
@@ -83,8 +84,8 @@ fn bench_bias_policy(c: &mut Criterion) {
                     lock.write_lock();
                     lock.write_unlock();
                 } else {
-                    let t = lock.read_lock();
-                    lock.read_unlock(t);
+                    lock.read_lock();
+                    lock.read_unlock();
                 }
             })
         });
@@ -106,21 +107,23 @@ fn bench_bravo_2d(c: &mut Criterion) {
     small(&mut group);
     {
         let flat: BravoLock<PhaseFairQueueLock> = BravoLock::new();
-        flat.read_unlock(flat.read_lock());
+        flat.read_lock();
+        flat.read_unlock();
         group.bench_function("flat", |b| {
             b.iter(|| {
-                let t = flat.read_lock();
-                flat.read_unlock(t);
+                flat.read_lock();
+                flat.read_unlock();
             })
         });
     }
     {
         let sectored = sectored_2d();
-        sectored.read_unlock(sectored.read_lock());
+        sectored.read_lock();
+        sectored.read_unlock();
         group.bench_function("sectored_2d", |b| {
             b.iter(|| {
-                let t = sectored.read_lock();
-                sectored.read_unlock(t);
+                sectored.read_lock();
+                sectored.read_unlock();
             })
         });
     }
@@ -132,8 +135,8 @@ fn bench_bravo_2d(c: &mut Criterion) {
         let flat: BravoLock<PhaseFairQueueLock> = BravoLock::new();
         group.bench_function("flat", |b| {
             b.iter(|| {
-                let t = flat.read_lock();
-                flat.read_unlock(t);
+                flat.read_lock();
+                flat.read_unlock();
                 flat.write_lock();
                 flat.write_unlock();
             })
@@ -143,8 +146,8 @@ fn bench_bravo_2d(c: &mut Criterion) {
         let sectored = sectored_2d();
         group.bench_function("sectored_2d", |b| {
             b.iter(|| {
-                let t = sectored.read_lock();
-                sectored.read_unlock(t);
+                sectored.read_lock();
+                sectored.read_unlock();
                 sectored.write_lock();
                 sectored.write_unlock();
             })

@@ -40,10 +40,12 @@
 //!
 //! # Composing with other locks
 //!
-//! The transformation is generic over the [`RawRwLock`] trait. The companion
-//! `rwlocks` crate provides the full lock zoo from the paper's evaluation
-//! (BA/PF-Q, PF-T, Cohort-RW, Per-CPU, a pthread-like lock); wrapping any of
-//! them is just a type parameter:
+//! The transformation is generic over any [`RawRwLock`] whose read holds
+//! are [`AnonymousReaders`]. The companion `rwlocks` crate provides the full
+//! lock zoo from the paper's evaluation (BA/PF-Q, PF-T, Cohort-RW, Per-CPU,
+//! a pthread-like lock); wrapping BA, PF-T or the pthread-like lock is just
+//! a type parameter (Cohort-RW and Per-CPU release reads per node or per
+//! CPU, so BRAVO does not wrap them):
 //!
 //! ```
 //! use bravo::BravoRwLock;
@@ -55,14 +57,16 @@
 //!
 //! # Crate layout
 //!
-//! * [`raw`] — the [`RawRwLock`] trait that underlying locks implement, plus
-//!   a minimal default spin lock.
+//! * [`raw`] — the [`RawRwLock`] trait that underlying locks implement, the
+//!   [`AnonymousReaders`] marker BRAVO requires of them, and a minimal
+//!   default spin lock.
 //! * [`vrt`] — the visible readers table behind the [`ReaderTable`]
 //!   abstraction: the flat and sectored layouts, the
 //!   process-shared instances, and the [`TableHandle`] locks hold.
-//! * [`lock`] — [`BravoLock`], the raw (token-based) form of the algorithm
-//!   and the only BRAVO engine: BRAVO-2D, sketched in the paper's
-//!   future-work section, is the same lock over the sectored layout.
+//! * [`lock`] — [`BravoLock`], the raw form of the algorithm and the only
+//!   BRAVO engine, whose read release re-derives the table slot instead of
+//!   carrying a token: BRAVO-2D, sketched in the paper's future-work
+//!   section, is the same lock over the sectored layout.
 //! * [`rwlock`] — [`BravoRwLock`], the data-carrying RAII-guard form.
 //! * [`policy`] — bias-enabling policies (inhibit-until, Bernoulli).
 //! * [`stats`] — statistics counters (fast/slow reads, revocations), each
@@ -82,7 +86,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod clock;
-pub mod compat;
 pub mod hash;
 pub mod lock;
 pub mod model;
@@ -96,10 +99,9 @@ pub mod sys;
 pub mod vrt;
 pub mod wait;
 
-pub use compat::ReentrantBravo;
-pub use lock::{BravoLock, ReadToken, TRY_WRITE_BUDGET};
+pub use lock::{BravoLock, TRY_WRITE_BUDGET};
 pub use policy::{AdaptiveBias, BiasPolicy, PolicyFlip, DEFAULT_INHIBIT_MULTIPLIER};
-pub use raw::{DefaultRwLock, RawRwLock, RawTryRwLock, TryLockError};
+pub use raw::{AnonymousReaders, DefaultRwLock, RawRwLock, RawTryRwLock, TryLockError};
 pub use rwlock::{BravoReadGuard, BravoRwLock, BravoWriteGuard};
 pub use spec::{LockHandle, LockSpec, SpecError, SpecParseError, TableSpec};
 pub use stats::{LockStats, Snapshot, StatsSink};

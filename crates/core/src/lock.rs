@@ -1,14 +1,13 @@
 //! The raw BRAVO lock: Listing 1 of the paper, generic over the underlying
 //! reader-writer lock.
 //!
-//! This is the token-based form of the algorithm: `read_lock` returns a
-//! [`ReadToken`] that records whether the acquisition used the fast path
-//! (and if so, which slot of the visible readers table it occupies), and the
-//! token must be handed back to `read_unlock`. The guard-based, data-carrying
-//! form lives in [`crate::rwlock`]. Kernel-style integrations (`rwsem`) use
-//! this raw form with the token-free release,
-//! [`BravoLock::read_unlock_token_free`], which re-derives the slot as the
-//! Linux patch's `up_read` does.
+//! [`BravoLock`] is the only BRAVO engine. Its read release takes no token:
+//! like the `up_read` of the paper's kernel patch, [`BravoLock::read_unlock`]
+//! re-derives the calling thread's table slot, frees it if it still holds
+//! this lock, and otherwise releases the underlying lock. `BravoLock`
+//! implements [`RawRwLock`] itself, so the catalog's handles, the kernel
+//! rwsem and the guard-based, data-carrying form in [`crate::rwlock`] all
+//! release one way.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -17,7 +16,7 @@ use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::clock::now_ns;
 use crate::policy::{AdaptiveBias, BiasPolicy};
-use crate::raw::{DefaultRwLock, RawRwLock, RawTryRwLock};
+use crate::raw::{AnonymousReaders, DefaultRwLock, RawRwLock, RawTryRwLock, TryLockError};
 use crate::stats::{SlowReadReason, StatsSink};
 use crate::vrt::TableHandle;
 use crate::wait::{WaitMode, WaitStrategy};
@@ -34,22 +33,25 @@ pub const TRY_WRITE_BUDGET: Duration = Duration::from_micros(200);
 /// Fault injection for the model checker's self-test.
 ///
 /// `schedcheck`'s value rests on actually finding the bugs this codebase has
-/// already had. This module can re-introduce the missing-wakeup bug fixed in
-/// the parking-waiter PR: a fast-path reader that publishes its table slot,
-/// loses the race with a revoking writer, and backs out *without* waking the
-/// writer that may already be parked on that slot. The checker must drive
-/// the deadlock (writer parked forever, reader gone) within its schedule
-/// budget — see `tests/schedcheck_mutation.rs`.
+/// already had. This module can re-introduce two of them, and the checker
+/// must drive each to its deadlock within its schedule budget (see
+/// `tests/schedcheck_mutation.rs`): the missing wakeup fixed in the
+/// parking-waiter PR, where a fast-path reader that lost the race with a
+/// revoking writer backs out *without* waking the writer parked on its
+/// slot; and a read release that trusts a peek at its slot, so it skips the
+/// underlying lock when a colliding release frees the slot first.
 ///
 /// Compiled only under the `schedcheck` feature, so release builds carry no
 /// trace of it. Enabled programmatically via [`mutation::set_lost_wakeup`]
-/// or by setting the `BRAVO_MUTATE_LOST_WAKEUP` environment variable.
+/// (or the `BRAVO_MUTATE_LOST_WAKEUP` environment variable) and
+/// [`mutation::set_peek_then_free`].
 #[cfg(feature = "schedcheck")]
 pub mod mutation {
     use crate::sync::atomic::{AtomicBool, Ordering};
     use std::sync::OnceLock;
 
     static LOST_WAKEUP: AtomicBool = AtomicBool::new(false);
+    static PEEK_THEN_FREE: AtomicBool = AtomicBool::new(false);
     static ENV: OnceLock<bool> = OnceLock::new();
 
     /// Enables or disables the lost-wakeup mutation process-wide.
@@ -62,27 +64,15 @@ pub mod mutation {
         LOST_WAKEUP.load(Ordering::SeqCst)
             || *ENV.get_or_init(|| std::env::var_os("BRAVO_MUTATE_LOST_WAKEUP").is_some())
     }
-}
 
-/// Proof that read permission is held on a [`BravoLock`], and how it was
-/// obtained.
-///
-/// The token must be passed back to [`BravoLock::read_unlock`]. Dropping it
-/// without unlocking leaks the read permission (the lock stays read-held),
-/// mirroring `std::mem::forget` on a guard; it never causes unsoundness in
-/// the lock itself.
-#[derive(Debug)]
-#[must_use = "a ReadToken must be returned to BravoLock::read_unlock"]
-pub struct ReadToken {
-    /// Slot in the visible readers table when the fast path was used;
-    /// `None` when read permission came from the underlying lock.
-    slot: Option<usize>,
-}
+    /// Enables or disables the peek-then-free release mutation process-wide.
+    pub fn set_peek_then_free(enabled: bool) {
+        PEEK_THEN_FREE.store(enabled, Ordering::SeqCst);
+    }
 
-impl ReadToken {
-    /// Whether the acquisition used the BRAVO fast path.
-    pub fn is_fast(&self) -> bool {
-        self.slot.is_some()
+    /// Whether a read release should trust a peek at its slot.
+    pub(crate) fn peek_then_free() -> bool {
+        PEEK_THEN_FREE.load(Ordering::SeqCst)
     }
 }
 
@@ -91,11 +81,17 @@ impl ReadToken {
 /// The structure adds exactly the two fields the paper describes — the
 /// reader-bias flag and the inhibit-until timestamp — plus the handle to the
 /// visible readers table (globally shared by default, hence zero bytes of
-/// per-lock state in the paper's C embodiment) and the bias policy. The
-/// lock is written against the [`ReaderTable`](crate::vrt::ReaderTable) abstraction, so either
-/// layout — flat or sectored — can stand behind the handle; BRAVO-2D is
-/// this lock over [`TableHandle::global_sectored`].
-pub struct BravoLock<L = DefaultRwLock> {
+/// per-lock state in the paper's C embodiment) and the bias policy. Either
+/// table layout — flat or sectored — can stand behind the handle; BRAVO-2D
+/// is this lock over [`TableHandle::global_sectored`].
+///
+/// The underlying lock's read holds must be [`AnonymousReaders`]. Those of
+/// a `BravoLock` are not, so BRAVO does not nest:
+///
+/// ```compile_fail,E0277
+/// let _ = bravo::BravoLock::<bravo::BravoLock>::new();
+/// ```
+pub struct BravoLock<L: AnonymousReaders = DefaultRwLock> {
     rbias: AtomicBool,
     inhibit_until: AtomicU64,
     underlying: L,
@@ -106,13 +102,13 @@ pub struct BravoLock<L = DefaultRwLock> {
     adapt: Option<Arc<AdaptiveBias>>,
 }
 
-impl<L: RawRwLock> Default for BravoLock<L> {
+impl<L: AnonymousReaders> Default for BravoLock<L> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<L: RawRwLock> BravoLock<L> {
+impl<L: AnonymousReaders> BravoLock<L> {
     /// Creates a BRAVO lock over a fresh underlying lock, publishing fast
     /// readers in the process-global table and using the paper's default
     /// policy (`N = 9`).
@@ -225,24 +221,29 @@ impl<L: RawRwLock> BravoLock<L> {
     }
 
     /// Acquires read (shared) permission, using the fast path when possible.
-    pub fn read_lock(&self) -> ReadToken {
+    /// Returns whether the fast path granted it; the release does not need
+    /// to know.
+    pub fn read_lock(&self) -> bool {
         self.try_fast_read().unwrap_or_else(|reason| {
             self.underlying.lock_shared();
-            self.slow_read_acquired(reason)
+            self.slow_read_acquired(reason);
+            false
         })
     }
 
     /// The fast-path attempt: constant time (one flag check, one hash, one
-    /// CAS, one re-check). On failure nothing is held, and the error says
-    /// why the reader must take the slow path.
+    /// CAS, one re-check). `Ok` says whether the read was granted by the
+    /// fast path; on `Err` nothing is held, and the error says why the
+    /// reader must take the slow path.
     #[inline]
-    fn try_fast_read(&self) -> Result<ReadToken, SlowReadReason> {
+    fn try_fast_read(&self) -> Result<bool, SlowReadReason> {
         if !self.rbias.load(Ordering::Acquire) {
             return Err(SlowReadReason::BiasDisabled);
         }
-        let table = self.table.table();
+        let thread = topology::current_thread_id();
         let addr = self.addr();
-        let slot = table.slot_for_current(addr);
+        let slot = self.table.slot_for(addr, thread);
+        let table = self.table.slots();
         if !table.try_publish(slot, addr) {
             // Slot occupied: a collision with another (lock, thread) pair.
             return Err(SlowReadReason::Collision);
@@ -251,19 +252,19 @@ impl<L: RawRwLock> BravoLock<L> {
         // between publishing our slot and re-checking RBias (Dekker-style
         // with the writer's clear-then-scan sequence).
         if self.rbias.load(Ordering::SeqCst) {
-            self.stats.record_fast_read();
-            return Ok(ReadToken { slot: Some(slot) });
+            self.stats.record_fast_read(thread);
+            return Ok(true);
         }
         // A writer revoked bias between our publication and the re-check;
         // undo the publication and take the slow path. The racing revoker
         // may already have seen our slot and parked on it, so the clear
         // needs the same wakeup as a fast-path release (no-op in spin mode).
         if !table.clear(slot, addr) {
-            // Only a token-free release frees a slot it did not publish: a
-            // colliding slow reader of this lock released by freeing our
+            // A colliding slow reader of this lock released by freeing our
             // publication instead of its count on the underlying lock, and
             // woke any revoker itself. That count now grants our read.
-            return Ok(self.slow_read_acquired(SlowReadReason::Raced));
+            self.slow_read_acquired(SlowReadReason::Raced);
+            return Ok(false);
         }
         #[cfg(feature = "schedcheck")]
         if mutation::lost_wakeup() {
@@ -276,11 +277,10 @@ impl<L: RawRwLock> BravoLock<L> {
     }
 
     /// Bookkeeping once the underlying lock has granted a slow read.
-    fn slow_read_acquired(&self, reason: SlowReadReason) -> ReadToken {
+    fn slow_read_acquired(&self, reason: SlowReadReason) {
         self.tick_adaptive();
         self.maybe_enable_bias();
         self.stats.record_slow_read(reason);
-        ReadToken { slot: None }
     }
 
     /// Offers the adaptive gate (if any) a chance to close its epoch.
@@ -308,48 +308,39 @@ impl<L: RawRwLock> BravoLock<L> {
         }
     }
 
-    /// Releases read permission previously obtained from [`read_lock`] or
-    /// [`try_read_lock`].
+    /// Releases read permission obtained from [`read_lock`] or
+    /// [`try_read_lock`], without a token, as the `up_read` of the paper's
+    /// kernel patch (§4) does.
+    ///
+    /// The calling thread's slot is re-derived and freed if it still holds
+    /// this lock's address; otherwise the underlying lock is released. A
+    /// slow reader whose slot collides with a fast reader of the same lock
+    /// may thus free that reader's publication and keep its own count; the
+    /// fast reader then releases that count, which [`AnonymousReaders`]
+    /// makes sound. Two rules make the re-derived slot the one the
+    /// acquisition published into:
+    ///
+    /// * the thread that acquired a read releases it;
+    /// * a slot is a pure function of (lock, thread id), so a thread id must
+    ///   never be reused while its thread holds a read.
     ///
     /// [`read_lock`]: BravoLock::read_lock
     /// [`try_read_lock`]: BravoLock::try_read_lock
-    pub fn read_unlock(&self, token: ReadToken) {
-        match token.slot {
-            Some(slot) => {
-                let addr = self.addr();
-                let freed = self.table.table().clear(slot, addr);
-                debug_assert!(freed, "a fast reader's slot was freed by another");
-                // A parked revoking writer waits keyed on the lock address;
-                // wake it now that our slot is clear (no-op when spinning).
-                self.wait.notify_all(addr);
-            }
-            None => self.underlying.unlock_shared(),
-        }
-    }
-
-    /// Releases read permission without the [`ReadToken`]: the technique
-    /// of the paper's kernel patch (§4), whose `up_read` has nowhere to keep
-    /// the slot.
-    ///
-    /// The slot is re-derived with
-    /// [`slot_for_current`](crate::vrt::ReaderTable::slot_for_current) and
-    /// freed only if it still holds this lock's address; otherwise the
-    /// underlying lock is released. Two conditions make this sound:
-    ///
-    /// * the thread that acquired read permission releases it, so the
-    ///   re-derived slot is the one the acquisition published into;
-    /// * the underlying lock's reader count is anonymous. A slow reader
-    ///   whose slot collides with a fast reader of the same lock may free
-    ///   that reader's publication and keep its own count; the fast reader
-    ///   then finds its slot empty and releases that count instead.
-    ///
-    /// Every read release of a lock that uses this method must use it: a
-    /// [`read_unlock`](BravoLock::read_unlock) could find its slot freed by
-    /// a token-free release.
-    pub fn read_unlock_token_free(&self) {
-        let table = self.table.table();
+    pub fn read_unlock(&self) {
         let addr = self.addr();
-        if table.clear(table.slot_for_current(addr), addr) {
+        let slot = self.table.slot_for(addr, topology::current_thread_id());
+        let table = self.table.slots();
+        #[cfg(feature = "schedcheck")]
+        if mutation::peek_then_free() && table.peek(slot) == addr {
+            // Seeded bug: trust the peek. A colliding release may free the
+            // slot first, and then this one leaks its underlying count.
+            table.clear(slot, addr);
+            self.wait.notify_all(addr);
+            return;
+        }
+        if table.clear(slot, addr) {
+            // A parked revoking writer waits keyed on the lock address;
+            // wake it now that our slot is clear (no-op when spinning).
             self.wait.notify_all(addr);
         } else {
             self.underlying.unlock_shared();
@@ -412,19 +403,23 @@ impl<L: RawRwLock> BravoLock<L> {
     }
 }
 
-impl<L: RawTryRwLock> BravoLock<L> {
+impl<L: AnonymousReaders + RawTryRwLock> BravoLock<L> {
     /// Attempts to acquire read permission without blocking.
     ///
     /// Only available when the underlying lock offers a non-blocking read
     /// path ([`RawTryRwLock`]); the fast path itself is always
     /// non-blocking, but the fallback needs the underlying try operation,
     /// as described in §3.
-    pub fn try_read_lock(&self) -> Option<ReadToken> {
+    ///
+    /// Returns `None` if the read would block, and otherwise whether the
+    /// fast path granted it.
+    pub fn try_read_lock(&self) -> Option<bool> {
         match self.try_fast_read() {
-            Ok(token) => Some(token),
+            Ok(fast) => Some(fast),
             Err(reason) => {
                 self.underlying.try_lock_shared().ok()?;
-                Some(self.slow_read_acquired(reason))
+                self.slow_read_acquired(reason);
+                Some(false)
             }
         }
     }
@@ -450,7 +445,47 @@ impl<L: RawTryRwLock> BravoLock<L> {
     }
 }
 
-impl<L: RawRwLock> std::fmt::Debug for BravoLock<L> {
+/// BRAVO through the tokenless raw-lock interface, as the catalog's handles
+/// drive it.
+impl<L: AnonymousReaders> RawRwLock for BravoLock<L> {
+    fn new() -> Self {
+        BravoLock::new()
+    }
+
+    fn lock_shared(&self) {
+        self.read_lock();
+    }
+
+    fn unlock_shared(&self) {
+        self.read_unlock();
+    }
+
+    fn lock_exclusive(&self) {
+        self.write_lock();
+    }
+
+    fn unlock_exclusive(&self) {
+        self.write_unlock();
+    }
+}
+
+impl<L: AnonymousReaders + RawTryRwLock> RawTryRwLock for BravoLock<L> {
+    fn try_lock_shared(&self) -> Result<(), TryLockError> {
+        self.try_read_lock()
+            .map(drop)
+            .ok_or(TryLockError::WouldBlock)
+    }
+
+    fn try_lock_exclusive(&self) -> Result<(), TryLockError> {
+        if self.try_write_lock() {
+            Ok(())
+        } else {
+            Err(TryLockError::WouldBlock)
+        }
+    }
+}
+
+impl<L: AnonymousReaders> std::fmt::Debug for BravoLock<L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BravoLock")
             .field("rbias", &self.is_reader_biased())
@@ -473,23 +508,21 @@ mod tests {
     fn first_read_is_slow_then_bias_enables() {
         let l = Bravo::new();
         assert!(!l.is_reader_biased());
-        let t = l.read_lock();
         // The very first reader finds bias disabled, goes slow, and enables
         // bias for subsequent readers.
-        assert!(!t.is_fast());
+        assert!(!l.read_lock());
         assert!(l.is_reader_biased());
-        l.read_unlock(t);
+        l.read_unlock();
 
-        let t2 = l.read_lock();
-        assert!(t2.is_fast(), "second read should take the fast path");
-        l.read_unlock(t2);
+        assert!(l.read_lock(), "second read should take the fast path");
+        l.read_unlock();
     }
 
     #[test]
     fn writer_revokes_bias() {
         let l = Bravo::new();
-        let t = l.read_lock();
-        l.read_unlock(t);
+        l.read_lock();
+        l.read_unlock();
         assert!(l.is_reader_biased());
         l.write_lock();
         assert!(!l.is_reader_biased(), "write_lock must revoke bias");
@@ -500,12 +533,11 @@ mod tests {
     fn writer_waits_for_fast_reader() {
         let l = Arc::new(Bravo::new());
         // Prime the bias.
-        let t = l.read_lock();
-        l.read_unlock(t);
+        l.read_lock();
+        l.read_unlock();
         // Hold a fast read, then start a writer; the writer must not get in
         // until the reader departs.
-        let t = l.read_lock();
-        assert!(t.is_fast());
+        assert!(l.read_lock());
 
         let l2 = Arc::clone(&l);
         let entered = Arc::new(AtomicU64::new(0));
@@ -522,7 +554,7 @@ mod tests {
             "writer entered while fast reader held"
         );
         let released_at = now_ns();
-        l.read_unlock(t);
+        l.read_unlock();
         writer.join().unwrap();
         assert!(entered.load(Ordering::SeqCst) >= released_at);
     }
@@ -533,25 +565,27 @@ mod tests {
         // Enable bias, then have a writer revoke it. Because a fast reader
         // was held during part of the revocation scan, the revocation takes
         // measurable time and the inhibit window is non-zero.
-        let t = l.read_lock();
-        l.read_unlock(t);
-        let held = l.read_lock();
-        assert!(held.is_fast());
-        let l_ref = &l;
+        l.read_lock();
+        l.read_unlock();
+        // The reader's thread releases it: a read release re-derives the
+        // releasing thread's slot.
+        let (taken, rx) = std::sync::mpsc::channel();
         std::thread::scope(|s| {
-            s.spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-                l_ref.read_unlock(held);
+            s.spawn(|| {
+                assert!(l.read_lock(), "the held read must be fast");
+                taken.send(()).unwrap();
+                std::thread::sleep(Duration::from_millis(5));
+                l.read_unlock();
             });
+            rx.recv().unwrap();
             l.write_lock();
             l.write_unlock();
         });
         assert!(!l.is_reader_biased());
         // Immediately after a costly revocation the next slow reader must NOT
         // re-enable bias.
-        let t = l.read_lock();
-        assert!(!t.is_fast());
-        l.read_unlock(t);
+        assert!(!l.read_lock());
+        l.read_unlock();
         assert!(
             !l.is_reader_biased(),
             "bias re-enabled inside the inhibition window"
@@ -562,9 +596,8 @@ mod tests {
     fn disabled_policy_never_uses_fast_path() {
         let l = Bravo::with_policy(BiasPolicy::Disabled);
         for _ in 0..10 {
-            let t = l.read_lock();
-            assert!(!t.is_fast());
-            l.read_unlock(t);
+            assert!(!l.read_lock());
+            l.read_unlock();
         }
         assert!(!l.is_reader_biased());
     }
@@ -572,8 +605,8 @@ mod tests {
     #[test]
     fn try_write_succeeds_and_revokes() {
         let l = Bravo::new();
-        let t = l.read_lock();
-        l.read_unlock(t);
+        l.read_lock();
+        l.read_unlock();
         assert!(l.is_reader_biased());
         assert!(l.try_write_lock());
         assert!(!l.is_reader_biased());
@@ -583,9 +616,9 @@ mod tests {
     #[test]
     fn try_write_fails_under_a_slow_reader() {
         let l = Bravo::with_policy(BiasPolicy::Disabled);
-        let t = l.read_lock();
+        l.read_lock();
         assert!(!l.try_write_lock());
-        l.read_unlock(t);
+        l.read_unlock();
         assert!(l.try_write_lock());
         l.write_unlock();
     }
@@ -596,10 +629,9 @@ mod tests {
         l.write_lock();
         assert!(l.try_read_lock().is_none());
         l.write_unlock();
-        let t = l
-            .try_read_lock()
+        l.try_read_lock()
             .expect("uncontended try_read must succeed");
-        l.read_unlock(t);
+        l.read_unlock();
     }
 
     #[test]
@@ -610,20 +642,21 @@ mod tests {
             BiasPolicy::paper_default(),
             StatsSink::per_lock(),
         );
-        l.read_unlock(l.read_lock());
+        l.read_lock();
+        l.read_unlock();
         assert!(l.is_reader_biased());
         // Another address occupies this thread's slot.
-        let table = l.table.table();
-        let slot = table.slot_for_current(l.addr());
+        let table = l.table.slots();
+        let slot = l.table.slot_for(l.addr(), topology::current_thread_id());
         let squatter = l.addr() ^ 0x40;
         assert!(table.try_publish(slot, squatter));
         let before = l.stats().snapshot();
-        let t = l.try_read_lock().expect("the underlying lock is free");
-        assert!(!t.is_fast());
+        let fast = l.try_read_lock().expect("the underlying lock is free");
+        assert!(!fast);
         let delta = l.stats().snapshot().since(&before);
         assert_eq!(delta.slow_reads_collision, 1);
         assert_eq!(delta.slow_reads_disabled, 0);
-        l.read_unlock(t);
+        l.read_unlock();
         assert!(table.clear(slot, squatter));
     }
 
@@ -634,24 +667,24 @@ mod tests {
         let a = Bravo::new();
         let b = Bravo::new();
         // Prime both.
-        a.read_unlock(a.read_lock());
-        b.read_unlock(b.read_lock());
-        let ta = a.read_lock();
-        let tb = b.read_lock();
-        assert!(ta.is_fast() && tb.is_fast());
-        a.read_unlock(ta);
-        b.read_unlock(tb);
+        a.read_lock();
+        a.read_unlock();
+        b.read_lock();
+        b.read_unlock();
+        assert!(a.read_lock() && b.read_lock());
+        a.read_unlock();
+        b.read_unlock();
     }
 
     #[test]
     fn private_table_isolation() {
         let l = Bravo::with_private_table(64);
-        l.read_unlock(l.read_lock());
-        let t = l.read_lock();
-        assert!(t.is_fast());
+        l.read_lock();
+        l.read_unlock();
+        assert!(l.read_lock());
         // The global table must not contain this lock's address.
         assert_eq!(TableHandle::global().table().count_for(l.addr()), 0);
-        l.read_unlock(t);
+        l.read_unlock();
     }
 
     #[test]
@@ -676,11 +709,11 @@ mod tests {
                 } else {
                     let mut last = 0;
                     for _ in 0..2_000 {
-                        let t = l.read_lock();
+                        l.read_lock();
                         let v = value.load(Ordering::Relaxed);
                         assert!(v >= last);
                         last = v;
-                        l.read_unlock(t);
+                        l.read_unlock();
                     }
                 }
             }));
@@ -703,22 +736,20 @@ mod tests {
         .with_adaptive(Arc::clone(&adapt));
         // With the gate still closed the first reads stay slow and do NOT
         // enable bias (an un-gated lock enables it on the first slow read).
-        let t = l.read_lock();
-        assert!(!t.is_fast());
-        l.read_unlock(t);
+        assert!(!l.read_lock());
+        l.read_unlock();
         assert!(!l.is_reader_biased(), "closed gate must block bias");
         // A read-dominated stream opens the gate within an epoch or two
         // (epoch = 1 ns here, so every slow read gets to evaluate).
         for _ in 0..100 {
-            let t = l.read_lock();
-            l.read_unlock(t);
+            l.read_lock();
+            l.read_unlock();
         }
         assert!(adapt.allows_bias(), "read-only workload must open the gate");
         assert!(adapt.flips() >= 1);
         assert!(l.is_reader_biased());
-        let t = l.read_lock();
-        assert!(t.is_fast(), "open gate restores the fast path");
-        l.read_unlock(t);
+        assert!(l.read_lock(), "open gate restores the fast path");
+        l.read_unlock();
         assert!(l.stats().snapshot().adapt_flips >= 1);
         assert_eq!(l.adaptive().unwrap().flips(), adapt.flips());
     }
@@ -737,9 +768,9 @@ mod tests {
         assert_eq!(l.wait_mode(), WaitMode::Park);
         // Prime the bias, then hold a fast read while a writer revokes: the
         // parked revocation must be woken by the reader's departure.
-        l.read_unlock(l.read_lock());
-        let t = l.read_lock();
-        assert!(t.is_fast());
+        l.read_lock();
+        l.read_unlock();
+        assert!(l.read_lock());
         let l2 = Arc::clone(&l);
         let entered = Arc::new(AtomicU64::new(0));
         let entered2 = Arc::clone(&entered);
@@ -755,7 +786,7 @@ mod tests {
             "writer entered while fast reader held"
         );
         let released_at = now_ns();
-        l.read_unlock(t);
+        l.read_unlock();
         writer.join().unwrap();
         assert!(entered.load(Ordering::SeqCst) >= released_at);
     }
@@ -772,12 +803,10 @@ mod tests {
     #[test]
     fn sectored_read_write_cycle() {
         let l = sectored();
-        let t = l.read_lock();
-        assert!(!t.is_fast());
-        l.read_unlock(t);
-        let t = l.read_lock();
-        assert!(t.is_fast());
-        l.read_unlock(t);
+        assert!(!l.read_lock());
+        l.read_unlock();
+        assert!(l.read_lock());
+        l.read_unlock();
         l.write_lock();
         assert!(!l.is_reader_biased());
         l.write_unlock();
@@ -786,9 +815,9 @@ mod tests {
     #[test]
     fn sectored_writer_waits_for_fast_reader_via_column_scan() {
         let l = Arc::new(sectored());
-        l.read_unlock(l.read_lock());
-        let held = l.read_lock();
-        assert!(held.is_fast());
+        l.read_lock();
+        l.read_unlock();
+        assert!(l.read_lock());
         let l2 = Arc::clone(&l);
         let done = Arc::new(AtomicBool::new(false));
         let done2 = Arc::clone(&done);
@@ -799,7 +828,7 @@ mod tests {
         });
         std::thread::sleep(Duration::from_millis(20));
         assert!(!done.load(Ordering::SeqCst));
-        l.read_unlock(held);
+        l.read_unlock();
         writer.join().unwrap();
         assert!(done.load(Ordering::SeqCst));
     }
@@ -807,18 +836,19 @@ mod tests {
     #[test]
     fn bounded_try_write_times_out_under_a_fast_reader_then_recovers() {
         let l = sectored();
-        l.read_unlock(l.read_lock());
-        let held = l.read_lock();
-        assert!(held.is_fast());
+        l.read_lock();
+        l.read_unlock();
+        assert!(l.read_lock());
         // The fast reader never departs within the budget: the try must fail
         // and release the underlying lock.
         assert!(!l.try_write_lock());
         // The reader's permission is intact and the lock is not wedged.
-        l.read_unlock(held);
+        l.read_unlock();
         assert!(l.try_write_lock());
         assert!(!l.is_reader_biased(), "try-write must revoke bias");
         l.write_unlock();
-        l.read_unlock(l.read_lock());
+        l.read_lock();
+        l.read_unlock();
     }
 
     #[test]
@@ -828,16 +858,16 @@ mod tests {
         // acquisition would skip the scan and run concurrently with it. With
         // the reader still held, every subsequent try must keep failing.
         let l = sectored();
-        l.read_unlock(l.read_lock());
-        let held = l.read_lock();
-        assert!(held.is_fast());
+        l.read_lock();
+        l.read_unlock();
+        assert!(l.read_lock());
         assert!(!l.try_write_lock());
         assert!(
             !l.try_write_lock(),
             "second try-write was granted while a fast reader is still published"
         );
         assert!(l.is_reader_biased(), "bias flag not restored after timeout");
-        l.read_unlock(held);
+        l.read_unlock();
         assert!(l.try_write_lock());
         l.write_unlock();
     }
@@ -857,9 +887,9 @@ mod tests {
                             counter.store(v + 1, Ordering::Relaxed);
                             l.write_unlock();
                         } else {
-                            let t = l.read_lock();
+                            l.read_lock();
                             let _ = counter.load(Ordering::Relaxed);
-                            l.read_unlock(t);
+                            l.read_unlock();
                         }
                     }
                 });
@@ -869,14 +899,70 @@ mod tests {
     }
 
     #[test]
-    fn bravo_over_bravo_composes() {
-        // The transformation is generic, so BRAVO-(BRAVO-A) must also work.
-        // (ReentrantBravo in `compat` provides the RawRwLock impl.)
-        let l: BravoLock<crate::compat::ReentrantBravo<DefaultRwLock>> = BravoLock::new();
-        l.read_unlock(l.read_lock());
-        let t = l.read_lock();
-        l.read_unlock(t);
-        l.write_lock();
-        l.write_unlock();
+    fn raw_interface_round_trip() {
+        let l = Bravo::new();
+        l.lock_shared();
+        l.unlock_shared();
+        l.lock_exclusive();
+        l.unlock_exclusive();
+        assert!(l.try_lock_shared().is_ok());
+        l.unlock_shared();
+        assert!(l.try_lock_exclusive().is_ok());
+        l.unlock_exclusive();
+    }
+
+    #[test]
+    fn nested_reads_of_distinct_locks_release_in_any_order() {
+        let a = Bravo::new();
+        let b = Bravo::new();
+        a.lock_shared();
+        b.lock_shared();
+        // Release in acquisition order, not LIFO.
+        a.unlock_shared();
+        b.unlock_shared();
+        // Both locks are free again.
+        assert!(a.try_lock_exclusive().is_ok());
+        assert!(b.try_lock_exclusive().is_ok());
+        a.unlock_exclusive();
+        b.unlock_exclusive();
+    }
+
+    #[test]
+    fn recursive_reads_of_the_same_lock_are_supported() {
+        // Two fast reads by the same thread hash to the same slot, so the
+        // second one collides with the first and takes the slow path. The
+        // first release then frees the slot and the second releases the
+        // underlying count: the collision exchange of `read_unlock`.
+        let l = Bravo::with_private_table(64);
+        l.lock_shared();
+        l.unlock_shared();
+        assert!(l.read_lock());
+        assert!(!l.read_lock());
+        l.unlock_shared();
+        l.unlock_shared();
+        assert!(l.try_lock_exclusive().is_ok());
+        l.unlock_exclusive();
+    }
+
+    #[test]
+    fn exclusion_is_preserved_through_the_raw_interface() {
+        let l = Bravo::new();
+        let counter = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                let (l, counter) = (&l, &counter);
+                s.spawn(move || {
+                    for _ in 0..1_000 {
+                        l.lock_exclusive();
+                        let v = counter.load(Ordering::Relaxed);
+                        counter.store(v + 1, Ordering::Relaxed);
+                        l.unlock_exclusive();
+                        l.lock_shared();
+                        l.unlock_shared();
+                    }
+                });
+            }
+        });
+        assert_eq!(counter.load(Ordering::Relaxed), 4_000);
     }
 }

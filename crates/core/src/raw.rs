@@ -76,6 +76,13 @@ pub trait RawRwLock: Send + Sync {
     /// Releases shared permission previously obtained by [`lock_shared`] or
     /// a successful [`RawTryRwLock::try_lock_shared`].
     ///
+    /// Two rules hold for every lock, because a [`crate::BravoLock`] relies
+    /// on them:
+    ///
+    /// * the thread that acquired a read releases it;
+    /// * a BRAVO table slot is a pure function of (lock, thread id), so a
+    ///   thread id must never be reused while its thread holds a read.
+    ///
     /// [`lock_shared`]: RawRwLock::lock_shared
     fn unlock_shared(&self);
 
@@ -115,6 +122,19 @@ pub trait RawTryRwLock: RawRwLock {
     /// with a deadline) but must not block without bound.
     fn try_lock_exclusive(&self) -> Result<(), TryLockError>;
 }
+
+/// A [`RawRwLock`] whose read holds are anonymous: whichever thread calls
+/// [`unlock_shared`](RawRwLock::unlock_shared), the same reader count goes
+/// down.
+///
+/// [`BravoLock`](crate::BravoLock) requires this of its underlying lock.
+/// Its read release re-derives the calling thread's table slot, and a slow
+/// reader whose slot collides with a fast reader of the same lock may free
+/// that reader's publication and keep its own count, which the fast reader
+/// then releases. Locks whose read release depends on the calling thread
+/// (Cohort-RW's per-node indicators, the Per-CPU lock's sub-locks, BRAVO
+/// itself) do not implement it, so BRAVO cannot be built over them.
+pub trait AnonymousReaders: RawRwLock {}
 
 /// A minimal centralized spin reader-writer lock.
 ///
@@ -244,6 +264,8 @@ impl RawRwLock for DefaultRwLock {
         "default-spin"
     }
 }
+
+impl AnonymousReaders for DefaultRwLock {}
 
 impl RawTryRwLock for DefaultRwLock {
     fn try_lock_shared(&self) -> Result<(), TryLockError> {

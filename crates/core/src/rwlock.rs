@@ -2,11 +2,12 @@
 
 use std::cell::UnsafeCell;
 use std::fmt;
+use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 
-use crate::lock::{BravoLock, ReadToken};
+use crate::lock::BravoLock;
 use crate::policy::BiasPolicy;
-use crate::raw::{DefaultRwLock, RawRwLock, RawTryRwLock};
+use crate::raw::{AnonymousReaders, DefaultRwLock, RawTryRwLock};
 use crate::vrt::TableHandle;
 
 /// A reader-writer lock protecting a value of type `T`, accelerated by the
@@ -26,7 +27,7 @@ use crate::vrt::TableHandle;
 /// cache.write().push("b");
 /// assert_eq!(cache.read().len(), 2);
 /// ```
-pub struct BravoRwLock<T: ?Sized, L: RawRwLock = DefaultRwLock> {
+pub struct BravoRwLock<T: ?Sized, L: AnonymousReaders = DefaultRwLock> {
     raw: BravoLock<L>,
     data: UnsafeCell<T>,
 }
@@ -35,12 +36,12 @@ pub struct BravoRwLock<T: ?Sized, L: RawRwLock = DefaultRwLock> {
 // while read permission is held, unique access only while write permission is
 // held — so sending/sharing the lock across threads is sound whenever the
 // protected value itself may be sent.
-unsafe impl<T: ?Sized + Send, L: RawRwLock> Send for BravoRwLock<T, L> {}
+unsafe impl<T: ?Sized + Send, L: AnonymousReaders> Send for BravoRwLock<T, L> {}
 // SAFETY: readers on different threads may observe `&T` concurrently, so `T`
 // must additionally be `Sync`.
-unsafe impl<T: ?Sized + Send + Sync, L: RawRwLock> Sync for BravoRwLock<T, L> {}
+unsafe impl<T: ?Sized + Send + Sync, L: AnonymousReaders> Sync for BravoRwLock<T, L> {}
 
-impl<T, L: RawRwLock> BravoRwLock<T, L> {
+impl<T, L: AnonymousReaders> BravoRwLock<T, L> {
     /// Creates a lock protecting `value`, using the global visible readers
     /// table and the paper's default bias policy.
     pub fn new(value: T) -> Self {
@@ -65,14 +66,10 @@ impl<T, L: RawRwLock> BravoRwLock<T, L> {
     }
 }
 
-impl<T: ?Sized, L: RawRwLock> BravoRwLock<T, L> {
+impl<T: ?Sized, L: AnonymousReaders> BravoRwLock<T, L> {
     /// Acquires shared (read) access, blocking until it is granted.
     pub fn read(&self) -> BravoReadGuard<'_, T, L> {
-        let token = self.raw.read_lock();
-        BravoReadGuard {
-            lock: self,
-            token: Some(token),
-        }
+        BravoReadGuard::new(self, self.raw.read_lock())
     }
 
     /// Acquires exclusive (write) access, blocking until it is granted.
@@ -93,15 +90,14 @@ impl<T: ?Sized, L: RawRwLock> BravoRwLock<T, L> {
     }
 }
 
-impl<T: ?Sized, L: RawTryRwLock> BravoRwLock<T, L> {
+impl<T: ?Sized, L: AnonymousReaders + RawTryRwLock> BravoRwLock<T, L> {
     /// Attempts to acquire shared access without blocking. Requires the
     /// underlying lock to provide a non-blocking read path
     /// ([`RawTryRwLock`]).
     pub fn try_read(&self) -> Option<BravoReadGuard<'_, T, L>> {
-        self.raw.try_read_lock().map(|token| BravoReadGuard {
-            lock: self,
-            token: Some(token),
-        })
+        self.raw
+            .try_read_lock()
+            .map(|fast| BravoReadGuard::new(self, fast))
     }
 
     /// Attempts to acquire exclusive access without blocking. Requires the
@@ -116,13 +112,13 @@ impl<T: ?Sized, L: RawTryRwLock> BravoRwLock<T, L> {
     }
 }
 
-impl<T: Default, L: RawRwLock> Default for BravoRwLock<T, L> {
+impl<T: Default, L: AnonymousReaders> Default for BravoRwLock<T, L> {
     fn default() -> Self {
         Self::new(T::default())
     }
 }
 
-impl<T: ?Sized + fmt::Debug, L: RawTryRwLock> fmt::Debug for BravoRwLock<T, L> {
+impl<T: ?Sized + fmt::Debug, L: AnonymousReaders + RawTryRwLock> fmt::Debug for BravoRwLock<T, L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.try_read() {
             Some(guard) => f
@@ -138,21 +134,48 @@ impl<T: ?Sized + fmt::Debug, L: RawTryRwLock> fmt::Debug for BravoRwLock<T, L> {
 }
 
 /// RAII guard granting shared access to the data of a [`BravoRwLock`].
+///
+/// The guard is not [`Send`]: the read is released on drop by re-deriving
+/// the calling thread's table slot, so the thread that acquired it must
+/// drop it.
+///
+/// ```compile_fail,E0277
+/// let lock = bravo::BravoRwLock::<u32>::new(0);
+/// let guard = lock.read();
+/// std::thread::scope(|s| {
+///     s.spawn(move || drop(guard));
+/// });
+/// ```
 #[must_use = "the lock is released as soon as the guard is dropped"]
-pub struct BravoReadGuard<'a, T: ?Sized, L: RawRwLock = DefaultRwLock> {
+pub struct BravoReadGuard<'a, T: ?Sized, L: AnonymousReaders = DefaultRwLock> {
     lock: &'a BravoRwLock<T, L>,
-    token: Option<ReadToken>,
+    fast: bool,
+    not_send: PhantomData<*const ()>,
 }
 
-impl<T: ?Sized, L: RawRwLock> BravoReadGuard<'_, T, L> {
+// SAFETY: through `&BravoReadGuard` another thread can only read `fast` and
+// deref to `&T` (the `lock` reference is private, `not_send` holds nothing),
+// which is sound whenever `T` is `Sync`. Only sending the guard, which would
+// move the release to another thread, is ruled out.
+unsafe impl<T: ?Sized + Sync, L: AnonymousReaders> Sync for BravoReadGuard<'_, T, L> {}
+
+impl<'a, T: ?Sized, L: AnonymousReaders> BravoReadGuard<'a, T, L> {
+    fn new(lock: &'a BravoRwLock<T, L>, fast: bool) -> Self {
+        Self {
+            lock,
+            fast,
+            not_send: PhantomData,
+        }
+    }
+
     /// Whether this acquisition used the BRAVO fast path (useful in tests
     /// and experiments).
     pub fn is_fast(&self) -> bool {
-        self.token.as_ref().map(ReadToken::is_fast).unwrap_or(false)
+        self.fast
     }
 }
 
-impl<T: ?Sized, L: RawRwLock> Deref for BravoReadGuard<'_, T, L> {
+impl<T: ?Sized, L: AnonymousReaders> Deref for BravoReadGuard<'_, T, L> {
     type Target = T;
 
     fn deref(&self) -> &T {
@@ -162,14 +185,13 @@ impl<T: ?Sized, L: RawRwLock> Deref for BravoReadGuard<'_, T, L> {
     }
 }
 
-impl<T: ?Sized, L: RawRwLock> Drop for BravoReadGuard<'_, T, L> {
+impl<T: ?Sized, L: AnonymousReaders> Drop for BravoReadGuard<'_, T, L> {
     fn drop(&mut self) {
-        let token = self.token.take().expect("read guard dropped twice");
-        self.lock.raw.read_unlock(token);
+        self.lock.raw.read_unlock();
     }
 }
 
-impl<T: ?Sized + fmt::Debug, L: RawRwLock> fmt::Debug for BravoReadGuard<'_, T, L> {
+impl<T: ?Sized + fmt::Debug, L: AnonymousReaders> fmt::Debug for BravoReadGuard<'_, T, L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(&**self, f)
     }
@@ -177,11 +199,11 @@ impl<T: ?Sized + fmt::Debug, L: RawRwLock> fmt::Debug for BravoReadGuard<'_, T, 
 
 /// RAII guard granting exclusive access to the data of a [`BravoRwLock`].
 #[must_use = "the lock is released as soon as the guard is dropped"]
-pub struct BravoWriteGuard<'a, T: ?Sized, L: RawRwLock = DefaultRwLock> {
+pub struct BravoWriteGuard<'a, T: ?Sized, L: AnonymousReaders = DefaultRwLock> {
     lock: &'a BravoRwLock<T, L>,
 }
 
-impl<T: ?Sized, L: RawRwLock> Deref for BravoWriteGuard<'_, T, L> {
+impl<T: ?Sized, L: AnonymousReaders> Deref for BravoWriteGuard<'_, T, L> {
     type Target = T;
 
     fn deref(&self) -> &T {
@@ -190,7 +212,7 @@ impl<T: ?Sized, L: RawRwLock> Deref for BravoWriteGuard<'_, T, L> {
     }
 }
 
-impl<T: ?Sized, L: RawRwLock> DerefMut for BravoWriteGuard<'_, T, L> {
+impl<T: ?Sized, L: AnonymousReaders> DerefMut for BravoWriteGuard<'_, T, L> {
     fn deref_mut(&mut self) -> &mut T {
         // SAFETY: the guard proves exclusive permission is held, and `&mut
         // self` prevents aliasing through this guard.
@@ -198,13 +220,13 @@ impl<T: ?Sized, L: RawRwLock> DerefMut for BravoWriteGuard<'_, T, L> {
     }
 }
 
-impl<T: ?Sized, L: RawRwLock> Drop for BravoWriteGuard<'_, T, L> {
+impl<T: ?Sized, L: AnonymousReaders> Drop for BravoWriteGuard<'_, T, L> {
     fn drop(&mut self) {
         self.lock.raw.write_unlock();
     }
 }
 
-impl<T: ?Sized + fmt::Debug, L: RawRwLock> fmt::Debug for BravoWriteGuard<'_, T, L> {
+impl<T: ?Sized + fmt::Debug, L: AnonymousReaders> fmt::Debug for BravoWriteGuard<'_, T, L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(&**self, f)
     }

@@ -607,6 +607,10 @@ impl LockHandle {
     }
 
     /// Releases shared permission.
+    ///
+    /// The thread that acquired the read must release it. A BRAVO lock
+    /// re-derives its table slot from (lock, thread id), so a thread id
+    /// must also never be reused while its thread holds a read.
     pub fn unlock_shared(&self) {
         self.blocking.unlock_shared();
     }
@@ -790,7 +794,7 @@ mod tests {
         conn.unlock_exclusive();
         // Same statistics channel: events recorded through the relabelled
         // clone are visible through the original.
-        conn.stats().record_fast_read();
+        conn.stats().record_fast_read(topology::current_thread_id());
         assert_eq!(handle.snapshot().fast_reads, 1);
     }
 
@@ -874,7 +878,7 @@ mod tests {
             Arc::new(DefaultRwLock::new()),
             StatsSink::per_lock(),
         );
-        a.stats().record_fast_read();
+        a.stats().record_fast_read(topology::current_thread_id());
         assert_eq!(a.snapshot().fast_reads, 1);
         assert_eq!(b.snapshot().fast_reads, 0);
     }

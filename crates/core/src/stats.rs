@@ -20,7 +20,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use topology::CachePadded;
+use topology::{CachePadded, ThreadId};
 
 use crate::vrt::Revocation;
 
@@ -313,8 +313,8 @@ impl LockStats {
     }
 
     #[inline]
-    fn stripe(&self) -> &ThreadCounters {
-        &self.stripes[topology::current_thread_id().as_usize() % LOCK_STAT_STRIPES]
+    fn stripe(&self, thread: ThreadId) -> &ThreadCounters {
+        &self.stripes[thread.as_usize() % LOCK_STAT_STRIPES]
     }
 
     /// Aggregates this lock's counters into a [`Snapshot`].
@@ -387,14 +387,18 @@ impl StatsSink {
     fn counters(&self, record: impl FnOnce(&ThreadCounters)) {
         match self {
             StatsSink::Global => LOCAL.with(|c| record(c)),
-            StatsSink::PerLock(stats) => record(stats.stripe()),
+            StatsSink::PerLock(stats) => record(stats.stripe(topology::current_thread_id())),
         }
     }
 
-    /// Records a fast-path read acquisition.
+    /// Records a fast-path read acquisition by the calling thread, whose id
+    /// the caller passes in (the BRAVO fast path reads it once per read).
     #[inline]
-    pub fn record_fast_read(&self) {
-        self.counters(|c| bump(&c.fast_reads, 1));
+    pub fn record_fast_read(&self, thread: ThreadId) {
+        match self {
+            StatsSink::Global => LOCAL.with(|c| bump(&c.fast_reads, 1)),
+            StatsSink::PerLock(stats) => bump(&stats.stripe(thread).fast_reads, 1),
+        }
     }
 
     /// Records a slow-path read acquisition and why it was slow.
@@ -449,6 +453,7 @@ impl std::fmt::Debug for StatsSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use topology::current_thread_id;
 
     /// A revocation that waited for `conflicts` readers.
     fn revocation(conflicts: u64, scanned_slots: usize) -> Revocation {
@@ -555,8 +560,8 @@ mod tests {
     fn counters_accumulate_and_diff() {
         let sink = StatsSink::Global;
         let before = snapshot();
-        sink.record_fast_read();
-        sink.record_fast_read();
+        sink.record_fast_read(current_thread_id());
+        sink.record_fast_read(current_thread_id());
         sink.record_slow_read(SlowReadReason::Collision);
         sink.record_write(Some(&revocation(3, 0)));
         sink.record_write(None);
@@ -588,7 +593,7 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..100 {
-                        StatsSink::Global.record_fast_read();
+                        StatsSink::Global.record_fast_read(current_thread_id());
                     }
                 });
             }
@@ -601,8 +606,8 @@ mod tests {
     fn per_lock_sinks_do_not_bleed_into_each_other() {
         let a = StatsSink::per_lock();
         let b = StatsSink::per_lock();
-        a.record_fast_read();
-        a.record_fast_read();
+        a.record_fast_read(current_thread_id());
+        a.record_fast_read(current_thread_id());
         b.record_write(Some(&revocation(1, 64)));
         let sa = a.snapshot();
         let sb = b.snapshot();
@@ -634,7 +639,7 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..50 {
-                        sink.record_fast_read();
+                        sink.record_fast_read(current_thread_id());
                     }
                 });
             }
@@ -645,7 +650,7 @@ mod tests {
     #[test]
     fn global_sink_snapshot_matches_process_totals() {
         let sink = StatsSink::default();
-        sink.record_fast_read();
+        sink.record_fast_read(current_thread_id());
         // A Global sink resolves to the process aggregate.
         assert!(sink.snapshot().fast_reads >= 1);
     }
@@ -654,7 +659,7 @@ mod tests {
     fn per_lock_events_write_one_counter_word() {
         let sink = StatsSink::per_lock();
         let local = local_words();
-        sink.record_fast_read();
+        sink.record_fast_read(current_thread_id());
         assert_eq!(stripe_words(&sink), 1, "a fast read is one increment");
         sink.record_slow_read(SlowReadReason::Collision);
         assert_eq!(stripe_words(&sink), 2, "a collision is one increment");
@@ -667,7 +672,7 @@ mod tests {
     fn global_events_write_one_word_of_the_callers_block() {
         let before = local_words();
         let snap = local_snapshot();
-        StatsSink::Global.record_fast_read();
+        StatsSink::Global.record_fast_read(current_thread_id());
         assert_eq!(local_words(), before + 1);
         StatsSink::Global.record_slow_read(SlowReadReason::Collision);
         assert_eq!(local_words(), before + 2);
@@ -684,7 +689,7 @@ mod tests {
             s.spawn(|| {
                 for _ in 0..LOCKS {
                     let sink = StatsSink::per_lock();
-                    sink.record_fast_read();
+                    sink.record_fast_read(current_thread_id());
                     sink.record_slow_read(SlowReadReason::Collision);
                     sink.record_write(Some(&revocation(2, 16)));
                 }
@@ -712,8 +717,8 @@ mod tests {
     #[test]
     fn counters_attribute_diff_and_merge() {
         let sink = StatsSink::per_lock();
-        sink.record_fast_read();
-        sink.record_fast_read();
+        sink.record_fast_read(current_thread_id());
+        sink.record_fast_read(current_thread_id());
         sink.record_slow_read(SlowReadReason::Collision);
         sink.record_write(Some(&revocation(4, 128)));
         let s = sink.snapshot();
@@ -753,7 +758,7 @@ mod tests {
     #[test]
     fn fast_read_fraction_is_bounded() {
         let before = snapshot();
-        StatsSink::Global.record_fast_read();
+        StatsSink::Global.record_fast_read(current_thread_id());
         StatsSink::Global.record_slow_read(SlowReadReason::BiasDisabled);
         let delta = snapshot().since(&before);
         let f = delta.fast_read_fraction();

@@ -16,11 +16,14 @@
 //!   paper's future-work list: one row per logical CPU, lock-hashed
 //!   columns, so writers revoke by scanning a single column.
 //!
-//! Locks hold a [`TableHandle`], which resolves either to a process-shared
-//! table (the flat global or the sectored global) or to a table owned by
-//! the lock instance.
+//! Locks hold a [`TableHandle`], which names the layout once, so a fast
+//! read and its release call the concrete table without a virtual call. The
+//! table behind it is either process-shared (the flat global or the
+//! sectored global) or owned by the lock instance.
 
 use std::sync::{Arc, OnceLock};
+
+use topology::ThreadId;
 
 use crate::sync::atomic::{AtomicUsize, Ordering};
 
@@ -43,17 +46,19 @@ pub struct Revocation {
     pub conflicts: u64,
 }
 
-/// A visible readers table layout.
+/// A visible readers table layout, as a revoking writer and a diagnostic
+/// see it.
 ///
-/// Both layouts (flat and sectored) implement this trait;
-/// BRAVO composites are written against it, so a lock's layout is chosen by
-/// its [`TableSpec`](crate::spec::TableSpec) instead of by its type.
+/// Both layouts (flat and sectored) implement this trait, so a lock's
+/// layout is chosen by its [`TableSpec`](crate::spec::TableSpec) instead of
+/// by its type. Readers do not go through it: they publish into the slot
+/// [`TableHandle::slot_for`] places them in, with
+/// [`VisibleReadersTable::try_publish`] on the slot array both layouts
+/// share.
 ///
-/// The contract every layout upholds: a publication made through
-/// [`slot_for_current`](ReaderTable::slot_for_current) +
-/// [`try_publish`](ReaderTable::try_publish) on any thread is found by a
-/// concurrent [`revoke`](ReaderTable::revoke) for the same lock address
-/// (the BRAVO safety property).
+/// The contract every layout upholds: such a publication, made on any
+/// thread, is found by a concurrent [`revoke`](ReaderTable::revoke) for
+/// the same lock address (the BRAVO safety property).
 pub trait ReaderTable: Send + Sync {
     /// Short name of the layout (`"flat"`, `"sectored"`).
     fn layout(&self) -> &'static str;
@@ -66,29 +71,6 @@ pub trait ReaderTable: Send + Sync {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Slot the *calling thread* publishes `lock_addr` into, per this
-    /// layout's placement rule (thread-hashed for flat, CPU row for
-    /// sectored).
-    fn slot_for_current(&self, lock_addr: usize) -> usize;
-
-    /// Attempts to publish `lock_addr` in `slot` (the fast-path reader's
-    /// CAS from null). Returns `false` if the slot was already occupied.
-    ///
-    /// On success the operation is sequentially consistent, which provides
-    /// the store-load fence the algorithm needs between publishing the slot
-    /// and re-checking the lock's bias flag.
-    fn try_publish(&self, slot: usize, lock_addr: usize) -> bool;
-
-    /// Frees `slot` if it holds `lock_addr`: a compare-exchange from
-    /// `lock_addr` to 0 (the fast-path reader's release). Returns whether
-    /// the slot was freed.
-    ///
-    /// A reader that carries its slot from acquisition to release always
-    /// gets `true`. A token-free release re-derives the slot and may find
-    /// it empty or held by another lock; see
-    /// [`BravoLock::read_unlock_token_free`](crate::BravoLock::read_unlock_token_free).
-    fn clear(&self, slot: usize, lock_addr: usize) -> bool;
 
     /// The writer's revocation scan: waits until no slot this lock's
     /// readers can occupy holds `lock_addr`.
@@ -177,6 +159,33 @@ impl VisibleReadersTable {
     pub fn peek(&self, slot: usize) -> usize {
         self.slots[slot].load(Ordering::SeqCst)
     }
+
+    /// Attempts to publish `lock_addr` in `slot` (the fast-path reader's
+    /// CAS from null). Returns `false` if the slot was already occupied.
+    ///
+    /// On success the operation is sequentially consistent, which provides
+    /// the store-load fence the algorithm needs between publishing the slot
+    /// and re-checking the lock's bias flag.
+    pub fn try_publish(&self, slot: usize, lock_addr: usize) -> bool {
+        debug_assert_ne!(lock_addr, 0, "cannot publish a null lock address");
+        self.slots[slot]
+            .compare_exchange(0, lock_addr, Ordering::SeqCst, Ordering::Relaxed)
+            .is_ok()
+    }
+
+    /// Frees `slot` if it holds `lock_addr`: a compare-exchange from
+    /// `lock_addr` to 0 (the fast-path reader's release). Returns whether
+    /// the slot was freed; a BRAVO read release may find its slot empty or
+    /// held by another lock (see
+    /// [`BravoLock::read_unlock`](crate::BravoLock::read_unlock)).
+    pub fn clear(&self, slot: usize, lock_addr: usize) -> bool {
+        // Release pairs with the revoker's SeqCst scan, so the reader's
+        // critical section happens-before the writer's. A failed exchange
+        // publishes nothing: the caller releases through the underlying lock.
+        self.slots[slot]
+            .compare_exchange(lock_addr, 0, Ordering::Release, Ordering::Relaxed)
+            .is_ok()
+    }
 }
 
 impl ReaderTable for VisibleReadersTable {
@@ -186,26 +195,6 @@ impl ReaderTable for VisibleReadersTable {
 
     fn len(&self) -> usize {
         self.slots.len()
-    }
-
-    fn slot_for_current(&self, lock_addr: usize) -> usize {
-        self.slot_for(lock_addr, topology::current_thread_id().as_usize())
-    }
-
-    fn try_publish(&self, slot: usize, lock_addr: usize) -> bool {
-        debug_assert_ne!(lock_addr, 0, "cannot publish a null lock address");
-        self.slots[slot]
-            .compare_exchange(0, lock_addr, Ordering::SeqCst, Ordering::Relaxed)
-            .is_ok()
-    }
-
-    fn clear(&self, slot: usize, lock_addr: usize) -> bool {
-        // Release pairs with the revoker's SeqCst scan, so the reader's
-        // critical section happens-before the writer's. A failed exchange
-        // publishes nothing: the caller releases through the underlying lock.
-        self.slots[slot]
-            .compare_exchange(lock_addr, 0, Ordering::Release, Ordering::Relaxed)
-            .is_ok()
     }
 
     fn revoke_until_with(
@@ -327,18 +316,6 @@ impl ReaderTable for SectoredTable {
         self.rows * self.row_slots
     }
 
-    fn slot_for_current(&self, lock_addr: usize) -> usize {
-        self.slot_for(topology::current_cpu(), lock_addr)
-    }
-
-    fn try_publish(&self, slot: usize, lock_addr: usize) -> bool {
-        self.storage.try_publish(slot, lock_addr)
-    }
-
-    fn clear(&self, slot: usize, lock_addr: usize) -> bool {
-        self.storage.clear(slot, lock_addr)
-    }
-
     fn revoke_until_with(
         &self,
         lock_addr: usize,
@@ -387,20 +364,25 @@ impl std::fmt::Debug for SectoredTable {
     }
 }
 
-static GLOBAL: OnceLock<VisibleReadersTable> = OnceLock::new();
+static GLOBAL: OnceLock<Arc<VisibleReadersTable>> = OnceLock::new();
 
 /// Returns the process-global flat table (4096 slots, created on first
 /// use) — the paper's production embodiment.
-pub fn global_table() -> &'static VisibleReadersTable {
-    GLOBAL.get_or_init(|| VisibleReadersTable::new(DEFAULT_TABLE_SIZE))
+pub fn global_table() -> &'static Arc<VisibleReadersTable> {
+    GLOBAL.get_or_init(|| Arc::new(VisibleReadersTable::new(DEFAULT_TABLE_SIZE)))
 }
 
-static GLOBAL_2D: OnceLock<SectoredTable> = OnceLock::new();
+static GLOBAL_2D: OnceLock<Arc<SectoredTable>> = OnceLock::new();
 
 /// The process-global sectored table: one row per logical CPU of the
 /// simulated machine, [`DEFAULT_ROW_SLOTS`] slots per row.
-pub fn global_sectored_table() -> &'static SectoredTable {
-    GLOBAL_2D.get_or_init(|| SectoredTable::new(topology::logical_cpus(), DEFAULT_ROW_SLOTS))
+pub fn global_sectored_table() -> &'static Arc<SectoredTable> {
+    GLOBAL_2D.get_or_init(|| {
+        Arc::new(SectoredTable::new(
+            topology::logical_cpus(),
+            DEFAULT_ROW_SLOTS,
+        ))
+    })
 }
 
 /// Which visible readers table a BRAVO composite publishes into.
@@ -431,10 +413,10 @@ pub fn global_sectored_table() -> &'static SectoredTable {
 /// ```
 #[derive(Clone)]
 pub enum TableHandle {
-    /// A process-shared table (the flat global or the sectored global).
-    Shared(&'static (dyn ReaderTable + 'static)),
-    /// A table owned by (a group of) lock instances.
-    Owned(Arc<dyn ReaderTable>),
+    /// The flat layout (the process-global table or a private one).
+    Flat(Arc<VisibleReadersTable>),
+    /// The sectored (BRAVO-2D) layout.
+    Sectored(Arc<SectoredTable>),
 }
 
 impl Default for TableHandle {
@@ -446,51 +428,57 @@ impl Default for TableHandle {
 impl TableHandle {
     /// The process-global flat table (the paper's production default).
     pub fn global() -> Self {
-        TableHandle::Shared(global_table())
+        TableHandle::Flat(Arc::clone(global_table()))
     }
 
     /// The process-global sectored table (the BRAVO-2D default).
     pub fn global_sectored() -> Self {
-        TableHandle::Shared(global_sectored_table())
+        TableHandle::Sectored(Arc::clone(global_sectored_table()))
     }
 
     /// A fresh private flat table with `size` slots.
     pub fn private(size: usize) -> Self {
-        TableHandle::Owned(Arc::new(VisibleReadersTable::new(size)))
+        TableHandle::Flat(Arc::new(VisibleReadersTable::new(size)))
     }
 
     /// A fresh private sectored table (`rows × row_slots`).
     pub fn sectored(rows: usize, row_slots: usize) -> Self {
-        TableHandle::Owned(Arc::new(SectoredTable::new(rows, row_slots)))
-    }
-
-    /// Wraps an existing table.
-    pub fn owned(table: Arc<dyn ReaderTable>) -> Self {
-        TableHandle::Owned(table)
+        TableHandle::Sectored(Arc::new(SectoredTable::new(rows, row_slots)))
     }
 
     /// Resolves the handle to the actual table.
     pub fn table(&self) -> &dyn ReaderTable {
         match self {
-            TableHandle::Shared(t) => *t,
-            TableHandle::Owned(t) => &**t,
+            TableHandle::Flat(t) => &**t,
+            TableHandle::Sectored(t) => &**t,
+        }
+    }
+
+    /// The slot `thread` publishes `lock_addr` into, per the layout's
+    /// placement rule: thread-hashed for flat, the thread's CPU row for
+    /// sectored.
+    #[inline]
+    pub fn slot_for(&self, lock_addr: usize, thread: ThreadId) -> usize {
+        match self {
+            TableHandle::Flat(t) => t.slot_for(lock_addr, thread.as_usize()),
+            TableHandle::Sectored(t) => t.slot_for(thread.cpu(), lock_addr),
+        }
+    }
+
+    /// The slot array both layouts publish into and clear from.
+    #[inline]
+    pub(crate) fn slots(&self) -> &VisibleReadersTable {
+        match self {
+            TableHandle::Flat(t) => t,
+            TableHandle::Sectored(t) => &t.storage,
         }
     }
 }
 
 impl std::fmt::Debug for TableHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let scope = match self {
-            TableHandle::Shared(_) => "Shared",
-            TableHandle::Owned(_) => "Owned",
-        };
         let t = self.table();
-        write!(
-            f,
-            "TableHandle::{scope}({} layout, {} slots)",
-            t.layout(),
-            t.len()
-        )
+        write!(f, "TableHandle({} layout, {} slots)", t.layout(), t.len())
     }
 }
 
@@ -595,13 +583,14 @@ mod tests {
 
     #[test]
     fn flat_table_reader_table_contract() {
-        let t = VisibleReadersTable::new(64);
-        let table: &dyn ReaderTable = &t;
+        let handle = TableHandle::private(64);
+        let table = handle.table();
         assert_eq!(table.layout(), "flat");
         let addr = 0x6000;
-        let slot = table.slot_for_current(addr);
-        assert!(table.try_publish(slot, addr));
-        assert!(table.clear(slot, addr));
+        let slot = handle.slot_for(addr, topology::current_thread_id());
+        assert!(handle.slots().try_publish(slot, addr));
+        assert_eq!(table.count_for(addr), 1);
+        assert!(handle.slots().clear(slot, addr));
         let rev = table.revoke(addr);
         assert_eq!(rev.conflicts, 0);
         assert_eq!(rev.scanned_slots, 64);
@@ -632,12 +621,12 @@ mod tests {
         let t = SectoredTable::new(4, 16);
         let addr = 0x3330usize;
         let slot = t.slot_for(2, addr);
-        assert!(t.try_publish(slot, addr));
+        assert!(t.storage.try_publish(slot, addr));
         // Clear from another thread while the main thread revokes.
         std::thread::scope(|s| {
             s.spawn(|| {
                 std::thread::sleep(std::time::Duration::from_millis(5));
-                assert!(ReaderTable::clear(&t, slot, addr));
+                assert!(t.storage.clear(slot, addr));
             });
             let rev = t.revoke(addr);
             assert_eq!(rev.conflicts, 1);
@@ -690,10 +679,7 @@ mod tests {
         assert_eq!(p.table().len(), 128);
         // Owned handles clone to the same table.
         let p2 = p.clone();
-        assert!(std::ptr::eq(
-            p.table() as *const dyn ReaderTable as *const u8,
-            p2.table() as *const dyn ReaderTable as *const u8
-        ));
+        assert!(std::ptr::eq(p.slots(), p2.slots()));
         assert_eq!(TableHandle::global_sectored().table().layout(), "sectored");
         assert_eq!(TableHandle::sectored(4, 16).table().len(), 64);
     }

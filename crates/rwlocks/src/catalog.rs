@@ -19,7 +19,7 @@ use std::sync::Arc;
 use bravo::spec::{LockHandle, LockSpec, SpecError, TableSpec};
 use bravo::stats::StatsSink;
 use bravo::vrt::TableHandle;
-use bravo::{AdaptiveBias, BiasPolicy, BravoLock, RawTryRwLock, ReentrantBravo};
+use bravo::{AdaptiveBias, AnonymousReaders, BiasPolicy, BravoLock, RawTryRwLock};
 
 use crate::cohort::CohortRwLock;
 use crate::counter::CounterRwLock;
@@ -206,13 +206,13 @@ fn make_adaptive(spec: &LockSpec) -> Option<Arc<AdaptiveBias>> {
 
 /// Builds a BRAVO composite over `L`; `sectored_default` picks what a bare
 /// `table=global` means (see [`resolve_table`]).
-fn bravo_composite<L: RawTryRwLock + 'static>(
+fn bravo_composite<L: AnonymousReaders + RawTryRwLock + 'static>(
     spec: &LockSpec,
     sectored_default: bool,
 ) -> Result<LockHandle, SpecError> {
     let sink = StatsSink::per_lock();
     let adapt = make_adaptive(spec);
-    let mut inner = BravoLock::with_instrumented(
+    let mut lock = BravoLock::with_instrumented(
         L::with_wait(spec.wait()),
         resolve_table(spec, sectored_default),
         spec.bias(),
@@ -220,9 +220,8 @@ fn bravo_composite<L: RawTryRwLock + 'static>(
     )
     .with_wait_mode(spec.wait());
     if let Some(adapt) = &adapt {
-        inner = inner.with_adaptive(Arc::clone(adapt));
+        lock = lock.with_adaptive(Arc::clone(adapt));
     }
-    let lock = ReentrantBravo::from_lock(inner);
     let mut handle = LockHandle::from_try_lock(spec.clone(), Arc::new(lock), sink);
     if let Some(adapt) = adapt {
         handle = handle.with_adaptive(adapt);
@@ -499,6 +498,15 @@ mod tests {
                 "'{text}': {err}"
             );
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "unlock_shared with no readers")]
+    fn unlocking_without_holding_panics() {
+        // A release finds no slot of its own to free, so it releases the
+        // underlying BA lock, whose debug check catches the missing reader.
+        LockKind::BravoBa.build().unlock_shared();
     }
 
     #[test]

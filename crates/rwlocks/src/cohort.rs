@@ -37,6 +37,13 @@ impl NodeIndicator {
 /// node's indicator. Writer preference comes from the writer raising a
 /// barrier flag *before* waiting for readers to drain: readers that arrive
 /// later withdraw their arrival and wait.
+///
+/// A read is released on the calling thread's node, so the lock is not
+/// [`AnonymousReaders`](bravo::AnonymousReaders) and BRAVO cannot wrap it:
+///
+/// ```compile_fail,E0277
+/// let _ = bravo::BravoLock::<rwlocks::CohortRwLock>::new();
+/// ```
 pub struct CohortRwLock {
     indicators: Box<[CachePadded<NodeIndicator>]>,
     /// Raised while a writer holds (or is about to hold) the lock.

@@ -3,7 +3,7 @@
 use bravo::sync::atomic::{AtomicU64, Ordering};
 
 use bravo::wait::{WaitMode, WaitStrategy};
-use bravo::{RawRwLock, RawTryRwLock, TryLockError};
+use bravo::{AnonymousReaders, RawRwLock, RawTryRwLock, TryLockError};
 
 /// A compact reader-writer lock with a single central reader counter.
 ///
@@ -140,6 +140,8 @@ impl RawRwLock for CounterRwLock {
         "counter"
     }
 }
+
+impl AnonymousReaders for CounterRwLock {}
 
 impl RawTryRwLock for CounterRwLock {
     fn try_lock_shared(&self) -> Result<(), TryLockError> {

@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bravo::wait::{WaitMode, WaitStrategy};
-use bravo::{RawRwLock, RawTryRwLock, TryLockError};
+use bravo::{AnonymousReaders, RawRwLock, RawTryRwLock, TryLockError};
 
 use crate::mutex::{RawMutex, TicketMutex};
 
@@ -81,6 +81,8 @@ impl RawRwLock for FairRwLock {
         "MCS-fair"
     }
 }
+
+impl AnonymousReaders for FairRwLock {}
 
 impl RawTryRwLock for FairRwLock {
     fn try_lock_shared(&self) -> Result<(), TryLockError> {

@@ -16,7 +16,7 @@ use crate::percpu::PerCpuRwLock;
 use crate::pf_q::PhaseFairQueueLock;
 use crate::pf_t::PhaseFairTicketLock;
 use crate::pthread_like::PthreadRwLock;
-use bravo::{RawRwLock, ReentrantBravo};
+use bravo::{AnonymousReaders, BravoLock, RawRwLock};
 
 /// Types that can report how much memory one lock instance occupies,
 /// including heap allocations reachable from it.
@@ -76,11 +76,11 @@ impl Footprint for CohortRwLock {
     }
 }
 
-impl<L: RawRwLock + Footprint> Footprint for ReentrantBravo<L> {
+impl<L: AnonymousReaders + Footprint> Footprint for BravoLock<L> {
     fn footprint_bytes(&self) -> usize {
         // RBias + InhibitUntil + the underlying lock; the visible readers
         // table is shared process-wide and therefore not charged per lock.
-        bravo_added_bytes() + self.inner().underlying().footprint_bytes()
+        bravo_added_bytes() + self.underlying().footprint_bytes()
     }
 }
 
@@ -110,7 +110,7 @@ mod tests {
     fn bravo_ba_still_fits_in_a_single_sector() {
         // §5: "Rounding up to the sector size, this still yields a 128 byte
         // lock instance."
-        let lock: ReentrantBravo<PhaseFairQueueLock> = ReentrantBravo::new();
+        let lock: BravoLock<PhaseFairQueueLock> = BravoLock::new();
         assert!(lock.footprint_bytes() <= SECTOR);
         assert_eq!(lock.sector_footprint(), SECTOR);
     }

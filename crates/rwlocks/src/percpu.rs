@@ -19,6 +19,13 @@ use crate::pf_q::PhaseFairQueueLock;
 ///
 /// The sub-lock type defaults to [`PhaseFairQueueLock`] ("BA"), matching the
 /// paper's construction, but any [`RawRwLock`] works.
+///
+/// A read is released on the calling thread's CPU, so the lock is not
+/// [`AnonymousReaders`](bravo::AnonymousReaders) and BRAVO cannot wrap it:
+///
+/// ```compile_fail,E0277
+/// let _ = bravo::BravoLock::<rwlocks::PerCpuRwLock>::new();
+/// ```
 pub struct PerCpuRwLock<R: RawRwLock = PhaseFairQueueLock> {
     sublocks: Box<[CachePadded<R>]>,
 }

@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bravo::wait::{WaitMode, WaitStrategy};
-use bravo::{RawRwLock, RawTryRwLock, TryLockError};
+use bravo::{AnonymousReaders, RawRwLock, RawTryRwLock, TryLockError};
 
 use crate::mutex::{McsMutex, RawMutex};
 
@@ -69,7 +69,12 @@ impl RawRwLock for PhaseFairQueueLock {
     }
 
     fn unlock_shared(&self) {
-        self.rout.fetch_add(RINC, Ordering::Release);
+        let prev = self.rout.fetch_add(RINC, Ordering::Release);
+        debug_assert_ne!(
+            self.rin.load(Ordering::Relaxed) & !WBITS,
+            prev,
+            "unlock_shared with no readers"
+        );
         // A draining writer waits on the egress count; waking on every
         // departure is the simple lost-wakeup-free choice (last-departure
         // detection would need extra synchronization with the announce).
@@ -94,6 +99,8 @@ impl RawRwLock for PhaseFairQueueLock {
         "BA"
     }
 }
+
+impl AnonymousReaders for PhaseFairQueueLock {}
 
 impl RawTryRwLock for PhaseFairQueueLock {
     fn try_lock_shared(&self) -> Result<(), TryLockError> {

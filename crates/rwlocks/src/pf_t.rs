@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bravo::wait::{WaitMode, WaitStrategy};
-use bravo::{RawRwLock, RawTryRwLock, TryLockError};
+use bravo::{AnonymousReaders, RawRwLock, RawTryRwLock, TryLockError};
 
 /// The Brandenburg–Anderson *phase-fair ticket* reader-writer lock.
 ///
@@ -73,7 +73,12 @@ impl RawRwLock for PhaseFairTicketLock {
     }
 
     fn unlock_shared(&self) {
-        self.rout.fetch_add(RINC, Ordering::Release);
+        let prev = self.rout.fetch_add(RINC, Ordering::Release);
+        debug_assert_ne!(
+            self.rin.load(Ordering::Relaxed) & !WBITS,
+            prev,
+            "unlock_shared with no readers"
+        );
         // A draining writer waits on the egress count; wake on every
         // departure (no-op in spin mode or with no parked waiters).
         self.wait.notify_all(self.key());
@@ -106,6 +111,8 @@ impl RawRwLock for PhaseFairTicketLock {
         "PF-T"
     }
 }
+
+impl AnonymousReaders for PhaseFairTicketLock {}
 
 impl RawTryRwLock for PhaseFairTicketLock {
     fn try_lock_shared(&self) -> Result<(), TryLockError> {

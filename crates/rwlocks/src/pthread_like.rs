@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
-use bravo::{RawRwLock, RawTryRwLock, TryLockError};
+use bravo::{AnonymousReaders, RawRwLock, RawTryRwLock, TryLockError};
 
 /// A reader-preference, blocking reader-writer lock — the "pthread" baseline.
 ///
@@ -139,6 +139,8 @@ impl RawRwLock for PthreadRwLock {
         "pthread"
     }
 }
+
+impl AnonymousReaders for PthreadRwLock {}
 
 impl RawTryRwLock for PthreadRwLock {
     fn try_lock_shared(&self) -> Result<(), TryLockError> {

@@ -3,17 +3,18 @@
 //! The patch is the user-space transformation itself: [`BravoRwSemaphore`]
 //! is [`BravoLock`] over [`RwSemaphore`], so the kernel simulation and the
 //! user-space locks run one BRAVO engine. Kernel `up_read` receives no
-//! token, so read releases use [`BravoLock::read_unlock_token_free`]: the
-//! slot is re-derived from `(current task, semaphore)` and freed by a
+//! token, and neither does [`BravoLock::read_unlock`]: the slot is
+//! re-derived from `(current task, semaphore)` and freed by a
 //! compare-exchange from the semaphore's address, or else the underlying
 //! `up_read` runs. That is sound here because the task that acquired for
 //! read also releases (true of every simulated kernel workload), and the
-//! semaphore's reader count is anonymous, so a colliding slow reader may
-//! free a fast reader's slot and leave its own count for that reader to
-//! release. Every read release goes through `up_read`, as the method
-//! requires.
+//! semaphore's reader count is anonymous ([`AnonymousReaders`]), so a
+//! colliding slow reader may free a fast reader's slot and leave its own
+//! count for that reader to release.
 
-use bravo::{BiasPolicy, BravoLock, RawRwLock, RawTryRwLock, TableHandle, TryLockError};
+use bravo::{
+    AnonymousReaders, BiasPolicy, BravoLock, RawRwLock, RawTryRwLock, TableHandle, TryLockError,
+};
 
 use crate::sem::{RwSemaphore, RwsemConfig};
 
@@ -39,9 +40,8 @@ use crate::sem::{RwSemaphore, RwsemConfig};
 /// * The underlying semaphore runs with the owner-field fix (readers only
 ///   set the reader-owned bits when not already set).
 ///
-/// Statistics go to the process totals, and the flat global table is one
-/// shard, so every event is attributed to shard 0. The address published
-/// in the table is the semaphore's own.
+/// Statistics go to the process totals. The address published in the
+/// table is the semaphore's own.
 #[derive(Debug)]
 #[repr(transparent)]
 pub struct BravoRwSemaphore(BravoLock<RwSemaphore>);
@@ -85,8 +85,7 @@ impl BravoRwSemaphore {
 
     /// Kernel `down_read` with the BRAVO fast path.
     pub fn down_read(&self) {
-        // The token is not kept: `up_read` re-derives the slot.
-        let _ = self.0.read_lock();
+        self.0.read_lock();
     }
 
     /// Kernel `down_read_trylock`: BRAVO fast path first, then the
@@ -98,7 +97,7 @@ impl BravoRwSemaphore {
     /// Kernel `up_read`: frees the published slot when the acquisition used
     /// the fast path, otherwise releases the underlying semaphore.
     pub fn up_read(&self) {
-        self.0.read_unlock_token_free();
+        self.0.read_unlock();
     }
 
     /// Kernel `down_write`; takes the read bias away if it was set.
@@ -139,6 +138,9 @@ impl RawRwLock for RwSemaphore {
         self.up_write();
     }
 }
+
+/// Any task's `up_read` decrements the one count word.
+impl AnonymousReaders for RwSemaphore {}
 
 impl RawTryRwLock for RwSemaphore {
     fn try_lock_shared(&self) -> Result<(), TryLockError> {

@@ -20,14 +20,12 @@
 //! [`BravoRwSemaphore`] applies the paper's patch on top. It is
 //! [`bravo::BravoLock`] over [`RwSemaphore`], the same engine as every
 //! user-space BRAVO lock: a read fast path through the global visible
-//! readers table keyed by `(task, semaphore)`. Since `up_read` carries no
-//! token, it uses the token-free release
-//! [`BravoLock::read_unlock_token_free`](bravo::BravoLock::read_unlock_token_free),
-//! which locates the slot by re-hashing and frees it only if it still holds
-//! the semaphore's address. That release may be used only when the task
+//! readers table keyed by `(task, semaphore)`. Like `up_read`, BRAVO's
+//! release [`BravoLock::read_unlock`](bravo::BravoLock::read_unlock)
+//! carries no token: it locates the slot by re-hashing and frees it only if
+//! it still holds the semaphore's address. That is sound because the task
 //! that acquired for read also releases (the simplifying assumption the
-//! kernel patch makes), when the underlying reader count is anonymous, and
-//! when every read release of the lock uses it.
+//! kernel patch makes) and the semaphore's reader count is anonymous.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -4,7 +4,7 @@
 //! test binary of its own: no other test runs in the process to move them.
 
 use bravo::stats;
-use bravo::vrt::{global_table, ReaderTable};
+use bravo::vrt::{global_table, TableHandle};
 use rwsem::BravoRwSemaphore;
 
 #[test]
@@ -16,7 +16,7 @@ fn trylock_blames_a_slot_collision_not_disabled_bias() {
     // Another address occupies this thread's slot in the global table.
     let addr = &sem as *const BravoRwSemaphore as usize;
     let table = global_table();
-    let slot = ReaderTable::slot_for_current(table, addr);
+    let slot = TableHandle::global().slot_for(addr, topology::current_thread_id());
     let squatter = addr ^ 0x40;
     assert!(table.try_publish(slot, squatter));
     let before = stats::snapshot();

@@ -19,6 +19,12 @@ impl ThreadId {
     pub fn as_usize(self) -> usize {
         self.0
     }
+
+    /// Logical CPU this thread is (logically) pinned to: round-robin in
+    /// registration order.
+    pub fn cpu(self) -> usize {
+        self.0 % machine().logical_cpus()
+    }
 }
 
 static NEXT_ID: AtomicUsize = AtomicUsize::new(0);
@@ -51,7 +57,7 @@ pub fn registered_threads() -> usize {
 /// Threads are assigned to CPUs round-robin in registration order, which is
 /// the steady-state placement an unbound benchmark thread pool converges to.
 pub fn current_cpu() -> usize {
-    current_thread_id().as_usize() % machine().logical_cpus()
+    current_thread_id().cpu()
 }
 
 /// NUMA node of the calling thread's logical CPU.

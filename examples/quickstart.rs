@@ -8,7 +8,7 @@
 //!
 //! The example walks through the three ways to use the library — the
 //! data-carrying `BravoRwLock`, composing BRAVO over a specific underlying
-//! lock from the zoo, and the raw token-based `BravoLock` — and finishes by
+//! lock from the zoo, and the raw `BravoLock` — and finishes by
 //! printing the process-wide BRAVO statistics so you can see the fast path
 //! doing its job.
 
@@ -59,11 +59,12 @@ fn main() {
     *bravo_ba.write() += 1;
     assert_eq!(*bravo_ba.read(), 1);
 
-    // 3. The raw, token-based form (what kernel-style integrations use).
+    // 3. The raw form (what kernel-style integrations use): the release
+    //    takes no token, it re-derives the table slot.
     let raw: BravoLock<PhaseFairQueueLock> = BravoLock::new();
-    let token = raw.read_lock();
-    println!("raw read acquisition used fast path: {}", token.is_fast());
-    raw.read_unlock(token);
+    let fast = raw.read_lock();
+    println!("raw read acquisition used fast path: {fast}");
+    raw.read_unlock();
 
     // Fast-path statistics for everything this process did above.
     let delta = stats::snapshot().since(&before);

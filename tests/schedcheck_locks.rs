@@ -7,11 +7,14 @@
 //! prints a `SCHEDCHECK_SEED` token that replays the exact interleaving.
 #![cfg(feature = "schedcheck")]
 
+mod bravo_scenarios;
+
 use std::collections::HashSet;
 use std::sync::Arc;
 
 use bravo::sync::atomic::{AtomicU64, Ordering};
-use bravo::{BiasPolicy, BravoLock, DefaultRwLock, RawRwLock, TableHandle, WaitMode, WaitStrategy};
+use bravo::{DefaultRwLock, RawRwLock, WaitMode, WaitStrategy};
+use bravo_scenarios::{colliding_readers_release_together, primed_one_slot_lock, spawn_writer};
 use rwlocks::{CounterRwLock, RawMutex, TicketMutex};
 use schedcheck::{Config, FailureKind};
 
@@ -95,30 +98,6 @@ fn ticket_mutex_park_mode_excludes_under_pct() {
     });
 }
 
-/// A park-mode BRAVO lock over a one-slot private table, so every reader
-/// collides on the same slot, with reader bias primed from the root.
-fn primed_one_slot_lock() -> Arc<BravoLock<DefaultRwLock>> {
-    let lock = Arc::new(
-        BravoLock::<DefaultRwLock>::with_parts(
-            DefaultRwLock::with_wait(WaitMode::Park),
-            TableHandle::private(1),
-            BiasPolicy::paper_default(),
-        )
-        .with_wait_mode(WaitMode::Park),
-    );
-    lock.read_unlock(lock.read_lock());
-    lock
-}
-
-/// A thread that takes and releases write permission once.
-fn spawn_writer(lock: &Arc<BravoLock<DefaultRwLock>>) -> schedcheck::JoinHandle<()> {
-    let lock = Arc::clone(lock);
-    schedcheck::spawn(move || {
-        lock.write_lock();
-        lock.write_unlock();
-    })
-}
-
 #[test]
 fn bravo_revocation_handshake_survives_pct() {
     // The clean version of the scenario `tests/schedcheck_mutation.rs`
@@ -129,7 +108,10 @@ fn bravo_revocation_handshake_survives_pct() {
             let lock = primed_one_slot_lock();
             let reader = {
                 let lock = Arc::clone(&lock);
-                schedcheck::spawn(move || lock.read_unlock(lock.read_lock()))
+                schedcheck::spawn(move || {
+                    lock.read_lock();
+                    lock.read_unlock();
+                })
             };
             let writer = spawn_writer(&lock);
             reader.join();
@@ -140,46 +122,19 @@ fn bravo_revocation_handshake_survives_pct() {
 
 #[test]
 fn token_free_releases_of_colliding_readers_survive_pct() {
-    // The slow reader's re-derived slot is the fast reader's. Both release through the token-free method at once,
-    // and the writer that follows deadlocks if either release leaked a
-    // count on the underlying lock. A peek-then-swap release does: both
-    // readers see the publication, one swap frees it, and the other reader
-    // then frees nothing and skips its underlying release.
-    schedcheck::check(&Config::pct(0x70CE, 3).with_schedules(300), || {
-        let lock = primed_one_slot_lock();
-        let (turns, key) = (WaitStrategy::park(), 0x70ce_f4eeusize);
-        let stage = Arc::new(AtomicU64::new(0));
-        let fast = {
-            let (lock, stage) = (Arc::clone(&lock), Arc::clone(&stage));
-            schedcheck::spawn(move || {
-                assert!(lock.read_lock().is_fast());
-                stage.store(1, Ordering::SeqCst);
-                turns.notify_all(key);
-                turns.wait_until(key, || stage.load(Ordering::SeqCst) == 2);
-                lock.read_unlock_token_free();
-            })
-        };
-        let slow = {
-            let (lock, stage) = (Arc::clone(&lock), Arc::clone(&stage));
-            schedcheck::spawn(move || {
-                turns.wait_until(key, || stage.load(Ordering::SeqCst) == 1);
-                assert!(!lock.read_lock().is_fast(), "the only slot is taken");
-                stage.store(2, Ordering::SeqCst);
-                turns.notify_all(key);
-                lock.read_unlock_token_free();
-            })
-        };
-        fast.join();
-        slow.join();
-        spawn_writer(&lock).join();
-    });
+    // The slow reader's re-derived slot is the fast reader's, and both
+    // release at once.
+    schedcheck::check(
+        &Config::pct(0x70CE, 3).with_schedules(300),
+        colliding_readers_release_together,
+    );
 }
 
 #[test]
 fn a_backed_out_publication_freed_by_a_token_free_release_is_not_leaked() {
     // A fast reader publishes after a writer's scan, sees the bias gone
     // and backs out; meanwhile the writer leaves and a slow reader's
-    // token-free release frees that publication and keeps its own count.
+    // release frees that publication and keeps its own count.
     // The backing-out reader must take over that count, or the count
     // leaks and the final writer deadlocks.
     // The window needs four threads in a narrow order; a random walk finds
@@ -191,7 +146,7 @@ fn a_backed_out_publication_freed_by_a_token_free_release_is_not_leaked() {
                 let lock = Arc::clone(&lock);
                 schedcheck::spawn(move || {
                     let _ = lock.read_lock();
-                    lock.read_unlock_token_free();
+                    lock.read_unlock();
                 })
             })
             .collect();

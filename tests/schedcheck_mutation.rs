@@ -1,24 +1,33 @@
-//! The model checker's self-test: re-introduce a real, already-fixed bug
-//! and prove schedcheck finds it.
+//! The model checker's self-test: re-introduce real, already-fixed bugs
+//! and prove schedcheck finds them.
 //!
 //! The parking-waiter PR fixed a missing wakeup on BRAVO's fast-path
 //! back-out: a reader that published its visible-readers-table slot, lost
 //! the race with a revoking writer, and cleared the slot *without* waking
-//! the writer parked on it. `bravo::lock::mutation` re-introduces exactly
-//! that bug behind the `schedcheck` feature. This test asserts the checker
-//! (a) passes the clean scenario, (b) drives the seeded bug to its deadlock
-//! within a bounded schedule budget, and (c) prints a seed token that
-//! replays the failing interleaving byte-for-byte.
+//! the writer parked on it. The token-free release had to avoid a
+//! peek-then-free race: a release that sees its slot hold the lock, frees
+//! it and skips the underlying lock, although a colliding release freed
+//! the slot first. `bravo::lock::mutation` re-introduces each bug behind
+//! the `schedcheck` feature. The tests assert the checker (a) passes the
+//! clean scenario, (b) drives the seeded bug to its deadlock within a
+//! bounded schedule budget, and (c) for the lost wakeup, prints a seed
+//! token that replays the failing interleaving byte-for-byte.
 //!
-//! Runs single-threaded by construction: the mutation flag is process-wide,
-//! so this file holds exactly one `#[test]`.
+//! The mutation flags are process-wide, so each test holds [`SERIAL`]
+//! while it runs.
 #![cfg(feature = "schedcheck")]
 
-use std::sync::Arc;
+mod bravo_scenarios;
+
+use std::sync::{Arc, Mutex, PoisonError};
 
 use bravo::lock::mutation;
 use bravo::{BiasPolicy, BravoLock, DefaultRwLock, RawRwLock, TableHandle, WaitMode};
+use bravo_scenarios::colliding_readers_release_together;
 use schedcheck::{Config, FailureKind};
+
+/// Serializes the tests of this file: each sets process-wide flags.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// The revocation handshake, built so the lost-wakeup mutation turns into a
 /// *global* deadlock the checker can prove:
@@ -39,13 +48,14 @@ fn revocation_scenario() {
     );
     // Prime reader bias from the root so the spawned reader takes the fast
     // path (publish slot, re-check rbias).
-    lock.read_unlock(lock.read_lock());
+    lock.read_lock();
+    lock.read_unlock();
 
     let reader = {
         let lock = Arc::clone(&lock);
         schedcheck::spawn(move || {
-            if let Some(token) = lock.try_read_lock() {
-                lock.read_unlock(token);
+            if lock.try_read_lock().is_some() {
+                lock.read_unlock();
             }
         })
     };
@@ -62,6 +72,7 @@ fn revocation_scenario() {
 
 #[test]
 fn checker_finds_reintroduced_lost_wakeup() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     // Clean first: the fixed protocol must survive the same exploration
     // budget the mutation hunt gets per seed batch.
     mutation::set_lost_wakeup(false);
@@ -115,5 +126,38 @@ fn checker_finds_reintroduced_lost_wakeup() {
     // harmless — the wakeup is the whole difference.
     let report = schedcheck::run(&Config::replay(&failure.seed_token), revocation_scenario)
         .unwrap_or_else(|f| panic!("fixed code failed the bug's own schedule: {f}"));
+    assert_eq!(report.schedules, 1);
+}
+
+#[test]
+fn checker_finds_reintroduced_peek_then_free_release() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    // Clean first, on the budget `schedcheck_locks.rs` gives the scenario.
+    mutation::set_peek_then_free(false);
+    let report = schedcheck::run(
+        &Config::pct(0x70CE, 3).with_schedules(300),
+        colliding_readers_release_together,
+    )
+    .unwrap_or_else(|f| panic!("clean colliding-readers scenario failed: {f}"));
+    assert_eq!(report.schedules, 300);
+
+    // The bug needs both releases to peek before either frees the slot;
+    // this seed reaches that window after about a thousand schedules.
+    mutation::set_peek_then_free(true);
+    let failure = schedcheck::run(
+        &Config::pct(0x70CE, 3).with_schedules(3_000),
+        colliding_readers_release_together,
+    );
+    mutation::set_peek_then_free(false);
+    let failure = failure.expect_err("the seeded peek-then-free release must leak a count");
+    assert_eq!(failure.kind, FailureKind::Deadlock, "failure: {failure}");
+
+    // With the mutation off, the very interleaving that deadlocked is
+    // harmless.
+    let report = schedcheck::run(
+        &Config::replay(&failure.seed_token),
+        colliding_readers_release_together,
+    )
+    .unwrap_or_else(|f| panic!("fixed code failed the bug's own schedule: {f}"));
     assert_eq!(report.schedules, 1);
 }
