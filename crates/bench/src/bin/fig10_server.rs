@@ -89,23 +89,13 @@ fn main() {
         // handler pool is oversubscribed, which is exactly where wait=park
         // should shed spin cycles — the parked_waits column shows it.
         specs.push(LockKind::Ba.spec().with_wait(WaitMode::Park));
-        specs.push(
-            LockKind::BravoBa
-                .spec()
-                .with_wait(WaitMode::Park)
-                .with_adapt(true),
-        );
+        specs.push(LockKind::BravoBa.spec().with_wait(WaitMode::Park));
         // The futex twins of the parking rows: same oversubscribed handler
         // pool, but blocking through the kernel word directly — the
         // futex_waits/futex_wakes/futex_eagain columns separate real
         // sleeps from bounced (EAGAIN) syscalls.
         specs.push(LockKind::Ba.spec().with_wait(WaitMode::Futex));
-        specs.push(
-            LockKind::BravoBa
-                .spec()
-                .with_wait(WaitMode::Futex)
-                .with_adapt(true),
-        );
+        specs.push(LockKind::BravoBa.spec().with_wait(WaitMode::Futex));
         // And the sharded store: eight key-hashed GetLocks instead of one,
         // so the high-connection rows show what spreading the readers (and
         // above all the writers) across shards buys on top of BRAVO.

@@ -34,15 +34,10 @@ fn main() {
 
     let mut bases = args.lock_specs(&[LockKind::BravoBa]);
     if args.locks.is_empty() {
-        // The default sweep also exercises the parking wait strategy and the
-        // adaptive bias controller, so the CSV shows their cost (or lack of
-        // it) next to the spinning baseline.
-        bases.push(
-            LockKind::BravoBa
-                .spec()
-                .with_wait(WaitMode::Park)
-                .with_adapt(true),
-        );
+        // The default sweep also exercises the parking wait strategy, so
+        // the CSV shows its cost (or lack of it) next to the spinning
+        // baseline.
+        bases.push(LockKind::BravoBa.spec().with_wait(WaitMode::Park));
     }
     let threads = match mode {
         bench::RunMode::Quick => 8,
@@ -63,16 +58,13 @@ fn main() {
         "xlock_collisions",
         "scan_slots_per_revoke",
         "wait_mode",
-        "adapt_flips",
         "parked_waits",
     ]);
     for base in &bases {
         for &locks in &pools {
-            // Process totals bracket the whole cell (all repetitions).
-            // Parked waits are recorded per thread by the wait layer, which
-            // has no per-lock sink; adaptive flips are recorded by each
-            // pool lock's own sink, and the totals keep a dropped pool's
-            // counts.
+            // Process totals bracket the whole cell (all repetitions):
+            // parked waits are recorded per thread by the wait layer, which
+            // has no per-lock sink.
             let before = bravo::stats::snapshot();
             let mut runs: Vec<InterferenceResult> = (0..mode.repetitions())
                 .map(|_| {
@@ -96,7 +88,6 @@ fn main() {
                 result.shared_collisions.to_string(),
                 fmt_f64(result.scan_slots_per_revocation()),
                 base.wait().to_string(),
-                delta.adapt_flips.to_string(),
                 delta.parked_waits.to_string(),
             ]);
         }

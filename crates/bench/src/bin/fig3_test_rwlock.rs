@@ -31,15 +31,9 @@ fn main() {
 
     let mut specs = args.lock_specs(LockKind::paper_set());
     if args.locks.is_empty() {
-        // The default sweep includes one parking + adaptive composite so
-        // the CSV carries policy flips and parked-wait counts next to the
-        // spinning paper set.
-        specs.push(
-            LockKind::BravoBa
-                .spec()
-                .with_wait(WaitMode::Park)
-                .with_adapt(true),
-        );
+        // The default sweep includes one parking composite so the CSV
+        // carries parked-wait counts next to the spinning paper set.
+        specs.push(LockKind::BravoBa.spec().with_wait(WaitMode::Park));
     }
     header(&[
         "readers",
@@ -48,7 +42,6 @@ fn main() {
         "ops_per_msec",
         "fast_read_pct",
         "wait_mode",
-        "adapt_flips",
         "parked_waits",
     ]);
     for threads in mode.thread_series() {
@@ -71,7 +64,6 @@ fn main() {
                 fmt_f64(per_msec),
                 fast_read_cell(&lock.snapshot()),
                 spec.wait().to_string(),
-                lock.snapshot().adapt_flips.to_string(),
                 delta.parked_waits.to_string(),
             ]);
         }

@@ -149,19 +149,15 @@ fn main() {
     }
 
     // Blocking-mode coverage: every catalog kind must build and make
-    // progress with `wait=park` and `wait=futex` (BRAVO kinds additionally
-    // run the adaptive bias controller), under 2x-core oversubscription so
-    // waits actually sleep rather than winning the spin grace period. The
-    // futex rows fall back to the park path where the syscall is
-    // unavailable, so the sweep is meaningful on every target.
+    // progress with `wait=park` and `wait=futex`, under 2x-core
+    // oversubscription so waits actually sleep rather than winning the spin
+    // grace period. The futex rows fall back to the park path where the
+    // syscall is unavailable, so the sweep is meaningful on every target.
     let cpus = std::thread::available_parallelism().map_or(2, |n| n.get());
     let park_threads = (cpus * 2).clamp(4, 32);
     for wait in [WaitMode::Park, WaitMode::Futex] {
         for &kind in LockKind::all() {
-            let mut spec = kind.spec().with_wait(wait);
-            if kind.is_bravo() {
-                spec = spec.with_adapt(true);
-            }
+            let spec = kind.spec().with_wait(wait);
             let lock = build_or_exit(&spec);
             let t = test_rwlock(
                 &lock,
@@ -184,21 +180,11 @@ fn main() {
     // attribution via the GetLock's sink.
     let mut server_specs = args.lock_specs(&[LockKind::Ba, LockKind::BravoBa]);
     if args.locks.is_empty() {
-        // One parking + adaptive composite so the summary pass also covers
-        // parked handler threads under the mux backend's oversubscription,
-        // and its futex twin so the serving rows carry both blocking modes.
-        server_specs.push(
-            LockKind::BravoBa
-                .spec()
-                .with_wait(WaitMode::Park)
-                .with_adapt(true),
-        );
-        server_specs.push(
-            LockKind::BravoBa
-                .spec()
-                .with_wait(WaitMode::Futex)
-                .with_adapt(true),
-        );
+        // One parking composite so the summary pass also covers parked
+        // handler threads under the mux backend's oversubscription, and its
+        // futex twin so the serving rows carry both blocking modes.
+        server_specs.push(LockKind::BravoBa.spec().with_wait(WaitMode::Park));
+        server_specs.push(LockKind::BravoBa.spec().with_wait(WaitMode::Futex));
     }
     let mut serving_json = Vec::new();
     for backend in server::BackendKind::all() {
@@ -347,7 +333,7 @@ fn main() {
     // BRAVO statistics over the whole pass (process-global aggregate; the
     // per-lock rows above carry each lock's own fast-read fraction).
     let delta = bravo::stats::snapshot().since(&before);
-    let stats: [(&str, String); 14] = [
+    let stats: [(&str, String); 13] = [
         ("fast_read_fraction", fmt_f64(delta.fast_read_fraction())),
         ("total_reads", delta.total_reads().to_string()),
         ("fast_reads", delta.fast_reads.to_string()),
@@ -361,7 +347,6 @@ fn main() {
         ("revocations", delta.revocations.to_string()),
         ("revocation_fraction", fmt_f64(delta.revocation_fraction())),
         ("parked_waits", delta.parked_waits.to_string()),
-        ("adapt_flips", delta.adapt_flips.to_string()),
         ("futex_waits", delta.futex_waits.to_string()),
         ("futex_wakes", delta.futex_wakes.to_string()),
         ("futex_eagain", delta.futex_eagain.to_string()),
@@ -380,19 +365,18 @@ fn main() {
     }
     if let Some(results) = results {
         // Machine-readable summary for CI trend tracking: headline lock
-        // behaviour (fast-read fraction, parking and adaptive activity) plus
+        // behaviour (fast-read fraction, parking and futex activity) plus
         // the serving rows, which carry the mux-backend throughput.
         let json = format!(
             "{{\n  \"fast_read_fraction\": {},\n  \"total_reads\": {},\n  \
              \"revocations\": {},\n  \"parked_waits\": {},\n  \
-             \"adapt_flips\": {},\n  \"futex_waits\": {},\n  \
-             \"futex_wakes\": {},\n  \"futex_eagain\": {},\n  \
+             \"futex_waits\": {},\n  \"futex_wakes\": {},\n  \
+             \"futex_eagain\": {},\n  \
              \"serving\": [\n    {}\n  ]\n}}\n",
             fmt_f64(delta.fast_read_fraction()),
             delta.total_reads(),
             delta.revocations,
             delta.parked_waits,
-            delta.adapt_flips,
             delta.futex_waits,
             delta.futex_wakes,
             delta.futex_eagain,

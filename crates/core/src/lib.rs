@@ -100,7 +100,7 @@ pub mod vrt;
 pub mod wait;
 
 pub use lock::{BravoLock, TRY_WRITE_BUDGET};
-pub use policy::{AdaptiveBias, BiasPolicy, PolicyFlip, DEFAULT_INHIBIT_MULTIPLIER};
+pub use policy::{BiasPolicy, DEFAULT_INHIBIT_MULTIPLIER};
 pub use raw::{AnonymousReaders, DefaultRwLock, RawRwLock, RawTryRwLock, TryLockError};
 pub use rwlock::{BravoReadGuard, BravoRwLock, BravoWriteGuard};
 pub use spec::{LockHandle, LockSpec, SpecError, SpecParseError, TableSpec};

@@ -9,13 +9,12 @@
 //! rwsem and the guard-based, data-carrying form in [`crate::rwlock`] all
 //! release one way.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::clock::now_ns;
-use crate::policy::{AdaptiveBias, BiasPolicy};
+use crate::policy::BiasPolicy;
 use crate::raw::{AnonymousReaders, DefaultRwLock, RawRwLock, RawTryRwLock, TryLockError};
 use crate::stats::{SlowReadReason, StatsSink};
 use crate::vrt::TableHandle;
@@ -78,12 +77,14 @@ pub mod mutation {
 
 /// A reader-writer lock `A` transformed into `BRAVO-A`.
 ///
-/// The structure adds exactly the two fields the paper describes — the
-/// reader-bias flag and the inhibit-until timestamp — plus the handle to the
-/// visible readers table (globally shared by default, hence zero bytes of
-/// per-lock state in the paper's C embodiment) and the bias policy. Either
-/// table layout — flat or sectored — can stand behind the handle; BRAVO-2D
-/// is this lock over [`TableHandle::global_sectored`].
+/// The structure adds the two fields the paper describes — the reader-bias
+/// flag and the inhibit-until timestamp — plus the handle to the visible
+/// readers table (globally shared by default, hence zero bytes of per-lock
+/// state in the paper's C embodiment), the bias policy, the statistics sink
+/// and the revocation's wait strategy. The policy alone decides when a slow
+/// reader may re-enable bias. Either table layout — flat or sectored — can
+/// stand behind the handle; BRAVO-2D is this lock over
+/// [`TableHandle::global_sectored`].
 ///
 /// The underlying lock's read holds must be [`AnonymousReaders`]. Those of
 /// a `BravoLock` are not, so BRAVO does not nest:
@@ -99,7 +100,6 @@ pub struct BravoLock<L: AnonymousReaders = DefaultRwLock> {
     policy: BiasPolicy,
     stats: StatsSink,
     wait: WaitStrategy,
-    adapt: Option<Arc<AdaptiveBias>>,
 }
 
 impl<L: AnonymousReaders> Default for BravoLock<L> {
@@ -145,23 +145,15 @@ impl<L: AnonymousReaders> BravoLock<L> {
             policy,
             stats,
             wait: WaitStrategy::spin(),
-            adapt: None,
         }
     }
 
     /// Sets how this lock's *revocation* waits behave (its own only wait
     /// site; readers' waits live in the underlying lock, which the catalog
-    /// constructs with the same mode). In park mode, fast-path readers also
-    /// notify the lock address as they clear their slots.
+    /// constructs with the same mode). In park and futex modes, fast-path
+    /// readers also notify the lock address as they clear their slots.
     pub fn with_wait_mode(mut self, mode: WaitMode) -> Self {
         self.wait = WaitStrategy::new(mode);
-        self
-    }
-
-    /// Attaches an adaptive bias gate (the `adapt=on` spec knob): bias may
-    /// only be (re-)enabled while the gate allows it.
-    pub fn with_adaptive(mut self, adapt: Arc<AdaptiveBias>) -> Self {
-        self.adapt = Some(adapt);
         self
     }
 
@@ -173,11 +165,6 @@ impl<L: AnonymousReaders> BravoLock<L> {
     /// The wait mode this lock's revocation scans use.
     pub fn wait_mode(&self) -> WaitMode {
         self.wait.mode()
-    }
-
-    /// The adaptive bias gate, when one is attached.
-    pub fn adaptive(&self) -> Option<&Arc<AdaptiveBias>> {
-        self.adapt.as_ref()
     }
 
     /// Creates a BRAVO lock with a given policy over the global table.
@@ -278,27 +265,16 @@ impl<L: AnonymousReaders> BravoLock<L> {
 
     /// Bookkeeping once the underlying lock has granted a slow read.
     fn slow_read_acquired(&self, reason: SlowReadReason) {
-        self.tick_adaptive();
         self.maybe_enable_bias();
         self.stats.record_slow_read(reason);
     }
 
-    /// Offers the adaptive gate (if any) a chance to close its epoch.
-    /// Called from slow paths only, never from the read fast path.
-    #[inline]
-    fn tick_adaptive(&self) {
-        if let Some(adapt) = &self.adapt {
-            adapt.tick(now_ns(), &self.stats);
-        }
-    }
-
-    /// Re-enables bias if the policy (and the adaptive gate, when attached)
-    /// allows. Must only be called while the caller holds read permission on
-    /// the underlying lock: that is what makes the store race-free against
-    /// writers (they hold the underlying lock exclusively while revoking).
+    /// Re-enables bias if the policy allows. Must only be called while the
+    /// caller holds read permission on the underlying lock: that is what
+    /// makes the store race-free against writers (they hold the underlying
+    /// lock exclusively while revoking).
     fn maybe_enable_bias(&self) {
         if !self.rbias.load(Ordering::Relaxed)
-            && self.adapt.as_ref().map_or(true, |a| a.allows_bias())
             && self
                 .policy
                 .should_enable(now_ns(), self.inhibit_until.load(Ordering::Relaxed))
@@ -359,7 +335,6 @@ impl<L: AnonymousReaders> BravoLock<L> {
     /// `false` if published fast readers outlived `deadline_ns`; bias is then
     /// restored and the caller must release the underlying lock.
     fn revoke_if_biased(&self, deadline_ns: u64) -> bool {
-        self.tick_adaptive();
         if !self.rbias.load(Ordering::Relaxed) {
             self.stats.record_write(None);
             return true;
@@ -722,36 +697,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(value.load(Ordering::Relaxed), 2 * 2_000);
-    }
-
-    #[test]
-    fn adaptive_gate_defers_bias_until_reads_dominate() {
-        let adapt = Arc::new(crate::policy::AdaptiveBias::with_epoch(1));
-        let l = BravoLock::<DefaultRwLock>::with_instrumented(
-            DefaultRwLock::new(),
-            TableHandle::private(64),
-            BiasPolicy::paper_default(),
-            StatsSink::per_lock(),
-        )
-        .with_adaptive(Arc::clone(&adapt));
-        // With the gate still closed the first reads stay slow and do NOT
-        // enable bias (an un-gated lock enables it on the first slow read).
-        assert!(!l.read_lock());
-        l.read_unlock();
-        assert!(!l.is_reader_biased(), "closed gate must block bias");
-        // A read-dominated stream opens the gate within an epoch or two
-        // (epoch = 1 ns here, so every slow read gets to evaluate).
-        for _ in 0..100 {
-            l.read_lock();
-            l.read_unlock();
-        }
-        assert!(adapt.allows_bias(), "read-only workload must open the gate");
-        assert!(adapt.flips() >= 1);
-        assert!(l.is_reader_biased());
-        assert!(l.read_lock(), "open gate restores the fast path");
-        l.read_unlock();
-        assert!(l.stats().snapshot().adapt_flips >= 1);
-        assert_eq!(l.adaptive().unwrap().flips(), adapt.flips());
     }
 
     #[test]

@@ -13,17 +13,8 @@
 //! * **Bernoulli** (the early prototype): a slow-path reader enables bias
 //!   with fixed probability `1/P` using a thread-local xorshift generator,
 //!   with no slow-down guard. Kept for the policy-ablation benchmarks.
-//!
-//! Layered on top of either policy, [`AdaptiveBias`] (the `adapt=on` spec
-//! knob) samples a lock's own read/write counters on epoch boundaries and
-//! gates whether bias may be enabled *at all*, turning the static
-//! "which spec?" question into an online per-lock answer.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
-
-use crate::stats::StatsSink;
 
 /// The paper's slow-down multiplier: revocation cost is amortized over
 /// `N = 9` quiet periods, bounding writer slow-down to roughly 10 %.
@@ -120,179 +111,6 @@ impl BiasPolicy {
     }
 }
 
-/// Epoch length the adaptive sampler re-evaluates on, in nanoseconds. Short
-/// enough that even a `--quick` benchmark interval spans many epochs, long
-/// enough that each epoch accumulates a meaningful ratio.
-pub const DEFAULT_ADAPT_EPOCH_NS: u64 = 2_000_000;
-
-/// Read ratio at or above which a disabled adaptive gate opens.
-const ADAPT_ENABLE_THRESHOLD: f64 = 0.9;
-
-/// Read ratio below which an open adaptive gate closes (hysteresis: between
-/// the two thresholds the previous decision stands).
-const ADAPT_DISABLE_THRESHOLD: f64 = 0.5;
-
-/// One recorded decision of the adaptive sampler.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PolicyFlip {
-    /// Monotonic time of the decision ([`crate::clock::now_ns`]).
-    pub at_ns: u64,
-    /// Epoch ordinal (1 = first evaluated epoch) the decision closed.
-    pub epoch: u64,
-    /// Read fraction `reads / (reads + writes)` observed over that epoch.
-    pub read_ratio: f64,
-    /// The new state: `true` means fast-path publishing is now allowed.
-    pub enabled: bool,
-}
-
-/// Online per-lock bias gating from observed read/write ratios.
-///
-/// The static [`BiasPolicy`] answers *when after a revocation* bias may
-/// return; it has no opinion about whether this lock's workload wants bias
-/// at all. `AdaptiveBias` adds that second gate: on each epoch boundary one
-/// thread samples the lock's [`StatsSink`] counters, computes the epoch's
-/// read ratio, and opens the gate when reads dominate (≥ 90 %) or closes
-/// it when writers take over (< 50 %); the gap between the two thresholds
-/// is hysteresis.
-///
-/// The gate starts **closed**: a read-dominated workload earns bias within
-/// an epoch or two (recording the flip that proves the sampler ran), while
-/// a write-heavy workload never pays the first revocation.
-///
-/// Closing the gate never touches the lock's `rbias` flag directly — that
-/// may only be cleared by a writer holding the underlying lock exclusively.
-/// The gate merely stops slow-path readers from re-enabling bias, so an
-/// already-biased lock decays at its next revocation.
-pub struct AdaptiveBias {
-    allowed: AtomicBool,
-    epoch_ns: u64,
-    /// End of the epoch currently being accumulated; 0 until the first tick.
-    next_epoch_ns: AtomicU64,
-    epochs: AtomicU64,
-    last_reads: AtomicU64,
-    last_writes: AtomicU64,
-    flips: AtomicU64,
-    log: Mutex<Vec<PolicyFlip>>,
-}
-
-impl AdaptiveBias {
-    /// A sampler with the default epoch ([`DEFAULT_ADAPT_EPOCH_NS`]).
-    pub fn new() -> Self {
-        Self::with_epoch(DEFAULT_ADAPT_EPOCH_NS)
-    }
-
-    /// A sampler that re-evaluates every `epoch_ns` nanoseconds.
-    pub fn with_epoch(epoch_ns: u64) -> Self {
-        Self {
-            allowed: AtomicBool::new(false),
-            epoch_ns: epoch_ns.max(1),
-            next_epoch_ns: AtomicU64::new(0),
-            epochs: AtomicU64::new(0),
-            last_reads: AtomicU64::new(0),
-            last_writes: AtomicU64::new(0),
-            flips: AtomicU64::new(0),
-            log: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Whether the gate currently lets slow-path readers enable bias.
-    #[inline]
-    pub fn allows_bias(&self) -> bool {
-        self.allowed.load(Ordering::Relaxed)
-    }
-
-    /// Number of enable/disable flips taken so far.
-    pub fn flips(&self) -> u64 {
-        self.flips.load(Ordering::Relaxed)
-    }
-
-    /// The recorded flip history (epoch, ratio, decision per entry).
-    pub fn log(&self) -> Vec<PolicyFlip> {
-        self.log.lock().expect("adaptive log poisoned").clone()
-    }
-
-    /// Offers the sampler a chance to close the current epoch. Called from
-    /// lock slow paths (never the read fast path); returns immediately
-    /// unless `now_ns` crossed the epoch boundary, and elects exactly one
-    /// caller per boundary to evaluate.
-    #[inline]
-    pub fn tick(&self, now_ns: u64, sink: &StatsSink) {
-        let next = self.next_epoch_ns.load(Ordering::Relaxed);
-        if now_ns < next {
-            return;
-        }
-        if self
-            .next_epoch_ns
-            .compare_exchange(
-                next,
-                now_ns + self.epoch_ns,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            )
-            .is_err()
-        {
-            return;
-        }
-        if next == 0 {
-            // First tick: start the clock, establish the baseline counters.
-            let snap = sink.snapshot();
-            self.last_reads.store(snap.total_reads(), Ordering::Relaxed);
-            self.last_writes.store(snap.writes, Ordering::Relaxed);
-            return;
-        }
-        self.evaluate(now_ns, sink);
-    }
-
-    fn evaluate(&self, now_ns: u64, sink: &StatsSink) {
-        let epoch = self.epochs.fetch_add(1, Ordering::Relaxed) + 1;
-        let snap = sink.snapshot();
-        let reads = snap.total_reads();
-        let writes = snap.writes;
-        let delta_reads = reads.saturating_sub(self.last_reads.swap(reads, Ordering::Relaxed));
-        let delta_writes = writes.saturating_sub(self.last_writes.swap(writes, Ordering::Relaxed));
-        if delta_reads + delta_writes == 0 {
-            // Idle epoch: no evidence either way.
-            return;
-        }
-        let read_ratio = delta_reads as f64 / (delta_reads + delta_writes) as f64;
-        let currently = self.allowed.load(Ordering::Relaxed);
-        let decision = if currently {
-            read_ratio >= ADAPT_DISABLE_THRESHOLD
-        } else {
-            read_ratio >= ADAPT_ENABLE_THRESHOLD
-        };
-        if decision != currently {
-            self.allowed.store(decision, Ordering::Relaxed);
-            self.flips.fetch_add(1, Ordering::Relaxed);
-            sink.record_adapt_flip();
-            self.log
-                .lock()
-                .expect("adaptive log poisoned")
-                .push(PolicyFlip {
-                    at_ns: now_ns,
-                    epoch,
-                    read_ratio,
-                    enabled: decision,
-                });
-        }
-    }
-}
-
-impl Default for AdaptiveBias {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for AdaptiveBias {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdaptiveBias")
-            .field("allowed", &self.allows_bias())
-            .field("flips", &self.flips())
-            .finish()
-    }
-}
-
 thread_local! {
     static XORSHIFT_STATE: Cell<u64> = const { Cell::new(0) };
 }
@@ -374,77 +192,6 @@ mod tests {
     fn bernoulli_with_p_one_always_enables() {
         let p = BiasPolicy::Bernoulli { inverse_p: 1 };
         assert!(p.should_enable(0, u64::MAX));
-    }
-
-    #[test]
-    fn adaptive_gate_opens_on_read_dominance_and_closes_under_writes() {
-        let adapt = AdaptiveBias::with_epoch(1);
-        let sink = StatsSink::per_lock();
-        assert!(!adapt.allows_bias(), "gate starts closed");
-
-        // First tick establishes the baseline without deciding anything.
-        adapt.tick(10, &sink);
-        assert_eq!(adapt.flips(), 0);
-
-        // A read-only epoch opens the gate.
-        for _ in 0..100 {
-            sink.record_fast_read(topology::current_thread_id());
-        }
-        adapt.tick(20, &sink);
-        assert!(adapt.allows_bias());
-        assert_eq!(adapt.flips(), 1);
-
-        // A balanced epoch (ratio 0.5) keeps it open (hysteresis)...
-        for _ in 0..10 {
-            sink.record_fast_read(topology::current_thread_id());
-            sink.record_write(None);
-        }
-        adapt.tick(30, &sink);
-        assert!(adapt.allows_bias());
-        assert_eq!(adapt.flips(), 1);
-
-        // ...but a write-dominated epoch closes it again.
-        for _ in 0..100 {
-            sink.record_write(None);
-        }
-        adapt.tick(40, &sink);
-        assert!(!adapt.allows_bias());
-        assert_eq!(adapt.flips(), 2);
-
-        let log = adapt.log();
-        assert_eq!(log.len(), 2);
-        assert!(log[0].enabled && log[0].read_ratio >= 0.9);
-        assert!(!log[1].enabled && log[1].read_ratio < 0.5);
-        assert!(log[0].epoch < log[1].epoch);
-
-        // Flips were recorded in the sink's counters.
-        assert_eq!(sink.snapshot().adapt_flips, 2);
-    }
-
-    #[test]
-    fn adaptive_idle_epochs_do_not_flip() {
-        let adapt = AdaptiveBias::with_epoch(1);
-        let sink = StatsSink::per_lock();
-        adapt.tick(10, &sink);
-        adapt.tick(20, &sink);
-        adapt.tick(30, &sink);
-        assert_eq!(adapt.flips(), 0);
-        assert!(!adapt.allows_bias());
-        assert!(adapt.log().is_empty());
-    }
-
-    #[test]
-    fn adaptive_tick_is_cheap_before_the_boundary() {
-        let adapt = AdaptiveBias::with_epoch(1_000_000);
-        let sink = StatsSink::per_lock();
-        adapt.tick(10, &sink); // arms next_epoch = 10 + 1ms
-        for _ in 0..100 {
-            sink.record_fast_read(topology::current_thread_id());
-        }
-        adapt.tick(500_000, &sink); // inside the epoch: no evaluation
-        assert_eq!(adapt.flips(), 0);
-        adapt.tick(1_000_011, &sink); // boundary crossed: evaluates
-        assert!(adapt.allows_bias());
     }
 
     #[test]

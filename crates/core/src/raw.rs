@@ -7,27 +7,18 @@ use crate::wait::{WaitMode, WaitStrategy};
 
 /// Why a non-blocking acquisition did not grant permission.
 ///
-/// The split between [`RawRwLock`] (blocking operations) and
-/// [`RawTryRwLock`] (non-blocking operations) makes *capability* visible in
-/// the types; this error makes the *reason* for a refusal visible in the
-/// values, replacing the old `bool` that conflated "contended right now"
-/// with "this lock has no try path at all".
+/// Capability lives in the types: only a [`RawTryRwLock`] has try
+/// operations, so the one reason left for a refusal is contention.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TryLockError {
     /// The permission is held incompatibly right now; retrying can succeed.
     WouldBlock,
-    /// The lock algorithm provides no non-blocking path for this operation;
-    /// retrying can never succeed.
-    Unsupported,
 }
 
 impl std::fmt::Display for TryLockError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TryLockError::WouldBlock => f.write_str("lock is held; acquisition would block"),
-            TryLockError::Unsupported => {
-                f.write_str("lock algorithm has no non-blocking path for this operation")
-            }
         }
     }
 }

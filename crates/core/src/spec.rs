@@ -26,21 +26,18 @@
 //! | `bias` | `disabled`, `bernoulli:<inverse_p>`, `inhibit:<n>` | the other [`BiasPolicy`] forms (`inhibit:<n>` is the long form of `n=<n>`) |
 //! | `table` | `global`, `private:<slots>`, `sectored:<sectors>x<slots>` | the [`TableSpec`] |
 //! | `wait` | `spin`, `park`, `futex` | the [`WaitMode`] contended waiters use (parking queues or kernel futex sleeps instead of spinning; `futex` falls back to `park` where the syscall is unavailable) |
-//! | `adapt` | `on`, `off` | whether an [`AdaptiveBias`] controller gates bias on the sampled read ratio (BRAVO composites only) |
 //! | `shards` | integer ≥ 1 | how many key-hashed data shards a spec-driven store (e.g. `kvstore::Db`) partitions itself into, each shard guarded by its own lock built from this spec; `1` (the default) keeps the single-lock layout |
 //!
 //! A spec is resolved into a live lock by the catalog (`rwlocks::catalog`),
 //! which returns a [`LockHandle`]: the harness-facing object carrying the
-//! spec, its display label, the lock itself behind the blocking
-//! [`RawRwLock`] interface (plus the non-blocking [`RawTryRwLock`] interface
-//! when the algorithm honestly supports one), and the lock's own statistics
-//! channel.
+//! spec, its display label, the lock itself behind the [`RawTryRwLock`]
+//! interface, and the lock's own statistics channel.
 
 use std::str::FromStr;
 use std::sync::Arc;
 
-use crate::policy::{AdaptiveBias, BiasPolicy, DEFAULT_INHIBIT_MULTIPLIER};
-use crate::raw::{RawRwLock, RawTryRwLock, TryLockError};
+use crate::policy::{BiasPolicy, DEFAULT_INHIBIT_MULTIPLIER};
+use crate::raw::{RawTryRwLock, TryLockError};
 use crate::stats::{Snapshot, StatsSink};
 use crate::wait::WaitMode;
 
@@ -89,7 +86,7 @@ impl std::fmt::Display for TableSpec {
 }
 
 /// A declarative description of one lock: algorithm, bias policy, table
-/// layout, wait mode, adaptive gate and store sharding.
+/// layout, wait mode and store sharding.
 ///
 /// Construct with [`LockSpec::new`] plus the `with_*` builder methods, or
 /// parse the compact string form (see the [module docs](self)); `Display`
@@ -124,7 +121,6 @@ pub struct LockSpec {
     bias: BiasPolicy,
     table: TableSpec,
     wait: WaitMode,
-    adapt: bool,
     shards: usize,
 }
 
@@ -140,7 +136,6 @@ impl LockSpec {
             bias: BiasPolicy::paper_default(),
             table: TableSpec::Global,
             wait: WaitMode::Spin,
-            adapt: false,
             shards: 1,
         }
     }
@@ -160,12 +155,6 @@ impl LockSpec {
     /// Replaces the wait mode contended waiters use.
     pub fn with_wait(mut self, wait: WaitMode) -> Self {
         self.wait = wait;
-        self
-    }
-
-    /// Enables or disables the adaptive bias controller.
-    pub fn with_adapt(mut self, adapt: bool) -> Self {
-        self.adapt = adapt;
         self
     }
 
@@ -196,11 +185,6 @@ impl LockSpec {
     /// The wait mode contended waiters use.
     pub fn wait(&self) -> WaitMode {
         self.wait
-    }
-
-    /// Whether the adaptive bias controller is enabled.
-    pub fn adapt(&self) -> bool {
-        self.adapt
     }
 
     /// How many key-hashed data shards a spec-driven store partitions
@@ -241,9 +225,6 @@ impl std::fmt::Display for LockSpec {
         }
         if self.wait != WaitMode::Spin {
             param(f, format!("wait={}", self.wait))?;
-        }
-        if self.adapt {
-            param(f, "adapt=on".to_string())?;
         }
         if self.shards != 1 {
             param(f, format!("shards={}", self.shards))?;
@@ -321,17 +302,6 @@ impl FromStr for LockSpec {
                         ))
                     })?;
                 }
-                "adapt" => {
-                    spec.adapt = match value.trim() {
-                        "on" => true,
-                        "off" => false,
-                        other => {
-                            return Err(SpecParseError::new(format!(
-                                "adapt must be 'on' or 'off', got '{other}'"
-                            )))
-                        }
-                    };
-                }
                 "shards" => {
                     let shards = value.trim().parse::<usize>().map_err(|_| {
                         SpecParseError::new(format!("shards must be an integer, got '{value}'"))
@@ -343,8 +313,7 @@ impl FromStr for LockSpec {
                 }
                 other => {
                     return Err(SpecParseError::new(format!(
-                        "unknown parameter '{other}' (expected n, bias, table, wait, adapt \
-                         or shards)"
+                        "unknown parameter '{other}' (expected n, bias, table, wait or shards)"
                     )));
                 }
             }
@@ -450,12 +419,6 @@ pub enum SpecError {
         /// The algorithm the spec named.
         kind: String,
     },
-    /// The spec enables adaptive bias (`adapt=on`) but the algorithm is not
-    /// a BRAVO composite, so there is no bias to adapt.
-    UnsupportedAdapt {
-        /// The algorithm the spec named.
-        kind: String,
-    },
 }
 
 impl std::fmt::Display for SpecError {
@@ -480,12 +443,6 @@ impl std::fmt::Display for SpecError {
                     "lock kind '{kind}' is not a BRAVO composite; a bias policy has no effect on it"
                 )
             }
-            SpecError::UnsupportedAdapt { kind } => {
-                write!(
-                    f,
-                    "lock kind '{kind}' is not a BRAVO composite; adapt=on has no bias to adapt"
-                )
-            }
         }
     }
 }
@@ -496,23 +453,19 @@ impl std::error::Error for SpecError {}
 /// passes around.
 ///
 /// The handle carries the spec it was built from, a display label for result
-/// tables, the lock behind the blocking [`RawRwLock`] interface, the
-/// non-blocking [`RawTryRwLock`] interface *when the algorithm honestly
-/// provides one* (see [`LockHandle::supports_try_write`]), and the lock's
-/// statistics channel. Cloning is cheap (the lock is shared).
+/// tables, the lock behind the [`RawTryRwLock`] interface (which every
+/// cataloged algorithm implements, so every handle has an honest try path)
+/// and the lock's statistics channel. Cloning is cheap (the lock is shared).
 #[derive(Clone)]
 pub struct LockHandle {
     spec: LockSpec,
     label: String,
-    blocking: Arc<dyn RawRwLock>,
-    non_blocking: Option<Arc<dyn RawTryRwLock>>,
+    lock: Arc<dyn RawTryRwLock>,
     stats: StatsSink,
-    adapt: Option<Arc<AdaptiveBias>>,
 }
 
 impl LockHandle {
-    /// Wraps a lock that supports both blocking and non-blocking
-    /// acquisition.
+    /// Wraps a lock built from `spec`, recording into `stats`.
     pub fn from_try_lock<L>(spec: LockSpec, lock: Arc<L>, stats: StatsSink) -> Self
     where
         L: RawTryRwLock + 'static,
@@ -521,40 +474,9 @@ impl LockHandle {
         Self {
             spec,
             label,
-            blocking: lock.clone(),
-            non_blocking: Some(lock),
+            lock,
             stats,
-            adapt: None,
         }
-    }
-
-    /// Wraps a lock that only supports blocking acquisition; the handle's
-    /// try operations will report [`TryLockError::Unsupported`].
-    pub fn from_blocking<L>(spec: LockSpec, lock: Arc<L>, stats: StatsSink) -> Self
-    where
-        L: RawRwLock + 'static,
-    {
-        let label = spec.to_string();
-        Self {
-            spec,
-            label,
-            blocking: lock,
-            non_blocking: None,
-            stats,
-            adapt: None,
-        }
-    }
-
-    /// Attaches the adaptive bias controller shared with the built lock, so
-    /// harnesses can read its flip log and count after a run.
-    pub fn with_adaptive(mut self, adapt: Arc<AdaptiveBias>) -> Self {
-        self.adapt = Some(adapt);
-        self
-    }
-
-    /// The adaptive bias controller, when the spec said `adapt=on`.
-    pub fn adaptive(&self) -> Option<&Arc<AdaptiveBias>> {
-        self.adapt.as_ref()
     }
 
     /// The spec this lock was built from.
@@ -594,16 +516,9 @@ impl LockHandle {
         self.stats.snapshot()
     }
 
-    /// Whether this lock provides an honest non-blocking write path. When
-    /// `false`, [`LockHandle::try_lock_exclusive`] always returns
-    /// [`TryLockError::Unsupported`] instead of failing silently.
-    pub fn supports_try_write(&self) -> bool {
-        self.non_blocking.is_some()
-    }
-
     /// Acquires shared (read) permission, blocking until granted.
     pub fn lock_shared(&self) {
-        self.blocking.lock_shared();
+        self.lock.lock_shared();
     }
 
     /// Releases shared permission.
@@ -612,34 +527,28 @@ impl LockHandle {
     /// re-derives its table slot from (lock, thread id), so a thread id
     /// must also never be reused while its thread holds a read.
     pub fn unlock_shared(&self) {
-        self.blocking.unlock_shared();
+        self.lock.unlock_shared();
     }
 
     /// Acquires exclusive (write) permission, blocking until granted.
     pub fn lock_exclusive(&self) {
-        self.blocking.lock_exclusive();
+        self.lock.lock_exclusive();
     }
 
     /// Releases exclusive permission.
     pub fn unlock_exclusive(&self) {
-        self.blocking.unlock_exclusive();
+        self.lock.unlock_exclusive();
     }
 
     /// Attempts to acquire shared permission without blocking.
     pub fn try_lock_shared(&self) -> Result<(), TryLockError> {
-        match &self.non_blocking {
-            Some(lock) => lock.try_lock_shared(),
-            None => Err(TryLockError::Unsupported),
-        }
+        self.lock.try_lock_shared()
     }
 
     /// Attempts to acquire exclusive permission without blocking
     /// indefinitely (implementations may use a short bounded wait).
     pub fn try_lock_exclusive(&self) -> Result<(), TryLockError> {
-        match &self.non_blocking {
-            Some(lock) => lock.try_lock_exclusive(),
-            None => Err(TryLockError::Unsupported),
-        }
+        self.lock.try_lock_exclusive()
     }
 }
 
@@ -647,7 +556,6 @@ impl std::fmt::Debug for LockHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LockHandle")
             .field("label", &self.label)
-            .field("supports_try_write", &self.supports_try_write())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
@@ -656,7 +564,7 @@ impl std::fmt::Debug for LockHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::raw::DefaultRwLock;
+    use crate::raw::{DefaultRwLock, RawRwLock};
 
     #[test]
     fn default_spec_prints_just_the_kind() {
@@ -693,16 +601,11 @@ mod tests {
                 slots: 256,
             }),
             LockSpec::new("BA").with_wait(WaitMode::Park),
-            LockSpec::new("BRAVO-BA").with_adapt(true),
-            LockSpec::new("BRAVO-BA")
-                .with_wait(WaitMode::Park)
-                .with_adapt(true),
+            LockSpec::new("BRAVO-BA").with_wait(WaitMode::Park),
             LockSpec::new("BRAVO-BA").with_shards(8),
             LockSpec::new("BA").with_wait(WaitMode::Park).with_shards(4),
             LockSpec::new("BA").with_wait(WaitMode::Futex),
-            LockSpec::new("BRAVO-BA")
-                .with_wait(WaitMode::Futex)
-                .with_adapt(true),
+            LockSpec::new("BRAVO-BA").with_wait(WaitMode::Futex),
             LockSpec::new("BRAVO-BA")
                 .with_wait(WaitMode::Futex)
                 .with_shards(8),
@@ -710,7 +613,6 @@ mod tests {
                 .with_bias(BiasPolicy::InhibitUntil { n: 3 })
                 .with_table(TableSpec::Private { slots: 64 })
                 .with_wait(WaitMode::Park)
-                .with_adapt(true)
                 .with_shards(16),
         ];
         for spec in specs {
@@ -744,7 +646,6 @@ mod tests {
             "BA?stats=per-lock",
             "BA?wait=swim",
             "BA?wait=",
-            "BA?adapt=maybe",
             "BA?shards=0",
             "BA?shards=x",
             "BA?shards=",
@@ -800,9 +701,7 @@ mod tests {
 
     #[test]
     fn explicit_defaults_parse_to_the_default_spec() {
-        let spec: LockSpec = "BA?n=9&table=global&wait=spin&adapt=off&shards=1"
-            .parse()
-            .unwrap();
+        let spec: LockSpec = "BA?n=9&table=global&wait=spin&shards=1".parse().unwrap();
         assert_eq!(spec, LockSpec::new("BA"));
     }
 
@@ -815,34 +714,47 @@ mod tests {
         assert_eq!(LockSpec::new("BRAVO-BA").shards(), 1);
         assert_eq!(LockSpec::new("BRAVO-BA").to_string(), "BRAVO-BA");
         // Composes with the other knobs in Display order.
-        let spec: LockSpec = "BRAVO-BA?wait=park&adapt=on&shards=4".parse().unwrap();
+        let spec: LockSpec = "BRAVO-BA?n=3&wait=park&shards=4".parse().unwrap();
         assert_eq!(spec.shards(), 4);
-        assert_eq!(spec.to_string(), "BRAVO-BA?wait=park&adapt=on&shards=4");
+        assert_eq!(spec.to_string(), "BRAVO-BA?n=3&wait=park&shards=4");
     }
 
     #[test]
-    fn wait_and_adapt_knobs_parse_and_print() {
-        let spec: LockSpec = "BRAVO-BA?wait=park&adapt=on".parse().unwrap();
+    fn wait_knob_parses_and_prints() {
+        let spec: LockSpec = "BRAVO-BA?wait=park".parse().unwrap();
         assert_eq!(spec.wait(), WaitMode::Park);
-        assert!(spec.adapt());
-        assert_eq!(spec.to_string(), "BRAVO-BA?wait=park&adapt=on");
-        let spin: LockSpec = "BA?wait=park".parse().unwrap();
-        assert_eq!(spin.to_string(), "BA?wait=park");
-        assert!(!spin.adapt());
-        let futex: LockSpec = "BRAVO-BA?wait=futex&adapt=on".parse().unwrap();
+        assert_eq!(spec.to_string(), "BRAVO-BA?wait=park");
+        let futex: LockSpec = "BA?wait=futex".parse().unwrap();
         assert_eq!(futex.wait(), WaitMode::Futex);
-        assert_eq!(futex.to_string(), "BRAVO-BA?wait=futex&adapt=on");
+        assert_eq!(futex.to_string(), "BA?wait=futex");
+        let spin: LockSpec = "BA?wait=spin".parse().unwrap();
+        assert_eq!(spin.to_string(), "BA");
+    }
+
+    #[test]
+    fn adapt_is_an_unknown_parameter() {
+        // The bias policy alone decides when bias returns: `adapt` is no
+        // key, so it fails like any typo and the error lists the real keys.
+        let key = "adapt";
+        for value in ["on", "off"] {
+            let err = format!("BRAVO-BA?{key}={value}")
+                .parse::<LockSpec>()
+                .unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "invalid lock spec: unknown parameter 'adapt' (expected n, bias, table, wait \
+                 or shards)"
+            );
+        }
     }
 
     #[test]
     fn handle_delegates_and_reports_capability() {
-        let spec = LockSpec::new("default-spin");
         let handle = LockHandle::from_try_lock(
-            spec.clone(),
+            LockSpec::new("default-spin"),
             Arc::new(DefaultRwLock::new()),
             StatsSink::per_lock(),
         );
-        assert!(handle.supports_try_write());
         assert_eq!(handle.label(), "default-spin");
         handle.lock_shared();
         assert!(handle.try_lock_exclusive().is_err());
@@ -850,19 +762,8 @@ mod tests {
         assert!(handle.try_lock_exclusive().is_ok());
         handle.unlock_exclusive();
         handle.lock_exclusive();
+        assert_eq!(handle.try_lock_shared(), Err(TryLockError::WouldBlock));
         handle.unlock_exclusive();
-
-        let blocking_only =
-            LockHandle::from_blocking(spec, Arc::new(DefaultRwLock::new()), StatsSink::Global);
-        assert!(!blocking_only.supports_try_write());
-        assert_eq!(
-            blocking_only.try_lock_exclusive(),
-            Err(TryLockError::Unsupported)
-        );
-        assert_eq!(
-            blocking_only.try_lock_shared(),
-            Err(TryLockError::Unsupported)
-        );
     }
 
     #[test]

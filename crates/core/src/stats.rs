@@ -41,7 +41,6 @@ struct ThreadCounters {
     futex_waits: AtomicU64,
     futex_wakes: AtomicU64,
     futex_eagain: AtomicU64,
-    adapt_flips: AtomicU64,
 }
 
 impl ThreadCounters {
@@ -60,7 +59,6 @@ impl ThreadCounters {
         out.futex_waits += load(&self.futex_waits);
         out.futex_wakes += load(&self.futex_wakes);
         out.futex_eagain += load(&self.futex_eagain);
-        out.adapt_flips += load(&self.adapt_flips);
     }
 }
 
@@ -118,9 +116,6 @@ pub struct Snapshot {
     /// between the user-space check and the kernel's atomic re-check, i.e. a
     /// wake raced ahead of the sleep and the syscall never blocked.
     pub futex_eagain: u64,
-    /// Adaptive-bias policy flips (enable or disable decisions taken by an
-    /// `adapt=on` lock's epoch sampler).
-    pub adapt_flips: u64,
 }
 
 impl Snapshot {
@@ -181,7 +176,6 @@ impl Snapshot {
             futex_waits: self.futex_waits - earlier.futex_waits,
             futex_wakes: self.futex_wakes - earlier.futex_wakes,
             futex_eagain: self.futex_eagain - earlier.futex_eagain,
-            adapt_flips: self.adapt_flips - earlier.adapt_flips,
         }
     }
 
@@ -203,7 +197,6 @@ impl Snapshot {
             futex_waits: self.futex_waits + other.futex_waits,
             futex_wakes: self.futex_wakes + other.futex_wakes,
             futex_eagain: self.futex_eagain + other.futex_eagain,
-            adapt_flips: self.adapt_flips + other.adapt_flips,
         }
     }
 }
@@ -433,12 +426,6 @@ impl StatsSink {
     pub fn record_bias_enabled(&self) {
         self.counters(|c| bump(&c.bias_enabled, 1));
     }
-
-    /// Records one adaptive-bias policy flip.
-    #[inline]
-    pub fn record_adapt_flip(&self) {
-        self.counters(|c| bump(&c.adapt_flips, 1));
-    }
 }
 
 impl std::fmt::Debug for StatsSink {
@@ -479,7 +466,6 @@ mod tests {
             futex_waits,
             futex_wakes,
             futex_eagain,
-            adapt_flips,
         } = c;
         [
             fast_reads,
@@ -495,7 +481,6 @@ mod tests {
             futex_waits,
             futex_wakes,
             futex_eagain,
-            adapt_flips,
         ]
         .into_iter()
         .map(|w| w.load(Ordering::Relaxed))
@@ -535,7 +520,6 @@ mod tests {
             futex_waits,
             futex_wakes,
             futex_eagain,
-            adapt_flips,
         } = *s;
         [
             fast_reads,
@@ -551,7 +535,6 @@ mod tests {
             futex_waits,
             futex_wakes,
             futex_eagain,
-            adapt_flips,
         ]
         .into()
     }

@@ -632,12 +632,7 @@ mod tests {
                     "wait_park_catalog",
                     &[
                         ("wait_park_catalog", "BA?wait=park", "1000", "-"),
-                        (
-                            "wait_park_catalog",
-                            "BRAVO-BA?wait=park&adapt=1",
-                            "2000",
-                            "97.0%",
-                        ),
+                        ("wait_park_catalog", "BRAVO-BA?wait=park", "2000", "97.0%"),
                     ],
                 ),
             ],
@@ -723,11 +718,11 @@ mod tests {
 
     #[test]
     fn rich_fig3_produces_the_fast_read_vs_threads_layout() {
-        let text = "readers,lock,iterations,ops_per_msec,fast_read_pct,wait_mode,adapt_flips,parked_waits\n\
-                    1,BA,1000,100.0,-,block,0,0\n\
-                    4,BA,4000,300.0,-,block,0,0\n\
-                    1,BRAVO-BA,1100,110.0,99.0,block,0,0\n\
-                    4,BRAVO-BA,4400,350.0,97.5,block,0,0\n";
+        let text = "readers,lock,iterations,ops_per_msec,fast_read_pct,wait_mode,parked_waits\n\
+                    1,BA,1000,100.0,-,block,0\n\
+                    4,BA,4000,300.0,-,block,0\n\
+                    1,BRAVO-BA,1100,110.0,99.0,block,0\n\
+                    4,BRAVO-BA,4400,350.0,97.5,block,0\n";
         let results = Results {
             tables: vec![Table::parse("fig3_test_rwlock", text)],
             summary: None,

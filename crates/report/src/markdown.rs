@@ -189,7 +189,6 @@ fn headline_stats(md: &mut String, results: &Results) {
             ("total_reads", summary.total_reads),
             ("revocations", summary.revocations),
             ("parked_waits", summary.parked_waits),
-            ("adapt_flips", summary.adapt_flips),
             ("futex_waits", summary.futex_waits),
             ("futex_wakes", summary.futex_wakes),
             ("futex_eagain", summary.futex_eagain),

@@ -54,8 +54,6 @@ pub struct Summary {
     pub revocations: Option<f64>,
     /// Parked waiter wake-ups, when recorded (PR 6).
     pub parked_waits: Option<f64>,
-    /// Adaptive-bias flips, when recorded (PR 6).
-    pub adapt_flips: Option<f64>,
     /// `FUTEX_WAIT` syscalls issued by the futex wait backend (PR 10).
     pub futex_waits: Option<f64>,
     /// `FUTEX_WAKE` syscalls issued on notify (PR 10).
@@ -175,7 +173,6 @@ pub fn parse_summary(text: &str) -> Result<Summary, String> {
         total_reads: headline("total_reads"),
         revocations: headline("revocations"),
         parked_waits: headline("parked_waits"),
-        adapt_flips: headline("adapt_flips"),
         futex_waits: headline("futex_waits"),
         futex_wakes: headline("futex_wakes"),
         futex_eagain: headline("futex_eagain"),
@@ -387,7 +384,6 @@ mod tests {
   "total_reads": 123456,
   "revocations": 7,
   "parked_waits": 0,
-  "adapt_flips": 2,
   "futex_waits": 41,
   "futex_wakes": 17,
   "futex_eagain": 5,
@@ -407,7 +403,6 @@ mod tests {
         let summary = sample();
         assert_eq!(summary.fast_read_fraction, 0.95);
         assert_eq!(summary.total_reads, Some(123456.0));
-        assert_eq!(summary.adapt_flips, Some(2.0));
         assert_eq!(summary.futex_waits, Some(41.0));
         assert_eq!(summary.futex_wakes, Some(17.0));
         assert_eq!(summary.futex_eagain, Some(5.0));

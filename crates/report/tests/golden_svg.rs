@@ -152,13 +152,13 @@ fn generate_twice_is_byte_identical() {
     let results = temp_dir("results");
     std::fs::write(
         results.join("fig3_test_rwlock.csv"),
-        "readers,lock,iterations,ops_per_msec,fast_read_pct,wait_mode,adapt_flips,parked_waits\n\
-         1,BA,1000,250.0,-,spin,0,0\n\
-         2,BA,1000,240.0,-,spin,0,0\n\
-         4,BA,1000,180.0,-,spin,0,0\n\
-         1,BRAVO-BA,1000,260.0,97.0%,spin,0,0\n\
-         2,BRAVO-BA,1000,500.0,98.1%,spin,0,0\n\
-         4,BRAVO-BA,1000,930.0,98.4%,spin,0,0\n",
+        "readers,lock,iterations,ops_per_msec,fast_read_pct,wait_mode,parked_waits\n\
+         1,BA,1000,250.0,-,spin,0\n\
+         2,BA,1000,240.0,-,spin,0\n\
+         4,BA,1000,180.0,-,spin,0\n\
+         1,BRAVO-BA,1000,260.0,97.0%,spin,0\n\
+         2,BRAVO-BA,1000,500.0,98.1%,spin,0\n\
+         4,BRAVO-BA,1000,930.0,98.4%,spin,0\n",
     )
     .unwrap();
     std::fs::write(
@@ -169,7 +169,7 @@ fn generate_twice_is_byte_identical() {
     std::fs::write(
         results.join("BENCH_locks.json"),
         r#"{"fast_read_fraction": 0.97, "total_reads": 9000, "revocations": 3,
-            "parked_waits": 12, "adapt_flips": 0, "serving": [
+            "parked_waits": 12, "serving": [
             {"spec": "BA", "backend": "threads", "connections": 4, "shards": 1,
              "batch": 1, "ops_per_sec": 15970.0, "fast_read_pct": "-"},
             {"spec": "BRAVO-BA", "backend": "mux", "connections": 128, "shards": 1,

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use bravo::spec::{LockHandle, LockSpec, SpecError, TableSpec};
 use bravo::stats::StatsSink;
 use bravo::vrt::TableHandle;
-use bravo::{AdaptiveBias, AnonymousReaders, BiasPolicy, BravoLock, RawTryRwLock};
+use bravo::{AnonymousReaders, BiasPolicy, BravoLock, RawTryRwLock};
 
 use crate::cohort::CohortRwLock;
 use crate::counter::CounterRwLock;
@@ -189,19 +189,7 @@ fn reject_bravo_params(spec: &LockSpec) -> Result<(), SpecError> {
             table: spec.table(),
         });
     }
-    // `wait=` applies to every lock; `adapt=` only gates reader bias, which
-    // plain locks do not have.
-    if spec.adapt() {
-        return Err(SpecError::UnsupportedAdapt {
-            kind: spec.kind().to_string(),
-        });
-    }
     Ok(())
-}
-
-/// Mints the adaptive-bias controller an `adapt=on` spec prescribes.
-fn make_adaptive(spec: &LockSpec) -> Option<Arc<AdaptiveBias>> {
-    spec.adapt().then(|| Arc::new(AdaptiveBias::new()))
 }
 
 /// Builds a BRAVO composite over `L`; `sectored_default` picks what a bare
@@ -211,22 +199,18 @@ fn bravo_composite<L: AnonymousReaders + RawTryRwLock + 'static>(
     sectored_default: bool,
 ) -> Result<LockHandle, SpecError> {
     let sink = StatsSink::per_lock();
-    let adapt = make_adaptive(spec);
-    let mut lock = BravoLock::with_instrumented(
+    let lock = BravoLock::with_instrumented(
         L::with_wait(spec.wait()),
         resolve_table(spec, sectored_default),
         spec.bias(),
         sink.clone(),
     )
     .with_wait_mode(spec.wait());
-    if let Some(adapt) = &adapt {
-        lock = lock.with_adaptive(Arc::clone(adapt));
-    }
-    let mut handle = LockHandle::from_try_lock(spec.clone(), Arc::new(lock), sink);
-    if let Some(adapt) = adapt {
-        handle = handle.with_adaptive(adapt);
-    }
-    Ok(handle)
+    Ok(LockHandle::from_try_lock(
+        spec.clone(),
+        Arc::new(lock),
+        sink,
+    ))
 }
 
 fn plain<L: RawTryRwLock + 'static>(spec: &LockSpec) -> Result<LockHandle, SpecError> {
@@ -277,7 +261,7 @@ mod tests {
     use super::*;
     use bravo::wait::WaitMode;
     use bravo::TryLockError;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     #[test]
     fn every_kind_round_trips_through_parse() {
@@ -311,12 +295,10 @@ mod tests {
 
     #[test]
     fn every_kind_has_an_honest_try_write() {
-        // A try-write that silently always fails is fenced off in the types:
-        // every cataloged kind must either support try-write for real or not
-        // expose it at all.
+        // Every handle holds a `RawTryRwLock`, so every kind has a try path;
+        // it must also grant an uncontended write.
         for &kind in LockKind::all() {
             let lock = kind.build();
-            assert!(lock.supports_try_write(), "{kind} lost its try path");
             assert!(
                 lock.try_lock_exclusive().is_ok(),
                 "{kind}: uncontended try-write failed"
@@ -399,11 +381,6 @@ mod tests {
             build_lock(&"Cohort-RW?table=sectored:2x64".parse().unwrap()),
             Err(SpecError::UnsupportedTable { .. })
         ));
-        // Adaptive bias on a non-BRAVO kind (there is no bias to adapt).
-        assert!(matches!(
-            build_lock(&"BA?adapt=on".parse().unwrap()),
-            Err(SpecError::UnsupportedAdapt { .. })
-        ));
         // `wait=park` by contrast applies to every kind.
         assert!(build_lock(&"BA?wait=park".parse().unwrap()).is_ok());
     }
@@ -440,19 +417,6 @@ mod tests {
             lock.lock_shared();
             lock.unlock_shared();
         }
-    }
-
-    #[test]
-    fn adaptive_specs_expose_the_controller_and_open_the_gate() {
-        let spec: LockSpec = "BRAVO-BA?adapt=on".parse().unwrap();
-        let lock = build_lock(&spec).unwrap();
-        let adapt = lock.adaptive().expect("adapt=on must attach a controller");
-        // The controller starts closed; a plain-spec build has none.
-        assert!(!adapt.allows_bias());
-        assert!(LockKind::BravoBa.build().adaptive().is_none());
-        // 2D composites get one too.
-        let spec2d: LockSpec = "BRAVO-2D-BA?adapt=on".parse().unwrap();
-        assert!(build_lock(&spec2d).unwrap().adaptive().is_some());
     }
 
     #[test]
@@ -536,18 +500,17 @@ mod tests {
     }
 
     #[test]
-    fn try_reads_alone_open_the_adaptive_gate() {
-        let lock = build_lock(&"BRAVO-BA?adapt=on".parse().unwrap()).unwrap();
-        let adapt = lock.adaptive().expect("adapt=on attaches a controller");
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while !adapt.allows_bias() && Instant::now() < deadline {
+    fn try_reads_alone_enable_bias() {
+        // A try-read's slow path asks the bias policy too: the first one
+        // enables bias and the second takes the fast path.
+        let lock = LockKind::BravoBa.build();
+        for _ in 0..2 {
             lock.try_lock_shared().expect("uncontended try-read");
             lock.unlock_shared();
         }
-        assert!(
-            adapt.allows_bias(),
-            "try-read slow path never ticked the gate"
-        );
+        let snap = lock.snapshot();
+        assert_eq!(snap.bias_enabled, 1);
+        assert_eq!(snap.fast_reads, 1);
     }
 
     #[test]

@@ -92,6 +92,7 @@ const MIGRATED: &[&str] = &[
     "crates/core/src/vrt.rs",
     "crates/core/src/wait.rs",
     "crates/core/src/lock.rs",
+    "crates/core/src/policy.rs",
     "crates/rwlocks/src/counter.rs",
     "crates/rwlocks/src/mutex.rs",
     "crates/kvstore/src/memtable.rs",

@@ -31,11 +31,8 @@ fn every_lock_kind_round_trips_through_the_catalog() {
         lock.unlock_shared();
         lock.lock_exclusive();
         lock.unlock_exclusive();
-        // Every cataloged kind now carries an honest try path — the
-        // BRAVO-2D variant's historical silently-always-failing try-write
-        // is fenced off by the RawTryRwLock split and replaced by a
-        // bounded-wait revocation.
-        assert!(lock.supports_try_write(), "{kind}: no try path");
+        // Every handle holds a `RawTryRwLock`, so every kind has a try
+        // path, and an uncontended one must succeed.
         assert!(
             lock.try_lock_exclusive().is_ok(),
             "{kind}: uncontended try-write failed"

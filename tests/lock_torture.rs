@@ -55,13 +55,12 @@ fn phase_name(phase: u8) -> &'static str {
 /// Tortures one catalog spec: every worker alternates read and write
 /// critical sections, checking mutual exclusion from inside each, and
 /// bumps its progress counter per iteration.
+///
+/// BRAVO kinds run with their default configuration, and a cell must show
+/// that it reached BRAVO's own paths: fast reads, and revocations (which
+/// scan the table and wait for fast readers to clear their slots).
 fn torture(kind: LockKind, wait: WaitMode) {
-    let mut spec = kind.spec().with_wait(wait);
-    if kind.is_bravo() {
-        // BRAVO kinds also run the adaptive bias controller, so the torture
-        // covers policy flips racing revocation.
-        spec = spec.with_adapt(true);
-    }
+    let spec = kind.spec().with_wait(wait);
     let label = spec.to_string();
     let lock = Arc::new(build_lock(&spec).unwrap_or_else(|e| panic!("build {label}: {e}")));
     let threads = torture_threads();
@@ -162,6 +161,16 @@ fn torture(kind: LockKind, wait: WaitMode) {
     }
     done.store(true, Ordering::Release);
     watchdog.join().expect("watchdog panicked");
+    if kind.is_bravo() {
+        let snap = lock.snapshot();
+        assert!(
+            snap.fast_reads > 0 && snap.revocations > 0,
+            "'{label}' never reached the fast path and revocation: {} fast reads, \
+             {} revocations",
+            snap.fast_reads,
+            snap.revocations
+        );
+    }
 }
 
 #[test]

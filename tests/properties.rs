@@ -135,14 +135,12 @@ fn arbitrary_spec_strategy() -> impl Strategy<Value = LockSpec> {
         (0u8..1).prop_map(|_| WaitMode::Park),
         (0u8..1).prop_map(|_| WaitMode::Futex),
     ];
-    let adapt = any::<bool>();
     let shards = 1usize..64;
-    (kind, bias, table, wait, adapt, shards).prop_map(|(kind, bias, table, wait, adapt, shards)| {
+    (kind, bias, table, wait, shards).prop_map(|(kind, bias, table, wait, shards)| {
         LockSpec::new(kind)
             .with_bias(bias)
             .with_table(table)
             .with_wait(wait)
-            .with_adapt(adapt)
             .with_shards(shards)
     })
 }

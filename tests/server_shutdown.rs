@@ -156,12 +156,12 @@ fn mux_shutdown_tears_down_every_connection_under_load() {
 
 #[test]
 fn threaded_shutdown_joins_every_handler_with_parking_locks() {
-    shutdown_under_load(BackendKind::Threads, "BRAVO-BA?wait=park&adapt=on");
+    shutdown_under_load(BackendKind::Threads, "BRAVO-BA?wait=park");
 }
 
 #[test]
 fn mux_shutdown_tears_down_every_connection_with_parking_locks() {
-    shutdown_under_load(BackendKind::Mux, "BRAVO-BA?wait=park&adapt=on");
+    shutdown_under_load(BackendKind::Mux, "BRAVO-BA?wait=park");
 }
 
 /// A second shutdown path: dropping the server (no explicit `shutdown()`)
