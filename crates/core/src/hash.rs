@@ -55,14 +55,18 @@ pub fn key_hash(key: u64) -> u64 {
 /// Maps a kvstore key to one of `shards` key-hashed shards.
 ///
 /// Shard counts need not be powers of two (the `shards=N` spec knob accepts
-/// any N ≥ 1), so this reduces the mixed key modulo `shards` rather than
-/// masking. With zero or one shard every key maps to shard 0.
+/// any N ≥ 1), so this scales the mixed key into `0..shards` with a
+/// multiply-high (Lemire, "Fast Random Integer Generation in an Interval",
+/// ACM TOMACS 2019) rather than masking: the shard is the high word of
+/// `key_hash(key) * shards`, one multiply instead of a 64-bit division.
+/// It is taken from the hash's top bits, so the keys of one shard share
+/// those bits. With zero or one shard every key maps to shard 0.
 #[inline]
 pub fn key_shard(key: u64, shards: usize) -> usize {
     if shards <= 1 {
         0
     } else {
-        (key_hash(key) % shards as u64) as usize
+        ((u128::from(key_hash(key)) * shards as u128) >> 64) as usize
     }
 }
 
@@ -115,7 +119,7 @@ mod tests {
 
     #[test]
     fn key_shard_is_in_range_total_and_balanced() {
-        for shards in [1usize, 2, 3, 8, 16] {
+        for shards in [1usize, 2, 3, 5, 7, 8, 16, 64] {
             let mut counts = vec![0usize; shards];
             for key in 0..8_192u64 {
                 let shard = key_shard(key, shards);
@@ -135,7 +139,12 @@ mod tests {
     #[test]
     fn key_shard_is_deterministic_and_built_on_key_hash() {
         for key in [0u64, 1, 42, u64::MAX] {
-            assert_eq!(key_shard(key, 8), (key_hash(key) % 8) as usize);
+            // Eight shards take the top three bits of the hash.
+            assert_eq!(key_shard(key, 8), (key_hash(key) >> 61) as usize);
+            assert_eq!(
+                key_shard(key, 3),
+                ((u128::from(key_hash(key)) * 3) >> 64) as usize
+            );
             assert_eq!(key_shard(key, 8), key_shard(key, 8));
             assert_eq!(key_shard(key, 1), 0);
             assert_eq!(key_shard(key, 0), 0);

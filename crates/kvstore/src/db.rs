@@ -79,8 +79,8 @@ impl Db {
     /// too large to map are reported before any key is routed. With more
     /// than one shard, the per-shard key counts are taken in one pass over
     /// `0..n` before the tables are mapped, so an impossible `n` is only
-    /// reported after that pass: about 4 ns a key on each core in a
-    /// release build, or over half an hour for `n = 2^40` on two cores.
+    /// reported after that pass: about 3 ns a key on each core in a
+    /// release build, or about 25 minutes for `n = 2^40` on two cores.
     /// There is no size cap.
     pub fn open_prepopulated(spec: impl Into<LockSpec>, n: u64) -> Result<Self, OpenError> {
         let spec = spec.into();

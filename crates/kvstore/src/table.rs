@@ -14,10 +14,11 @@
 //!
 //! Each table has its own [`RandomState`] (SipHash with random keys), as a
 //! std `HashMap` would, so clients that choose keys cannot aim them at one
-//! run of slots. It must not be [`bravo::hash::key_hash`]: that hash routes
-//! keys to shards by `key_hash % shards`, so every key of one shard of a
-//! 4-shard store shares `key_hash % 4`, and masking the same hash to a
-//! power-of-two slot count would leave 3 of every 4 home slots unused.
+//! run of slots. It is kept apart from [`bravo::hash::key_hash`], which is
+//! fixed and also routes keys to shards by its top bits ([`key_shard`]):
+//! every key of one shard of a 4-shard store shares the top two bits of
+//! `key_hash`, so a home read from those bits would leave 3 of every 4
+//! home slots unused.
 
 use std::alloc::Layout;
 use std::collections::hash_map::RandomState;
@@ -463,10 +464,10 @@ mod tests {
 
     #[test]
     fn one_shards_keys_spread_over_its_home_slots() {
-        // Every key of shard 0 of a 4-shard store shares `key_hash % 4`.
-        // Were the table to hash with `key_hash`, its keys would start
-        // probes at only every fourth slot (about 25,700 homes here, mean
-        // displacement 0.8); SipHash gives about 41,700 homes and 0.3.
+        // Every key of shard 0 of a 4-shard store shares the top two bits
+        // of `key_hash`. Were the table's home built from those bits, its
+        // keys would start probes at only a quarter of the slots; SipHash
+        // spreads them over all of them.
         let keys: Vec<u64> = (1..200_000).filter(|&key| key_shard(key, 4) == 0).collect();
         let slots = slots_for(keys.len()).unwrap();
         let mut table = Table::with_slots(slots, RandomState::new()).unwrap();

@@ -6,6 +6,7 @@
 //! Ignored by default because it allocates about 340 MB and is slow in a
 //! debug build; run it with `cargo test --release -p kvstore -- --ignored`.
 
+use bravo::hash::key_shard;
 use bravo::spec::LockSpec;
 use kvstore::memtable::prepopulated_value;
 use kvstore::Db;
@@ -34,6 +35,13 @@ fn a_four_shard_store_of_four_million_keys_holds_every_prepopulated_value() {
     let spec: LockSpec = "BRAVO-BA?shards=4".parse().expect("a valid spec");
     let db = Db::open_prepopulated(spec, KEYS).expect("the store fits in memory");
     assert_eq!(db.shards(), 4);
+    // Each shard holds exactly the keys the router sends it.
+    let mut routed = [0usize; 4];
+    for key in 0..KEYS {
+        routed[key_shard(key, 4)] += 1;
+    }
+    let held: Vec<usize> = db.memtables().iter().map(|table| table.len()).collect();
+    assert_eq!(held, routed);
     check_every_key(&db);
     for key in (0..KEYS).step_by(STRIDE as usize) {
         assert!(db.delete(key), "key {key} was loaded");

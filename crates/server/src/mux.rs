@@ -10,7 +10,10 @@
 //! — see [`crate::sys`]), an intake queue the accept loop round-robins new
 //! sockets onto, and the per-connection state: an incremental
 //! [`FrameDecoder`] resumed on every readable event and a write buffer
-//! drained whenever the socket (or a writable event) allows.
+//! drained whenever the socket (or a writable event) allows. A worker
+//! blocks in its poller until a socket is ready or its next stall sweep
+//! is due; the accept loop wakes it after queuing a socket, and shutdown
+//! wakes it after raising the stop flag, so neither waits on a timer.
 //!
 //! Request handling is identical to the threaded backend — both call the
 //! same `apply` on the shared [`Db`] — so a lock spec measured under
@@ -29,17 +32,14 @@ use kvstore::Db;
 
 use crate::protocol::{FrameDecoder, Request, Response, MAX_FRAME_LEN};
 use crate::server::{apply, Backend, ShutdownStats, HANDLER_WRITE_TIMEOUT};
-use crate::sys::{Event, Fd, Poller};
-
-/// How long a worker parks in the poller per loop: bounds how stale its
-/// view of the stop flag and the intake queue can get.
-const WAIT_TIMEOUT: Duration = Duration::from_millis(10);
+use crate::sys::{Event, Fd, Poller, Waker};
 
 /// How often a worker sweeps its connections for peers whose buffered
 /// output has made no progress past [`HANDLER_WRITE_TIMEOUT`]. The sweep
 /// is O(connections), so it runs on a coarse clock rather than every
 /// poller wake-up; the effective stall deadline is the timeout plus at
-/// most one sweep interval.
+/// most one sweep interval. It is also the longest a worker blocks in its
+/// poller.
 const STALL_SWEEP_INTERVAL: Duration = Duration::from_millis(500);
 
 /// Per-connection output high-water mark: once this much response data is
@@ -106,6 +106,7 @@ enum Close {
 pub struct MuxBackend {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    intakes: Vec<Arc<Intake>>,
     connections: Arc<AtomicU64>,
     accept_thread: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<u64>>,
@@ -113,9 +114,11 @@ pub struct MuxBackend {
 }
 
 /// What the accept loop shares with one worker: the queue of accepted
-/// sockets waiting to be registered with that worker's poller.
+/// sockets waiting to be registered with that worker's poller, and the
+/// waker that ends the worker's poller wait.
 struct Intake {
     queue: Mutex<Vec<(u64, TcpStream)>>,
+    waker: Waker,
 }
 
 impl MuxBackend {
@@ -136,15 +139,16 @@ impl MuxBackend {
         let mut intakes = Vec::with_capacity(workers_n);
         let mut handles = Vec::with_capacity(workers_n);
         for worker in 0..workers_n {
+            // Opened here, not in the worker, so bind reports poller
+            // failures synchronously.
+            let poller = Poller::new(scan_poller)?;
             let intake = Arc::new(Intake {
                 queue: Mutex::new(Vec::new()),
+                waker: poller.waker(),
             });
             intakes.push(Arc::clone(&intake));
             let db = Arc::clone(&db);
             let stop = Arc::clone(&stop);
-            // Opened here, not in the worker, so bind reports poller
-            // failures synchronously.
-            let poller = Poller::new(scan_poller)?;
             if verbose && worker == 0 {
                 eprintln!(
                     "bravod: mux backend: {workers_n} workers, {} poller",
@@ -158,6 +162,7 @@ impl MuxBackend {
             );
         }
         let accept_thread = {
+            let intakes = intakes.clone();
             let stop = Arc::clone(&stop);
             let connections = Arc::clone(&connections);
             std::thread::Builder::new()
@@ -167,6 +172,7 @@ impl MuxBackend {
         Ok(Self {
             addr,
             stop,
+            intakes,
             connections,
             accept_thread: Some(accept_thread),
             workers: handles,
@@ -190,6 +196,11 @@ impl Backend for MuxBackend {
         }
         self.stopped = true;
         self.stop.store(true, Ordering::SeqCst);
+        // Workers check the stop flag before every wait, so one wake each
+        // makes them return how many connections they tore down.
+        for intake in &self.intakes {
+            intake.waker.wake();
+        }
         // Wake the blocking accept with a throwaway connection; if that
         // fails the listener is already dead and accept will error out.
         let _ = TcpStream::connect(self.addr);
@@ -197,8 +208,6 @@ impl Backend for MuxBackend {
             let _ = handle.join();
         }
         let mut stats = ShutdownStats::default();
-        // Workers observe the stop flag within one WAIT_TIMEOUT and return
-        // how many connections they tore down.
         for handle in self.workers.drain(..) {
             stats.workers_joined += 1;
             stats.connections_closed += handle.join().unwrap_or(0);
@@ -243,14 +252,15 @@ fn accept_loop(
             continue;
         }
         let _ = stream.set_nodelay(true);
-        // Round-robin placement; workers drain their intake at least once
-        // per WAIT_TIMEOUT.
+        // Round-robin placement. The worker drains its intake before
+        // every wait, so the wake ends the wait it is in or skips the next.
         let intake = &intakes[(id % intakes.len() as u64) as usize];
         intake
             .queue
             .lock()
             .expect("mux intake poisoned")
             .push((id, stream));
+        intake.waker.wake();
     }
 }
 
@@ -307,7 +317,8 @@ fn worker_loop(
                 conns.insert(id, conn);
             }
         }
-        if let Err(e) = poller.wait(&mut events, WAIT_TIMEOUT) {
+        let until_sweep = STALL_SWEEP_INTERVAL.saturating_sub(last_stall_sweep.elapsed());
+        if let Err(e) = poller.wait(&mut events, until_sweep) {
             eprintln!("bravod: poller wait failed: {e}");
             break;
         }

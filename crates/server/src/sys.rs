@@ -18,9 +18,20 @@
 //!   nonblocking sockets — and selectable on Linux
 //!   ([`crate::ServerConfig::mux_scan_poller`]) so the portable path stays
 //!   tested.
+//!
+//! Either poller hands out a [`Waker`], which another thread uses to end
+//! a [`Poller::wait`] early: the accept loop after queuing a socket, and
+//! shutdown after raising the stop flag. So a worker need not poll its
+//! intake or its stop flag on a timer.
 
 use std::collections::HashSet;
 use std::io;
+#[cfg(target_os = "linux")]
+use std::io::{Read as _, Write as _};
+#[cfg(target_os = "linux")]
+use std::os::unix::net::UnixStream;
+#[cfg(target_os = "linux")]
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The raw socket handle the poller watches. On the scan poller the value
@@ -64,6 +75,16 @@ impl Poller {
         }
         let _ = force_scan;
         Ok(Poller::Scan(ScanPoller::default()))
+    }
+
+    /// A handle that ends this poller's current or next [`Poller::wait`]
+    /// from any thread.
+    pub fn waker(&self) -> Waker {
+        match self {
+            #[cfg(target_os = "linux")]
+            Poller::Epoll(e) => Waker::Epoll(Arc::clone(&e.wake)),
+            Poller::Scan(_) => Waker::Scan,
+        }
     }
 
     /// Which implementation this is (`"epoll"` or `"scan"`), for logs.
@@ -118,8 +139,9 @@ impl Poller {
     }
 
     /// Waits up to `timeout` for readiness, appending events to `events`
-    /// (cleared first). May return empty on timeout or interruption — the
-    /// caller's loop re-checks its stop flag and intake either way.
+    /// (cleared first). May return empty on timeout, interruption or a
+    /// [`Waker::wake`] — the caller's loop re-checks its stop flag and
+    /// intake either way.
     pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
         events.clear();
         match self {
@@ -129,6 +151,31 @@ impl Poller {
                 s.wait(events, timeout);
                 Ok(())
             }
+        }
+    }
+}
+
+/// Ends a [`Poller::wait`] from another thread; see [`Poller::waker`].
+#[derive(Debug, Clone)]
+pub enum Waker {
+    /// Writes a byte to the poller's wake socket.
+    #[cfg(target_os = "linux")]
+    Epoll(Arc<(UnixStream, UnixStream)>),
+    /// Nothing to do: a scan wait never sleeps past one tick.
+    Scan,
+}
+
+impl Waker {
+    /// Makes the poller's current wait return, or its next one return at
+    /// once. Wakes are not counted: several before one wait end only it.
+    pub fn wake(&self) {
+        match self {
+            #[cfg(target_os = "linux")]
+            Waker::Epoll(pair) => {
+                // A full socket buffer (`WouldBlock`) already holds a wake.
+                let _ = (&pair.0).write(&[1]);
+            }
+            Waker::Scan => {}
         }
     }
 }
@@ -145,15 +192,16 @@ pub struct ScanPoller {
 impl ScanPoller {
     /// How long one idle tick lasts: long enough that an idle pool does not
     /// burn a core, short enough that request latency stays in the noise
-    /// for the open-loop generator's millisecond-scale intervals.
+    /// for the open-loop generator's millisecond-scale intervals. A wait
+    /// never sleeps longer, with or without tokens, so a worker sees a new
+    /// connection or the stop flag within one tick.
     const TICK: Duration = Duration::from_millis(1);
 
     fn wait(&mut self, events: &mut Vec<Event>, timeout: Duration) {
+        std::thread::sleep(Self::TICK.min(timeout));
         if self.tokens.is_empty() {
-            std::thread::sleep(timeout.min(Duration::from_millis(10)));
             return;
         }
-        std::thread::sleep(Self::TICK.min(timeout));
         let ready = Readiness {
             readable: true,
             writable: true,
@@ -174,10 +222,19 @@ pub struct EpollPoller {
     epoll: bravo::sys::epoll::Epoll,
     /// Scratch buffer for the seam's raw `(token, bits)` events.
     raw: Vec<bravo::sys::epoll::RawEvent>,
+    /// The wake socket pair, (send end, receive end), both nonblocking.
+    /// The receive end is registered under [`Self::WAKE_TOKEN`]. Wakers
+    /// share the pair, so a wake after the worker has gone writes to an
+    /// open socket, not a closed one.
+    wake: Arc<(UnixStream, UnixStream)>,
 }
 
 #[cfg(target_os = "linux")]
 impl EpollPoller {
+    /// The token of the wake socket's events. Connection tokens count up
+    /// from 0 and never reach it.
+    const WAKE_TOKEN: u64 = u64::MAX;
+
     /// The event mask a registered connection always watches: readable
     /// data plus peer-hangup/error conditions (reported as readable so the
     /// next `read` surfaces the EOF or error).
@@ -187,13 +244,26 @@ impl EpollPoller {
     }
 
     fn new() -> io::Result<Self> {
+        use std::os::fd::AsRawFd as _;
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        let epoll = bravo::sys::epoll::Epoll::new()?;
+        epoll.ctl(
+            bravo::sys::epoll::CTL_ADD,
+            rx.as_raw_fd(),
+            bravo::sys::epoll::EPOLLIN,
+            Self::WAKE_TOKEN,
+        )?;
         Ok(Self {
-            epoll: bravo::sys::epoll::Epoll::new()?,
+            epoll,
             raw: Vec::new(),
+            wake: Arc::new((tx, rx)),
         })
     }
 
     fn register(&mut self, fd: Fd, token: u64) -> io::Result<()> {
+        debug_assert_ne!(token, Self::WAKE_TOKEN, "token reserved for wakes");
         self.epoll
             .ctl(bravo::sys::epoll::CTL_ADD, fd, Self::read_events(), token)
     }
@@ -219,6 +289,14 @@ impl EpollPoller {
         self.raw.clear();
         self.epoll.wait(&mut self.raw, timeout)?;
         for &(token, bits) in &self.raw {
+            if token == Self::WAKE_TOKEN {
+                // Drain every pending wake so the level-triggered socket
+                // stops reporting; a wake sent after this is seen by the
+                // next wait.
+                let mut sink = [0u8; 64];
+                while matches!((&self.wake.1).read(&mut sink), Ok(n) if n > 0) {}
+                continue;
+            }
             out.push((
                 token,
                 Readiness {
@@ -312,5 +390,42 @@ mod tests {
             "readable event delivered with read interest off: {events:?}"
         );
         poller.deregister(sock.as_raw_fd(), 7).unwrap();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn epoll_waker_ends_a_wait_without_an_event() {
+        use std::time::Instant;
+
+        let mut poller = Poller::new(false).unwrap();
+        let waker = poller.waker();
+        let mut events = Vec::new();
+        // Wakes before a wait end that wait at once, however many there
+        // were, and leave nothing behind for the next one.
+        for _ in 0..3 {
+            waker.wake();
+        }
+        let begin = Instant::now();
+        poller.wait(&mut events, Duration::from_secs(10)).unwrap();
+        assert!(events.is_empty(), "the wake surfaced as {events:?}");
+        assert!(begin.elapsed() < Duration::from_secs(5));
+        let begin = Instant::now();
+        poller.wait(&mut events, Duration::from_millis(20)).unwrap();
+        assert!(events.is_empty());
+        assert!(
+            begin.elapsed() >= Duration::from_millis(10),
+            "a drained wake ended the next wait too"
+        );
+        // A wake from another thread ends the wait, whether it lands
+        // before the wait starts or during it.
+        let begin = Instant::now();
+        let waking = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            waker.wake();
+        });
+        poller.wait(&mut events, Duration::from_secs(10)).unwrap();
+        assert!(events.is_empty());
+        assert!(begin.elapsed() < Duration::from_secs(5));
+        waking.join().unwrap();
     }
 }

@@ -475,3 +475,52 @@ fn mux_backend_answers_pipelined_requests_in_order() {
     }
     server.shutdown();
 }
+
+/// A fresh mux worker blocks in its poller for up to its 500 ms stall
+/// sweep interval. The accept loop wakes it after queuing a socket, so
+/// each new connection is answered at once, and shutdown wakes it after
+/// raising the stop flag, so an idle server with live connections stops
+/// at once. Without the wakes, four connections and a shutdown take over
+/// a second.
+#[test]
+fn mux_backend_answers_new_connections_and_stops_without_waiting_out_its_poller() {
+    use std::time::Instant;
+
+    // Half the sweep interval: far above a loopback round trip, far below
+    // what a worker that is not woken takes.
+    const PROMPT: Duration = Duration::from_millis(250);
+    for scan in [false, true] {
+        let mut config = ServerConfig::new("BRAVO-BA".parse().expect("valid spec"));
+        config.prepopulate = 16;
+        config.backend = BackendKind::Mux;
+        config.mux_workers = 2;
+        config.mux_scan_poller = scan;
+        let server = Server::bind("127.0.0.1:0", config).expect("bind loopback");
+        // Let both workers settle into a full-length wait.
+        std::thread::sleep(Duration::from_millis(20));
+        let begin = Instant::now();
+        let clients: Vec<Client> = (0..4)
+            .map(|_| {
+                let mut client = Client::connect(server.local_addr()).unwrap();
+                client.ping().unwrap();
+                client
+            })
+            .collect();
+        let elapsed = begin.elapsed();
+        assert!(
+            elapsed < PROMPT,
+            "4 connect-and-pings took {elapsed:?} (scan poller: {scan})"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+        let begin = Instant::now();
+        let stats = server.shutdown();
+        let elapsed = begin.elapsed();
+        assert!(
+            elapsed < PROMPT,
+            "shutdown took {elapsed:?} (scan poller: {scan})"
+        );
+        assert_eq!(stats.workers_joined, 2);
+        assert_eq!(stats.connections_closed, 4, "{stats:?}");
+        drop(clients);
+    }
+}
