@@ -68,7 +68,8 @@
 //!   carrying a token: BRAVO-2D, sketched in the paper's future-work
 //!   section, is the same lock over the sectored layout.
 //! * [`rwlock`] — [`BravoRwLock`], the data-carrying RAII-guard form.
-//! * [`policy`] — bias-enabling policies (inhibit-until, Bernoulli).
+//! * [`policy`] — the bias-enabling policy (inhibit-until) and its
+//!   `Disabled` switch.
 //! * [`stats`] — statistics counters (fast/slow reads, revocations), each
 //!   event recorded once into a per-thread or per-lock block
 //!   ([`stats::LockStats`]) and summed into process totals at read time.

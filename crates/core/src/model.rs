@@ -135,7 +135,7 @@ mod tests {
         assert_eq!(worst_case_writer_slowdown(0), 1.0);
         assert_eq!(
             crate::policy::BiasPolicy::InhibitUntil { n: 9 }.slowdown_bound(),
-            Some(worst_case_writer_slowdown(9))
+            worst_case_writer_slowdown(9)
         );
     }
 

@@ -3,18 +3,21 @@
 //! Deciding *when* a lock should be reader-biased is the ski-rental-shaped
 //! problem at the centre of BRAVO's cost model: enabling bias pays off when
 //! many fast readers follow, but costs a full revocation scan as soon as a
-//! writer shows up. The paper describes two policies and we implement both:
+//! writer shows up. One policy is implemented, plus a switch that turns bias
+//! off:
 //!
 //! * **Inhibit-until** (the published design): a slow-path reader re-enables
 //!   bias only when the current time has passed `InhibitUntil`; a revoking
 //!   writer sets `InhibitUntil = now + N × revocation_duration`, which bounds
 //!   the worst-case writer slow-down to about `1/(N+1)`. The paper uses
 //!   `N = 9` (≈ 10 % bound) for every experiment.
-//! * **Bernoulli** (the early prototype): a slow-path reader enables bias
-//!   with fixed probability `1/P` using a thread-local xorshift generator,
-//!   with no slow-down guard. Kept for the policy-ablation benchmarks.
-
-use std::cell::Cell;
+//! * **Disabled**: bias is never enabled, so the wrapper behaves as the
+//!   underlying lock.
+//!
+//! The paper also mentions an early prototype that enabled bias with a fixed
+//! probability `1/P` and no slow-down guard. It is not implemented: none of
+//! the paper's results use it. Commit `db15d71` is the last revision that
+//! carries it, as the `Bernoulli` variant of [`BiasPolicy`].
 
 /// The paper's slow-down multiplier: revocation cost is amortized over
 /// `N = 9` quiet periods, bounding writer slow-down to roughly 10 %.
@@ -32,7 +35,7 @@ pub const DEFAULT_INHIBIT_MULTIPLIER: u64 = 9;
 /// use bravo::policy::BiasPolicy;
 ///
 /// let policy = BiasPolicy::paper_default(); // InhibitUntil { n: 9 }
-/// assert_eq!(policy.slowdown_bound(), Some(0.1));
+/// assert_eq!(policy.slowdown_bound(), 0.1);
 ///
 /// // A revocation ran from t=1000 to t=1200 (200 ns): bias is inhibited
 /// // for 9 × 200 ns beyond the finish time.
@@ -50,12 +53,6 @@ pub enum BiasPolicy {
     InhibitUntil {
         /// Multiplier applied to the measured revocation duration.
         n: u64,
-    },
-    /// The early-prototype policy: enable bias on the slow path with
-    /// probability `1 / inverse_p`, and never inhibit.
-    Bernoulli {
-        /// Inverse of the enable probability (the paper used 100).
-        inverse_p: u32,
     },
 }
 
@@ -81,7 +78,6 @@ impl BiasPolicy {
         match self {
             BiasPolicy::Disabled => false,
             BiasPolicy::InhibitUntil { .. } => now_ns >= inhibit_until_ns,
-            BiasPolicy::Bernoulli { inverse_p } => bernoulli_trial(*inverse_p),
         }
     }
 
@@ -90,9 +86,10 @@ impl BiasPolicy {
     #[inline]
     pub fn inhibit_until_after_revocation(&self, start_ns: u64, now_ns: u64) -> u64 {
         match self {
-            // The field is unused by these policies, but storing "now" keeps
-            // the value monotone and harmless if the policy is later changed.
-            BiasPolicy::Disabled | BiasPolicy::Bernoulli { .. } => now_ns,
+            // The field is unused while bias is disabled, but storing "now"
+            // keeps the value monotone and harmless if the policy is later
+            // changed.
+            BiasPolicy::Disabled => now_ns,
             BiasPolicy::InhibitUntil { n } => {
                 now_ns.saturating_add(now_ns.saturating_sub(start_ns).saturating_mul(*n))
             }
@@ -100,40 +97,13 @@ impl BiasPolicy {
     }
 
     /// Upper bound on the relative writer slow-down this policy admits, as a
-    /// fraction (e.g. `0.1` for `N = 9`). `None` when the policy provides no
-    /// bound.
-    pub fn slowdown_bound(&self) -> Option<f64> {
+    /// fraction (e.g. `0.1` for `N = 9`).
+    pub fn slowdown_bound(&self) -> f64 {
         match self {
-            BiasPolicy::Disabled => Some(0.0),
-            BiasPolicy::InhibitUntil { n } => Some(1.0 / (*n as f64 + 1.0)),
-            BiasPolicy::Bernoulli { .. } => None,
+            BiasPolicy::Disabled => 0.0,
+            BiasPolicy::InhibitUntil { n } => 1.0 / (*n as f64 + 1.0),
         }
     }
-}
-
-thread_local! {
-    static XORSHIFT_STATE: Cell<u64> = const { Cell::new(0) };
-}
-
-/// One Bernoulli trial with probability `1 / inverse_p`, driven by a
-/// thread-local Marsaglia xorshift generator (as in the paper's prototype).
-fn bernoulli_trial(inverse_p: u32) -> bool {
-    if inverse_p <= 1 {
-        return true;
-    }
-    XORSHIFT_STATE.with(|state| {
-        let mut x = state.get();
-        if x == 0 {
-            // Seed lazily from the thread id so every thread gets a distinct,
-            // deterministic-enough stream without any global coordination.
-            x = 0x9e37_79b9_7f4a_7c15 ^ (topology::current_thread_id().as_usize() as u64 + 1);
-        }
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        state.set(x);
-        x % (inverse_p as u64) == 0
-    })
 }
 
 #[cfg(test)]
@@ -143,7 +113,7 @@ mod tests {
     #[test]
     fn default_is_the_paper_policy() {
         assert_eq!(BiasPolicy::default(), BiasPolicy::InhibitUntil { n: 9 });
-        assert_eq!(BiasPolicy::default().slowdown_bound(), Some(0.1));
+        assert_eq!(BiasPolicy::default().slowdown_bound(), 0.1);
     }
 
     #[test]
@@ -177,33 +147,8 @@ mod tests {
     }
 
     #[test]
-    fn bernoulli_rate_is_roughly_one_over_p() {
-        let p = BiasPolicy::Bernoulli { inverse_p: 100 };
-        let trials = 200_000;
-        let hits = (0..trials).filter(|_| p.should_enable(0, u64::MAX)).count();
-        let rate = hits as f64 / trials as f64;
-        assert!(
-            (0.005..0.02).contains(&rate),
-            "Bernoulli(1/100) produced rate {rate}"
-        );
-    }
-
-    #[test]
-    fn bernoulli_with_p_one_always_enables() {
-        let p = BiasPolicy::Bernoulli { inverse_p: 1 };
-        assert!(p.should_enable(0, u64::MAX));
-    }
-
-    #[test]
     fn slowdown_bounds() {
-        assert_eq!(BiasPolicy::Disabled.slowdown_bound(), Some(0.0));
-        assert_eq!(
-            BiasPolicy::InhibitUntil { n: 99 }.slowdown_bound(),
-            Some(0.01)
-        );
-        assert_eq!(
-            BiasPolicy::Bernoulli { inverse_p: 100 }.slowdown_bound(),
-            None
-        );
+        assert_eq!(BiasPolicy::Disabled.slowdown_bound(), 0.0);
+        assert_eq!(BiasPolicy::InhibitUntil { n: 99 }.slowdown_bound(), 0.01);
     }
 }

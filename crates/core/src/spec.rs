@@ -23,7 +23,7 @@
 //! | key | values | selects |
 //! |-----|--------|---------|
 //! | `n` | integer | [`BiasPolicy::InhibitUntil`] with that multiplier |
-//! | `bias` | `disabled`, `bernoulli:<inverse_p>`, `inhibit:<n>` | the other [`BiasPolicy`] forms (`inhibit:<n>` is the long form of `n=<n>`) |
+//! | `bias` | `disabled` | [`BiasPolicy::Disabled`]: bias is never enabled |
 //! | `table` | `global`, `private:<slots>`, `sectored:<sectors>x<slots>` | the [`TableSpec`] |
 //! | `wait` | `spin`, `park`, `futex` | the [`WaitMode`] contended waiters use (parking queues or kernel futex sleeps instead of spinning; `futex` falls back to `park` where the syscall is unavailable) |
 //! | `shards` | integer ≥ 1 | how many key-hashed data shards a spec-driven store (e.g. `kvstore::Db`) partitions itself into, each shard guarded by its own lock built from this spec; `1` (the default) keeps the single-lock layout |
@@ -218,7 +218,6 @@ impl std::fmt::Display for LockSpec {
             } => {}
             BiasPolicy::InhibitUntil { n } => param(f, format!("n={n}"))?,
             BiasPolicy::Disabled => param(f, "bias=disabled".to_string())?,
-            BiasPolicy::Bernoulli { inverse_p } => param(f, format!("bias=bernoulli:{inverse_p}"))?,
         }
         if self.table != TableSpec::Global {
             param(f, format!("table={}", self.table))?;
@@ -290,7 +289,12 @@ impl FromStr for LockSpec {
                     spec.bias = BiasPolicy::InhibitUntil { n };
                 }
                 "bias" => {
-                    spec.bias = parse_bias(value.trim())?;
+                    if value.trim() != "disabled" {
+                        return Err(SpecParseError::new(format!(
+                            "bias must be 'disabled', got '{value}'"
+                        )));
+                    }
+                    spec.bias = BiasPolicy::Disabled;
                 }
                 "table" => {
                     spec.table = parse_table(value.trim())?;
@@ -320,29 +324,6 @@ impl FromStr for LockSpec {
         }
         Ok(spec)
     }
-}
-
-fn parse_bias(value: &str) -> Result<BiasPolicy, SpecParseError> {
-    if value == "disabled" {
-        return Ok(BiasPolicy::Disabled);
-    }
-    if let Some(p) = value.strip_prefix("bernoulli:") {
-        let inverse_p = p.parse::<u32>().map_err(|_| {
-            SpecParseError::new(format!(
-                "bernoulli inverse probability '{p}' is not an integer"
-            ))
-        })?;
-        return Ok(BiasPolicy::Bernoulli { inverse_p });
-    }
-    if let Some(n) = value.strip_prefix("inhibit:") {
-        let n = n.parse::<u64>().map_err(|_| {
-            SpecParseError::new(format!("inhibit multiplier '{n}' is not an integer"))
-        })?;
-        return Ok(BiasPolicy::InhibitUntil { n });
-    }
-    Err(SpecParseError::new(format!(
-        "bias must be 'disabled', 'bernoulli:<inverse_p>' or 'inhibit:<n>', got '{value}'"
-    )))
 }
 
 fn parse_table(value: &str) -> Result<TableSpec, SpecParseError> {
@@ -594,7 +575,6 @@ mod tests {
             LockSpec::new("BA"),
             LockSpec::new("BRAVO-BA").with_bias(BiasPolicy::InhibitUntil { n: 99 }),
             LockSpec::new("BRAVO-BA").with_bias(BiasPolicy::Disabled),
-            LockSpec::new("BRAVO-pthread").with_bias(BiasPolicy::Bernoulli { inverse_p: 100 }),
             LockSpec::new("BRAVO-BA").with_table(TableSpec::Private { slots: 4096 }),
             LockSpec::new("BRAVO-2D-BA").with_table(TableSpec::Sectored {
                 sectors: 4,
@@ -641,6 +621,8 @@ mod tests {
             "BA?table=numa:2x0",
             "BA?table=numa:axb",
             "BA?bias=sometimes",
+            "BRAVO-BA?bias=bernoulli:100",
+            "BRAVO-BA?bias=inhibit:9",
             "BA?stats=maybe",
             "BA?stats=global",
             "BA?stats=per-lock",
@@ -729,6 +711,21 @@ mod tests {
         assert_eq!(futex.to_string(), "BA?wait=futex");
         let spin: LockSpec = "BA?wait=spin".parse().unwrap();
         assert_eq!(spin.to_string(), "BA");
+    }
+
+    #[test]
+    fn disabled_is_the_only_bias_value() {
+        // `n=<n>` is the one spelling of inhibit-until, so `bias=` takes
+        // only `disabled` and names nothing else when it rejects a value.
+        for value in ["bernoulli:100", "inhibit:9"] {
+            let err = format!("BRAVO-BA?bias={value}")
+                .parse::<LockSpec>()
+                .unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("invalid lock spec: bias must be 'disabled', got '{value}'")
+            );
+        }
     }
 
     #[test]

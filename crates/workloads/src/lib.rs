@@ -2,7 +2,7 @@
 //!
 //! This crate implements the four user-space microbenchmarks of the paper's
 //! §5, factored out of the harness binaries so they can also be exercised by
-//! integration tests and Criterion benches:
+//! integration tests:
 //!
 //! * [`interference`] — the inter-lock interference experiment (Figure 1):
 //!   64 threads picking read locks at random from a pool of `N`, measuring

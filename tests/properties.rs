@@ -121,7 +121,6 @@ fn arbitrary_spec_strategy() -> impl Strategy<Value = LockSpec> {
     let kind = (0usize..LockKind::all().len()).prop_map(|i| LockKind::all()[i].name().to_string());
     let bias = prop_oneof![
         (0u64..1_000).prop_map(|n| BiasPolicy::InhibitUntil { n }),
-        (1u32..10_000).prop_map(|inverse_p| BiasPolicy::Bernoulli { inverse_p }),
         (0u8..1).prop_map(|_| BiasPolicy::Disabled),
     ];
     let table = prop_oneof![
