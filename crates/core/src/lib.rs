@@ -41,10 +41,10 @@
 //! # Composing with other locks
 //!
 //! The transformation is generic over any [`RawRwLock`] whose read holds
-//! are [`AnonymousReaders`]. The companion `rwlocks` crate provides the full
-//! lock zoo from the paper's evaluation (BA/PF-Q, PF-T, Cohort-RW, Per-CPU,
-//! a pthread-like lock); wrapping BA, PF-T or the pthread-like lock is just
-//! a type parameter (Cohort-RW and Per-CPU release reads per node or per
+//! are [`AnonymousReaders`]. The companion `rwlocks` crate provides the
+//! locks of the paper's evaluation (BA/PF-Q, Cohort-RW, Per-CPU, a
+//! pthread-like lock); wrapping BA or the pthread-like lock is just a type
+//! parameter (Cohort-RW and Per-CPU release reads per node or per
 //! CPU, so BRAVO does not wrap them):
 //!
 //! ```

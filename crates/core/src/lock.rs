@@ -37,13 +37,16 @@ pub const TRY_WRITE_BUDGET: Duration = Duration::from_micros(200);
 /// `tests/schedcheck_mutation.rs`): the missing wakeup fixed in the
 /// parking-waiter PR, where a fast-path reader that lost the race with a
 /// revoking writer backs out *without* waking the writer parked on its
-/// slot; and a read release that trusts a peek at its slot, so it skips the
-/// underlying lock when a colliding release frees the slot first.
+/// slot; a read release that trusts a peek at its slot, so it skips the
+/// underlying lock when a colliding release frees the slot first; and a
+/// fast read release that frees its slot without waking the revoker
+/// parked on it.
 ///
 /// Compiled only under the `schedcheck` feature, so release builds carry no
 /// trace of it. Enabled programmatically via [`mutation::set_lost_wakeup`]
-/// (or the `BRAVO_MUTATE_LOST_WAKEUP` environment variable) and
-/// [`mutation::set_peek_then_free`].
+/// (or the `BRAVO_MUTATE_LOST_WAKEUP` environment variable),
+/// [`mutation::set_peek_then_free`] and
+/// [`mutation::set_silent_release`].
 #[cfg(feature = "schedcheck")]
 pub mod mutation {
     use crate::sync::atomic::{AtomicBool, Ordering};
@@ -51,6 +54,7 @@ pub mod mutation {
 
     static LOST_WAKEUP: AtomicBool = AtomicBool::new(false);
     static PEEK_THEN_FREE: AtomicBool = AtomicBool::new(false);
+    static SILENT_RELEASE: AtomicBool = AtomicBool::new(false);
     static ENV: OnceLock<bool> = OnceLock::new();
 
     /// Enables or disables the lost-wakeup mutation process-wide.
@@ -72,6 +76,16 @@ pub mod mutation {
     /// Whether a read release should trust a peek at its slot.
     pub(crate) fn peek_then_free() -> bool {
         PEEK_THEN_FREE.load(Ordering::SeqCst)
+    }
+
+    /// Enables or disables the silent-release mutation process-wide.
+    pub fn set_silent_release(enabled: bool) {
+        SILENT_RELEASE.store(enabled, Ordering::SeqCst);
+    }
+
+    /// Whether a read release that freed its slot should skip its notify.
+    pub(crate) fn silent_release() -> bool {
+        SILENT_RELEASE.load(Ordering::SeqCst)
     }
 }
 
@@ -151,7 +165,8 @@ impl<L: AnonymousReaders> BravoLock<L> {
     /// Sets how this lock's *revocation* waits behave (its own only wait
     /// site; readers' waits live in the underlying lock, which the catalog
     /// constructs with the same mode). In park and futex modes, fast-path
-    /// readers also notify the lock address as they clear their slots.
+    /// readers also notify the lock address as they clear their slots while
+    /// bias is off.
     pub fn with_wait_mode(mut self, mode: WaitMode) -> Self {
         self.wait = WaitStrategy::new(mode);
         self
@@ -300,6 +315,28 @@ impl<L: AnonymousReaders> BravoLock<L> {
     /// * a slot is a pure function of (lock, thread id), so a thread id must
     ///   never be reused while its thread holds a read.
     ///
+    /// A release that frees a slot wakes parked revokers only when RBias is
+    /// clear, so a fast release under bias writes nothing shared beyond its
+    /// slot. Only a revoker waits on a published slot, and it clears RBias
+    /// (SeqCst) before its scan (SeqCst loads). The slot clear is a SeqCst
+    /// RMW and the RBias load after it is SeqCst, so these accesses lie in
+    /// one total order:
+    ///
+    /// * if the revoker's RBias clear comes before the load, the load sees
+    ///   bias off and the release notifies;
+    /// * otherwise the slot clear precedes the revoker's RBias clear, which
+    ///   precedes its scan, so the scan finds the slot empty and the revoker
+    ///   never waits on it.
+    ///
+    /// A slow reader's re-enable of RBias (a Release store) happens before
+    /// the next revoker's RBias clear, because that revoker first takes the
+    /// underlying lock exclusively; so a load ordered after the clear cannot
+    /// read the re-enable instead. A revoker that times out restores RBias
+    /// only after it has stopped waiting, and revokers are serialized by the
+    /// underlying lock, so a load that reads the restored `true` leaves no
+    /// waiter behind; the next revoker clears RBias again before it scans.
+    /// In spin mode nobody parks, and the release skips the load.
+    ///
     /// [`read_lock`]: BravoLock::read_lock
     /// [`try_read_lock`]: BravoLock::try_read_lock
     pub fn read_unlock(&self) {
@@ -314,12 +351,23 @@ impl<L: AnonymousReaders> BravoLock<L> {
             self.wait.notify_all(addr);
             return;
         }
-        if table.clear(slot, addr) {
-            // A parked revoking writer waits keyed on the lock address;
-            // wake it now that our slot is clear (no-op when spinning).
-            self.wait.notify_all(addr);
-        } else {
+        if !table.clear(slot, addr) {
             self.underlying.unlock_shared();
+            return;
+        }
+        // A parked revoking writer waits keyed on the lock address, and
+        // only after clearing RBias (see above).
+        if self.wait.mode() == WaitMode::Spin {
+            return;
+        }
+        #[cfg(feature = "schedcheck")]
+        if mutation::silent_release() {
+            // Seeded bug: the revoker parked on this slot never learns it
+            // emptied.
+            return;
+        }
+        if !self.rbias.load(Ordering::SeqCst) {
+            self.wait.notify_all(addr);
         }
     }
 

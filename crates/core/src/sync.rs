@@ -8,12 +8,13 @@
 //! scheduler yield point before every operation so the model checker can
 //! deschedule a thread between any two shared-memory accesses.
 //!
-//! Discipline (enforced by `schedcheck lint`): the migrated lock modules
-//! (`raw`, `vrt`, `wait`, `lock` here; `counter` and `mutex` in
-//! `rwlocks`) must import atomics as `crate::sync::atomic` (or
-//! `bravo::sync::atomic`) and parking as `crate::sync::thread` — never
-//! `std::sync::atomic` or bare `std::thread::park` — so no access slips
-//! past the checker's instrumentation.
+//! Discipline (enforced by `schedcheck lint`): the migrated modules (`raw`,
+//! `vrt`, `wait`, `lock` and `policy` here; `mutex` and `pf_q` in
+//! `rwlocks`; `memtable` in `kvstore`) must import atomics as
+//! `crate::sync::atomic` (or `bravo::sync::atomic`) and parking as
+//! `crate::sync::thread` — never `std::sync::atomic` or bare
+//! `std::thread::park` — so no access slips past the checker's
+//! instrumentation.
 
 #[cfg(not(feature = "schedcheck"))]
 mod imp {

@@ -179,11 +179,16 @@ impl VisibleReadersTable {
     /// held by another lock (see
     /// [`BravoLock::read_unlock`](crate::BravoLock::read_unlock)).
     pub fn clear(&self, slot: usize, lock_addr: usize) -> bool {
-        // Release pairs with the revoker's SeqCst scan, so the reader's
-        // critical section happens-before the writer's. A failed exchange
-        // publishes nothing: the caller releases through the underlying lock.
+        // The release half pairs with the revoker's SeqCst scan, so the
+        // reader's critical section happens-before the writer's. SeqCst
+        // puts the clear in one total order with the release's RBias
+        // re-check and the revoker's RBias clear, which lets a release skip
+        // its notify while bias is on (see `BravoLock::read_unlock`); on x86
+        // Release and SeqCst are the same `lock cmpxchg`. A failed exchange
+        // publishes nothing: the caller releases through the underlying
+        // lock.
         self.slots[slot]
-            .compare_exchange(lock_addr, 0, Ordering::Release, Ordering::Relaxed)
+            .compare_exchange(lock_addr, 0, Ordering::SeqCst, Ordering::Relaxed)
             .is_ok()
     }
 }

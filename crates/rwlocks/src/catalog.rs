@@ -22,11 +22,8 @@ use bravo::vrt::TableHandle;
 use bravo::{AnonymousReaders, BiasPolicy, BravoLock, RawTryRwLock};
 
 use crate::cohort::CohortRwLock;
-use crate::counter::CounterRwLock;
-use crate::fair::FairRwLock;
 use crate::percpu::PerCpuRwLock;
 use crate::pf_q::PhaseFairQueueLock;
-use crate::pf_t::PhaseFairTicketLock;
 use crate::pthread_like::PthreadRwLock;
 
 /// Every reader-writer lock algorithm available to the benchmark harness.
@@ -37,10 +34,6 @@ pub enum LockKind {
     Ba,
     /// BRAVO over BA — the paper's headline composite.
     BravoBa,
-    /// Brandenburg–Anderson PF-T.
-    PfT,
-    /// BRAVO over PF-T.
-    BravoPfT,
     /// The pthread-like reader-preference blocking lock.
     Pthread,
     /// BRAVO over the pthread-like lock.
@@ -49,12 +42,6 @@ pub enum LockKind {
     CohortRw,
     /// Per-CPU array-of-BA lock (brlock style).
     PerCpu,
-    /// Centralized-counter lock.
-    Counter,
-    /// BRAVO over the centralized-counter lock.
-    BravoCounter,
-    /// Task-fair (MCS-style) lock.
-    Fair,
     /// BRAVO-2D (sectored table) over BA.
     Bravo2dBa,
 }
@@ -78,15 +65,10 @@ impl LockKind {
         &[
             LockKind::Ba,
             LockKind::BravoBa,
-            LockKind::PfT,
-            LockKind::BravoPfT,
             LockKind::Pthread,
             LockKind::BravoPthread,
             LockKind::CohortRw,
             LockKind::PerCpu,
-            LockKind::Counter,
-            LockKind::BravoCounter,
-            LockKind::Fair,
             LockKind::Bravo2dBa,
         ]
     }
@@ -97,15 +79,10 @@ impl LockKind {
         match self {
             LockKind::Ba => "BA",
             LockKind::BravoBa => "BRAVO-BA",
-            LockKind::PfT => "PF-T",
-            LockKind::BravoPfT => "BRAVO-PF-T",
             LockKind::Pthread => "pthread",
             LockKind::BravoPthread => "BRAVO-pthread",
             LockKind::CohortRw => "Cohort-RW",
             LockKind::PerCpu => "Per-CPU",
-            LockKind::Counter => "counter",
-            LockKind::BravoCounter => "BRAVO-counter",
-            LockKind::Fair => "MCS-fair",
             LockKind::Bravo2dBa => "BRAVO-2D-BA",
         }
     }
@@ -123,11 +100,7 @@ impl LockKind {
     pub fn is_bravo(self) -> bool {
         matches!(
             self,
-            LockKind::BravoBa
-                | LockKind::BravoPfT
-                | LockKind::BravoPthread
-                | LockKind::BravoCounter
-                | LockKind::Bravo2dBa
+            LockKind::BravoBa | LockKind::BravoPthread | LockKind::Bravo2dBa
         )
     }
 
@@ -242,16 +215,11 @@ pub fn build_lock(spec: &LockSpec) -> Result<LockHandle, SpecError> {
     };
     match kind {
         LockKind::Ba => plain::<PhaseFairQueueLock>(spec),
-        LockKind::PfT => plain::<PhaseFairTicketLock>(spec),
         LockKind::Pthread => plain::<PthreadRwLock>(spec),
         LockKind::CohortRw => plain::<CohortRwLock>(spec),
         LockKind::PerCpu => plain::<PerCpuRwLock<PhaseFairQueueLock>>(spec),
-        LockKind::Counter => plain::<CounterRwLock>(spec),
-        LockKind::Fair => plain::<FairRwLock>(spec),
         LockKind::BravoBa => bravo_composite::<PhaseFairQueueLock>(spec, false),
-        LockKind::BravoPfT => bravo_composite::<PhaseFairTicketLock>(spec, false),
         LockKind::BravoPthread => bravo_composite::<PthreadRwLock>(spec, false),
-        LockKind::BravoCounter => bravo_composite::<CounterRwLock>(spec, false),
         LockKind::Bravo2dBa => bravo_composite::<PhaseFairQueueLock>(spec, true),
     }
 }
@@ -383,6 +351,21 @@ mod tests {
         ));
         // `wait=park` by contrast applies to every kind.
         assert!(build_lock(&"BA?wait=park".parse().unwrap()).is_ok());
+    }
+
+    #[test]
+    fn deleted_kinds_are_unknown() {
+        // Kinds no figure or workload measured were deleted; the error
+        // lists the paper's six locks and BRAVO-2D-BA.
+        for name in ["PF-T", "BRAVO-PF-T", "counter", "BRAVO-counter", "MCS-fair"] {
+            let Err(SpecError::UnknownKind { known, .. }) = build_lock(&LockSpec::new(name)) else {
+                panic!("'{name}' was not rejected as an unknown kind");
+            };
+            assert_eq!(
+                known.join(" "),
+                "BA BRAVO-BA pthread BRAVO-pthread Cohort-RW Per-CPU BRAVO-2D-BA"
+            );
+        }
     }
 
     #[test]

@@ -10,11 +10,8 @@
 use topology::SECTOR;
 
 use crate::cohort::CohortRwLock;
-use crate::counter::CounterRwLock;
-use crate::fair::FairRwLock;
 use crate::percpu::PerCpuRwLock;
 use crate::pf_q::PhaseFairQueueLock;
-use crate::pf_t::PhaseFairTicketLock;
 use crate::pthread_like::PthreadRwLock;
 use bravo::{AnonymousReaders, BravoLock, RawRwLock};
 
@@ -48,13 +45,7 @@ macro_rules! inline_footprint {
     };
 }
 
-inline_footprint!(
-    CounterRwLock,
-    PhaseFairTicketLock,
-    PhaseFairQueueLock,
-    PthreadRwLock,
-    FairRwLock,
-);
+inline_footprint!(PhaseFairQueueLock, PthreadRwLock);
 
 impl<R: RawRwLock> Footprint for PerCpuRwLock<R> {
     fn footprint_bytes(&self) -> usize {

@@ -7,13 +7,10 @@
 //!
 //! | Paper name  | Type | Reader indicator | Preference |
 //! |-------------|------|------------------|------------|
-//! | — | [`CounterRwLock`] | single central word | writer-pending gate |
-//! | PF-T | [`PhaseFairTicketLock`] | central ingress/egress counters | phase-fair |
 //! | BA (PF-Q) | [`PhaseFairQueueLock`] | central ingress/egress counters, queued writers | phase-fair |
 //! | pthread | [`PthreadRwLock`] | central count, blocking waiters | strong reader preference |
 //! | Cohort-RW (C-RW-WP) | [`CohortRwLock`] | one per NUMA node | writer preference |
 //! | Per-CPU | [`PerCpuRwLock`] | one sub-lock per logical CPU | reader-friendly, writer scans all |
-//! | MCS fair | [`FairRwLock`] | central counters, FIFO phases | task-fair |
 //!
 //! Supporting mutual-exclusion locks (ticket, MCS, and the NUMA-aware cohort
 //! mutex used by Cohort-RW) live in [`mutex`]. [`footprint`] reports
@@ -27,13 +24,10 @@
 
 pub mod catalog;
 pub mod cohort;
-pub mod counter;
-pub mod fair;
 pub mod footprint;
 pub mod mutex;
 pub mod percpu;
 pub mod pf_q;
-pub mod pf_t;
 pub mod pthread_like;
 #[cfg(test)]
 mod tests_support;
@@ -41,10 +35,7 @@ mod tests_support;
 pub use bravo::{RawRwLock, RawTryRwLock, TryLockError};
 pub use catalog::{build_lock, LockKind};
 pub use cohort::CohortRwLock;
-pub use counter::CounterRwLock;
-pub use fair::FairRwLock;
 pub use mutex::{CohortMutex, McsMutex, RawMutex, TicketMutex};
 pub use percpu::PerCpuRwLock;
 pub use pf_q::PhaseFairQueueLock;
-pub use pf_t::PhaseFairTicketLock;
 pub use pthread_like::PthreadRwLock;

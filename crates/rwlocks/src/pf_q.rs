@@ -1,6 +1,6 @@
 //! Brandenburg–Anderson Phase-Fair Queue lock (PF-Q) — "BA" in the paper.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use bravo::sync::atomic::{AtomicU64, Ordering};
 
 use bravo::wait::{WaitMode, WaitStrategy};
 use bravo::{AnonymousReaders, RawRwLock, RawTryRwLock, TryLockError};
@@ -12,20 +12,20 @@ use crate::mutex::{McsMutex, RawMutex};
 /// underlying lock of BRAVO-BA and the main compact baseline of the
 /// user-space evaluation.
 ///
-/// Like [`PF-T`](crate::PhaseFairTicketLock) the reader indicator is a
-/// central pair of ingress/egress counters — the coherence hotspot BRAVO
-/// removes — and admission is phase-fair. The difference is on the waiting
-/// side: writers are serialized by an MCS-style queue and therefore spin
-/// locally while waiting for each other, instead of on a shared ticket word.
+/// The reader indicator is a central pair of ingress/egress counters — the
+/// coherence hotspot BRAVO removes — and admission is phase-fair. Unlike
+/// Brandenburg and Anderson's ticket-based variant, writers are serialized
+/// by an MCS-style queue and therefore spin locally while waiting for each
+/// other, instead of on a shared ticket word.
 ///
 /// *Reproduction note.* In the published PF-Q, blocked **readers** also
 /// enqueue and spin locally on their queue node. Here blocked readers spin
-/// on the central writer-presence bits (as in PF-T). This simplification
-/// does not change the admission order, the phase-fair guarantee, or the
-/// reader-arrival coherence behaviour that the BRAVO experiments measure;
-/// it only increases waiting-side traffic when many readers are blocked
-/// behind a writer, a regime the paper itself describes as giving "broadly
-/// similar performance" for PF-T and PF-Q.
+/// on the central writer-presence bits, as in the ticket-based variant.
+/// This simplification does not change the admission order, the
+/// phase-fair guarantee, or the reader-arrival coherence behaviour that the
+/// BRAVO experiments measure; it only increases waiting-side traffic when
+/// many readers are blocked behind a writer, a regime the paper itself
+/// describes as giving "broadly similar performance" for the two variants.
 pub struct PhaseFairQueueLock {
     /// Reader ingress counter; low bits hold writer-present/phase flags.
     rin: AtomicU64,
@@ -174,7 +174,7 @@ mod tests {
     use crate::tests_support::{
         exclusion_torture, mixed_torture, read_concurrency_smoke, try_lock_matrix,
     };
-    use std::sync::atomic::AtomicBool;
+    use bravo::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
     #[test]

@@ -93,8 +93,8 @@ const MIGRATED: &[&str] = &[
     "crates/core/src/wait.rs",
     "crates/core/src/lock.rs",
     "crates/core/src/policy.rs",
-    "crates/rwlocks/src/counter.rs",
     "crates/rwlocks/src/mutex.rs",
+    "crates/rwlocks/src/pf_q.rs",
     "crates/kvstore/src/memtable.rs",
 ];
 
@@ -304,14 +304,14 @@ mod tests {
         // Migrated module: must go through the facade.
         fs::create_dir_all(root.join("crates/rwlocks/src")).unwrap();
         fs::write(
-            root.join("crates/rwlocks/src/counter.rs"),
+            root.join("crates/rwlocks/src/pf_q.rs"),
             "use std::sync::atomic::AtomicU64;\n",
         )
         .unwrap();
         let violations = lint_tree(&root).unwrap();
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert_eq!(violations[0].rule, "raw-atomics");
-        assert!(violations[0].file.to_string_lossy().contains("counter.rs"));
+        assert!(violations[0].file.to_string_lossy().contains("pf_q.rs"));
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -10,7 +10,7 @@
 //! | Crate | Contents |
 //! |-------|----------|
 //! | [`bravo`] | the BRAVO transformation: visible readers table, bias policy, `BravoLock`, `BravoRwLock` |
-//! | [`rwlocks`] | the lock zoo: BA (PF-Q), PF-T, Cohort-RW, Per-CPU, pthread-like, fair, plus mutex substrates |
+//! | [`rwlocks`] | the paper's locks: BA (PF-Q), Cohort-RW, Per-CPU, pthread-like, plus mutex substrates |
 //! | [`topology`] | simulated machine topology and cache geometry |
 //! | [`rwsem`] | Linux rwsem simulation and the BRAVO kernel patch |
 //! | [`kernelsim`] | locktorture, the simulated mm/VMA subsystem, will-it-scale drivers |

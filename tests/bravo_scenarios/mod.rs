@@ -7,16 +7,17 @@ use std::sync::Arc;
 use bravo::sync::atomic::{AtomicU64, Ordering};
 use bravo::{BiasPolicy, BravoLock, DefaultRwLock, RawRwLock, TableHandle, WaitMode, WaitStrategy};
 
-/// A park-mode BRAVO lock over a one-slot private table, so every reader
-/// collides on the same slot, with reader bias primed from the root.
-pub fn primed_one_slot_lock() -> Arc<BravoLock<DefaultRwLock>> {
+/// A BRAVO lock over a one-slot private table, so every reader collides on
+/// the same slot, with every wait in `mode` and reader bias primed from the
+/// root.
+pub fn primed_one_slot_lock(mode: WaitMode) -> Arc<BravoLock<DefaultRwLock>> {
     let lock = Arc::new(
         BravoLock::<DefaultRwLock>::with_parts(
-            DefaultRwLock::with_wait(WaitMode::Park),
+            DefaultRwLock::with_wait(mode),
             TableHandle::private(1),
             BiasPolicy::paper_default(),
         )
-        .with_wait_mode(WaitMode::Park),
+        .with_wait_mode(mode),
     );
     lock.read_lock();
     lock.read_unlock();
@@ -38,7 +39,7 @@ pub fn spawn_writer(lock: &Arc<BravoLock<DefaultRwLock>>) -> schedcheck::JoinHan
 /// release does: both readers see the publication, one frees it, and the
 /// other then frees nothing and skips its underlying release.
 pub fn colliding_readers_release_together() {
-    let lock = primed_one_slot_lock();
+    let lock = primed_one_slot_lock(WaitMode::Park);
     let (turns, key) = (WaitStrategy::park(), 0x70ce_f4eeusize);
     let stage = Arc::new(AtomicU64::new(0));
     let fast = {
@@ -64,4 +65,32 @@ pub fn colliding_readers_release_together() {
     fast.join();
     slow.join();
     spawn_writer(&lock).join();
+}
+
+/// A fast reader holds its slot, and only then does a writer revoke: its
+/// scan finds the slot and, in park or futex mode, it may park on it. The
+/// reader's release must wake it, or the writer sleeps forever.
+pub fn revoker_parked_on_a_fast_reader(mode: WaitMode) {
+    let lock = primed_one_slot_lock(mode);
+    let (turns, key) = (WaitStrategy::park(), 0x5107_f457usize);
+    let held = Arc::new(AtomicU64::new(0));
+    let reader = {
+        let (lock, held) = (Arc::clone(&lock), Arc::clone(&held));
+        schedcheck::spawn(move || {
+            assert!(lock.read_lock(), "bias is primed and the slot is free");
+            held.store(1, Ordering::SeqCst);
+            turns.notify_all(key);
+            lock.read_unlock();
+        })
+    };
+    let writer = {
+        let (lock, held) = (Arc::clone(&lock), Arc::clone(&held));
+        schedcheck::spawn(move || {
+            turns.wait_until(key, || held.load(Ordering::SeqCst) == 1);
+            lock.write_lock();
+            lock.write_unlock();
+        })
+    };
+    reader.join();
+    writer.join();
 }

@@ -14,8 +14,11 @@ use std::sync::Arc;
 
 use bravo::sync::atomic::{AtomicU64, Ordering};
 use bravo::{DefaultRwLock, RawRwLock, WaitMode, WaitStrategy};
-use bravo_scenarios::{colliding_readers_release_together, primed_one_slot_lock, spawn_writer};
-use rwlocks::{CounterRwLock, RawMutex, TicketMutex};
+use bravo_scenarios::{
+    colliding_readers_release_together, primed_one_slot_lock, revoker_parked_on_a_fast_reader,
+    spawn_writer,
+};
+use rwlocks::{PhaseFairQueueLock, RawMutex, TicketMutex};
 use schedcheck::{Config, FailureKind};
 
 /// Readers and one non-atomically-incrementing writer over a raw rwlock.
@@ -67,10 +70,13 @@ fn default_rwlock_park_mode_survives_pct() {
 }
 
 #[test]
-fn counter_rwlock_park_mode_survives_pct() {
+fn ba_park_mode_survives_pct() {
+    // BA (PF-Q) is the underlying lock of every BRAVO-BA row: its phase
+    // handoffs between the reader counters, the writer-presence bits and
+    // the MCS writer queue.
     schedcheck::check(
-        &Config::pct(0xC0FE, 3).with_schedules(200),
-        rwlock_scenario(|| CounterRwLock::with_wait(WaitMode::Park)),
+        &Config::pct(0xBA0F, 3).with_schedules(200),
+        rwlock_scenario(|| PhaseFairQueueLock::with_wait(WaitMode::Park)),
     );
 }
 
@@ -105,7 +111,7 @@ fn bravo_revocation_handshake_survives_pct() {
     // writer. With the wakeup in place no interleaving may deadlock.
     for seed in [0xB1A5, 0xB1A6] {
         schedcheck::check(&Config::pct(seed, 3).with_schedules(200), || {
-            let lock = primed_one_slot_lock();
+            let lock = primed_one_slot_lock(WaitMode::Park);
             let reader = {
                 let lock = Arc::clone(&lock);
                 schedcheck::spawn(move || {
@@ -117,6 +123,18 @@ fn bravo_revocation_handshake_survives_pct() {
             reader.join();
             writer.join();
         });
+    }
+}
+
+#[test]
+fn a_fast_release_wakes_the_revoker_parked_on_its_slot() {
+    // The release notifies only while bias is off; a revoker clears bias
+    // before it scans, so the one parked on this slot is always woken.
+    for mode in [WaitMode::Park, WaitMode::Futex] {
+        let report = schedcheck::check(&Config::pct(0x5107, 3).with_schedules(300), move || {
+            revoker_parked_on_a_fast_reader(mode)
+        });
+        assert_eq!(report.schedules, 300, "{mode}");
     }
 }
 
@@ -140,7 +158,7 @@ fn a_backed_out_publication_freed_by_a_token_free_release_is_not_leaked() {
     // The window needs four threads in a narrow order; a random walk finds
     // it where PCT's few priority changes do not.
     schedcheck::check(&Config::random_walk(1).with_schedules(2000), || {
-        let lock = primed_one_slot_lock();
+        let lock = primed_one_slot_lock(WaitMode::Park);
         let readers: Vec<_> = (0..2)
             .map(|_| {
                 let lock = Arc::clone(&lock);

@@ -7,11 +7,12 @@
 //! the writer parked on it. The token-free release had to avoid a
 //! peek-then-free race: a release that sees its slot hold the lock, frees
 //! it and skips the underlying lock, although a colliding release freed
-//! the slot first. `bravo::lock::mutation` re-introduces each bug behind
-//! the `schedcheck` feature. The tests assert the checker (a) passes the
-//! clean scenario, (b) drives the seeded bug to its deadlock within a
-//! bounded schedule budget, and (c) for the lost wakeup, prints a seed
-//! token that replays the failing interleaving byte-for-byte.
+//! the slot first. A fast read release must wake the revoker parked on its
+//! slot whenever bias is off. `bravo::lock::mutation` re-introduces each
+//! bug behind the `schedcheck` feature. The tests assert the checker (a)
+//! passes the clean scenario, (b) drives the seeded bug to its deadlock
+//! within a bounded schedule budget, and (c) for the lost wakeup, prints a
+//! seed token that replays the failing interleaving byte-for-byte.
 //!
 //! The mutation flags are process-wide, so each test holds [`SERIAL`]
 //! while it runs.
@@ -23,7 +24,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use bravo::lock::mutation;
 use bravo::{BiasPolicy, BravoLock, DefaultRwLock, RawRwLock, TableHandle, WaitMode};
-use bravo_scenarios::colliding_readers_release_together;
+use bravo_scenarios::{colliding_readers_release_together, revoker_parked_on_a_fast_reader};
 use schedcheck::{Config, FailureKind};
 
 /// Serializes the tests of this file: each sets process-wide flags.
@@ -160,4 +161,36 @@ fn checker_finds_reintroduced_peek_then_free_release() {
     )
     .unwrap_or_else(|f| panic!("fixed code failed the bug's own schedule: {f}"));
     assert_eq!(report.schedules, 1);
+}
+
+#[test]
+fn checker_finds_a_silent_fast_release() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    for mode in [WaitMode::Park, WaitMode::Futex] {
+        let scenario = move || revoker_parked_on_a_fast_reader(mode);
+        // Clean first, on the budget `schedcheck_locks.rs` gives the case.
+        mutation::set_silent_release(false);
+        let report = schedcheck::run(&Config::pct(0x5107, 3).with_schedules(300), scenario)
+            .unwrap_or_else(|f| panic!("{mode}: clean parked-revoker scenario failed: {f}"));
+        assert_eq!(report.schedules, 300);
+
+        // A release that frees its slot without a notify strands the writer
+        // whenever it parked first.
+        mutation::set_silent_release(true);
+        let failure = schedcheck::run(&Config::pct(0x5107, 3).with_schedules(300), scenario);
+        mutation::set_silent_release(false);
+        let failure = failure.expect_err("the silent release must strand the revoker");
+        assert_eq!(failure.kind, FailureKind::Deadlock, "{mode}: {failure}");
+        assert!(
+            failure.detail.contains("parked"),
+            "{mode}: deadlock dump should show the parked writer: {}",
+            failure.detail
+        );
+
+        // With the notify back, the very interleaving that deadlocked is
+        // harmless.
+        let report = schedcheck::run(&Config::replay(&failure.seed_token), scenario)
+            .unwrap_or_else(|f| panic!("{mode}: fixed code failed the bug's own schedule: {f}"));
+        assert_eq!(report.schedules, 1);
+    }
 }
