@@ -70,10 +70,13 @@ impl BatchOp {
 /// single lock, which is exactly what the figure measures).
 ///
 /// The table probes linearly over 40-byte slots (the key and the value),
-/// hashes with a per-table SipHash key like a std `HashMap`, deletes by
-/// backward shift and doubles before it is 3/4 full. A table of 2 MiB or
-/// more (2^16 slots and up, over 24,576 keys) sits in an anonymous mapping
-/// of its own on transparent huge pages ([`bravo::sys::mem`]). See
+/// hashes with two chained folded multiplies under four per-table random
+/// seeds, deletes by backward shift and doubles before it is 3/4 full. The
+/// hash is seeded but not cryptographic: unlike a std `HashMap`'s SipHash,
+/// a keyed pseudorandom function, it resists keys chosen to collide only
+/// while its seeds stay secret. A table of 2 MiB or more (2^16 slots and
+/// up, over 24,576 keys) sits in an anonymous mapping of its own on
+/// transparent huge pages ([`bravo::sys::mem`]). See
 /// [`MemTable::prepopulated`] for how a table is loaded.
 pub struct MemTable {
     get_lock: LockHandle,

@@ -12,11 +12,22 @@
 //!
 //! # The hash
 //!
-//! Each table has its own [`RandomState`] (SipHash with random keys), as a
-//! std `HashMap` would, so clients that choose keys cannot aim them at one
-//! run of slots. It is kept apart from [`bravo::hash::key_hash`], which is
-//! fixed and also routes keys to shards by its top bits ([`key_shard`]):
-//! every key of one shard of a 4-shard store shares the top two bits of
+//! Each table hashes with its own [`KeyHasher`]: two chained folded
+//! multiplies, `fold(fold(key ^ k0, k1) ^ k2, k3)`, where `fold(a, b)` is
+//! the low word of the 128-bit product `a * b` XORed with its high word.
+//! The four seeds are drawn once per table from std's [`RandomState`], so
+//! the OS still supplies the randomness. This deviates from hashing as a
+//! std `HashMap` would: std's hash is a keyed pseudorandom function, while
+//! the fold is seeded but not cryptographic, so its resistance to clients
+//! that choose keys to pile onto one run of slots rests on the four seeds
+//! staying secret. It costs about a fifth of what std's does: 1.6–1.8
+//! against 7.6–8.8 ns a key in a loop on a 2-core Xeon host. One fold
+//! alone is not enough: under many seeds it piles structured keys
+//! (sequential, or `i << 16`, or `i << 32`) into long runs.
+//!
+//! The hash is kept apart from [`bravo::hash::key_hash`], which is fixed
+//! and also routes keys to shards by its top bits ([`key_shard`]): every
+//! key of one shard of a 4-shard store shares the top two bits of
 //! `key_hash`, so a home read from those bits would leave 3 of every 4
 //! home slots unused.
 
@@ -60,10 +71,33 @@ pub(crate) fn slots_for(keys: usize) -> Option<usize> {
     Some(least.checked_next_power_of_two()?.max(MIN_SLOTS))
 }
 
+/// A table's seeded key hash; see the module docs.
+#[derive(Debug, Clone, Copy)]
+struct KeyHasher([u64; 4]);
+
+impl KeyHasher {
+    /// A hasher with four fresh seeds from std's [`RandomState`].
+    fn new() -> Self {
+        let state = RandomState::new();
+        Self(std::array::from_fn(|i| state.hash_one(i)))
+    }
+
+    fn hash(&self, key: u64) -> u64 {
+        let [k0, k1, k2, k3] = self.0;
+        fold(fold(key ^ k0, k1) ^ k2, k3)
+    }
+}
+
+/// The 128-bit product of `a` and `b`, its low word XORed with its high.
+fn fold(a: u64, b: u64) -> u64 {
+    let product = u128::from(a) * u128::from(b);
+    product as u64 ^ (product >> 64) as u64
+}
+
 /// A hash table from `u64` keys to [`Value`]s; see the module docs.
 #[derive(Debug)]
 pub(crate) struct Table {
-    hasher: RandomState,
+    hasher: KeyHasher,
     /// `slots() * SLOT_WORDS` words; a slot whose key word is `EMPTY` is
     /// free and all zero.
     words: Region,
@@ -79,12 +113,12 @@ impl Table {
     /// An empty table of [`MIN_SLOTS`] slots. Aborts, as std's collections
     /// do, if those cannot be allocated.
     pub(crate) fn new() -> Self {
-        Self::with_slots(MIN_SLOTS, RandomState::new()).unwrap_or_else(|_| abort_oom(MIN_SLOTS))
+        Self::with_slots(MIN_SLOTS, KeyHasher::new()).unwrap_or_else(|_| abort_oom(MIN_SLOTS))
     }
 
     /// An empty table of `slots` (a power of two) slots, hashing with
     /// `hasher`. The slots are mapped but not yet faulted in.
-    fn with_slots(slots: usize, hasher: RandomState) -> Result<Self, OutOfMemory> {
+    fn with_slots(slots: usize, hasher: KeyHasher) -> Result<Self, OutOfMemory> {
         debug_assert!(slots.is_power_of_two());
         let words = slots.checked_mul(SLOT_WORDS).ok_or(OutOfMemory)?;
         Ok(Self {
@@ -114,7 +148,7 @@ impl Table {
 
     /// The slot a probe for `key` starts at.
     fn home(&self, key: u64) -> usize {
-        self.hasher.hash_one(key) as usize & self.mask
+        self.hasher.hash(key) as usize & self.mask
     }
 
     fn key_at(&self, slot: usize) -> u64 {
@@ -244,7 +278,7 @@ impl Table {
     /// collections do, if the bigger table cannot be allocated.
     fn grow(&mut self) {
         let slots = self.slots() * 2;
-        let mut bigger = Self::with_slots(slots, self.hasher.clone())
+        let mut bigger = Self::with_slots(slots, self.hasher)
             .and_then(|mut table| table.populate(0..slots).map(|()| table))
             .unwrap_or_else(|_| abort_oom(slots));
         for (key, value) in self.iter().filter(|&(key, _)| key != EMPTY) {
@@ -303,7 +337,7 @@ pub(crate) fn prepopulated(
             .ok()
             .and_then(slots_for)
             .ok_or(OutOfMemory)?;
-        tables.push(Table::with_slots(slots, RandomState::new())?);
+        tables.push(Table::with_slots(slots, KeyHasher::new())?);
     }
     // `first[shard]` indexes the shard's first window list in each
     // thread's lists; `first[shards]` is how many lists a thread has.
@@ -436,7 +470,7 @@ mod tests {
 
     /// A 16-slot table, so a few keys already share runs and wrap around.
     fn small() -> Table {
-        Table::with_slots(MIN_SLOTS, RandomState::new()).unwrap()
+        Table::with_slots(MIN_SLOTS, KeyHasher::new()).unwrap()
     }
 
     #[test]
@@ -462,25 +496,33 @@ mod tests {
         assert!((1..=13).all(|key| table.get(key) == Some([key; 4])));
     }
 
+    /// The mean and the longest distance from a key's home slot to the
+    /// slot holding it, over `keys`, all held by `table`.
+    fn displacement(table: &Table, keys: impl Iterator<Item = u64>) -> (f64, usize) {
+        let (mut sum, mut longest, mut n) = (0, 0, 0);
+        for key in keys {
+            let slot = table.find(key).expect("every inserted key is found");
+            let from_home = slot.wrapping_sub(table.home(key)) & table.mask;
+            sum += from_home;
+            longest = longest.max(from_home);
+            n += 1;
+        }
+        (sum as f64 / n as f64, longest)
+    }
+
     #[test]
     fn one_shards_keys_spread_over_its_home_slots() {
         // Every key of shard 0 of a 4-shard store shares the top two bits
         // of `key_hash`. Were the table's home built from those bits, its
-        // keys would start probes at only a quarter of the slots; SipHash
-        // spreads them over all of them.
+        // keys would start probes at only a quarter of the slots; the
+        // table's own hash spreads them over all of them.
         let keys: Vec<u64> = (1..200_000).filter(|&key| key_shard(key, 4) == 0).collect();
         let slots = slots_for(keys.len()).unwrap();
-        let mut table = Table::with_slots(slots, RandomState::new()).unwrap();
+        let mut table = Table::with_slots(slots, KeyHasher::new()).unwrap();
         for &key in &keys {
             table.insert(key, prepopulated_value(key));
         }
-        let displacement = |key: u64| {
-            let slot = table.find(key).expect("every inserted key is found");
-            slot.wrapping_sub(table.home(key)) & table.mask
-        };
-        let longest = keys.iter().map(|&key| displacement(key)).max().unwrap();
-        let mean =
-            keys.iter().map(|&key| displacement(key)).sum::<usize>() as f64 / keys.len() as f64;
+        let (mean, longest) = displacement(&table, keys.iter().copied());
         let mut homes: Vec<usize> = keys.iter().map(|&key| table.home(key)).collect();
         homes.sort_unstable();
         homes.dedup();
@@ -491,6 +533,62 @@ mod tests {
             "{} home slots of {slots}",
             homes.len()
         );
+    }
+
+    #[test]
+    fn structured_keys_spread() {
+        // Keys that differ only in a few bits, high or low, as counters,
+        // shifted ids and aligned addresses do. 9,999 keys fill 2^14 slots
+        // to 0.61, where a random hash's mean displacement is about 0.8.
+        type Pattern = (&'static str, fn(u64) -> u64);
+        let patterns: [Pattern; 6] = [
+            ("i", |i| i),
+            ("i << 16", |i| i << 16),
+            ("i << 32", |i| i << 32),
+            ("i << 50", |i| i << 50),
+            ("i * 4096 + 7", |i| i * 4096 + 7),
+            ("i * 16384", |i| i * 16384),
+        ];
+        for (name, key) in patterns {
+            for _ in 0..8 {
+                let mut table = Table::with_slots(1 << 14, KeyHasher::new()).unwrap();
+                for i in 1..10_000 {
+                    table.insert(key(i), [i; 4]);
+                }
+                assert_eq!(table.slots(), 1 << 14, "{name}: the table grew");
+                let (mean, longest) = displacement(&table, (1..10_000).map(key));
+                assert!(mean < 1.5, "{name}: mean displacement {mean}");
+                assert!(longest < 160, "{name}: longest displacement {longest}");
+            }
+        }
+    }
+
+    #[test]
+    fn each_table_gets_its_own_seed() {
+        // Were the seeds shared, keys chosen to collide in one table, or
+        // one shard, would collide in every other.
+        let homes = |table: &Table| (1..=64).map(|key| table.home(key)).collect::<Vec<_>>();
+        let first = Table::with_slots(1 << 14, KeyHasher::new()).unwrap();
+        let second = Table::with_slots(1 << 14, KeyHasher::new()).unwrap();
+        assert_ne!(homes(&first), homes(&second));
+    }
+
+    #[test]
+    #[ignore = "loads 4,000,000 keys; run in release with --ignored"]
+    fn a_full_size_load_spreads_every_table() {
+        let tables = prepopulated(4_000_000, 4, 2).unwrap();
+        for (shard, table) in tables.iter().enumerate() {
+            assert_eq!(table.slots(), 1 << 21, "shard {shard}");
+            let keys = table.iter().map(|(key, _)| key).filter(|&key| key != EMPTY);
+            let (mean, longest) = displacement(table, keys);
+            // About 1,000,000 keys in 2^21 slots, a load of 0.48: a random
+            // hash's mean displacement is under 0.5.
+            assert!(mean < 0.75, "shard {shard}: mean displacement {mean}");
+            assert!(
+                longest < 160,
+                "shard {shard}: longest displacement {longest}"
+            );
+        }
     }
 
     /// One step of the model test: put, merge, delete or get one key.
