@@ -25,7 +25,7 @@
 //! | `n` | integer | [`BiasPolicy::InhibitUntil`] with that multiplier |
 //! | `bias` | `disabled` | [`BiasPolicy::Disabled`]: bias is never enabled |
 //! | `table` | `global`, `private:<slots>`, `sectored:<sectors>x<slots>` | the [`TableSpec`] |
-//! | `wait` | `spin`, `park`, `futex` | the [`WaitMode`] contended waiters use (parking queues or kernel futex sleeps instead of spinning; `futex` falls back to `park` where the syscall is unavailable) |
+//! | `wait` | `spin`, `park`, `futex` | the [`WaitMode`] contended waiters use (parking queues or kernel futex sleeps instead of spinning; `futex` falls back to `park` where the syscall is unavailable; a kind that blocks in a way of its own rejects any mode but `spin`) |
 //! | `shards` | integer ≥ 1 | how many key-hashed data shards a spec-driven store (e.g. `kvstore::Db`) partitions itself into, each shard guarded by its own lock built from this spec; `1` (the default) keeps the single-lock layout |
 //!
 //! A spec is resolved into a live lock by the catalog (`rwlocks::catalog`),
@@ -400,6 +400,14 @@ pub enum SpecError {
         /// The algorithm the spec named.
         kind: String,
     },
+    /// The spec sets a wait mode but the algorithm blocks in a way of its
+    /// own, so the mode could never take effect.
+    UnsupportedWait {
+        /// The algorithm the spec named.
+        kind: String,
+        /// The mode the spec set.
+        wait: WaitMode,
+    },
 }
 
 impl std::fmt::Display for SpecError {
@@ -422,6 +430,12 @@ impl std::fmt::Display for SpecError {
                 write!(
                     f,
                     "lock kind '{kind}' is not a BRAVO composite; a bias policy has no effect on it"
+                )
+            }
+            SpecError::UnsupportedWait { kind, wait } => {
+                write!(
+                    f,
+                    "lock kind '{kind}' blocks in a way of its own; wait={wait} has no effect on it"
                 )
             }
         }

@@ -64,10 +64,11 @@ impl Db {
     ///    the window its home slot falls in. The lists take about 9 bytes a
     ///    key.
     /// 3. Each thread takes whole shards and places their keys one window
-    ///    at a time, so consecutive writes stay in L2. A table on huge
-    ///    pages has each window faulted in just before its keys are
-    ///    placed, so no write faults and the kernel's zeroing leaves the
-    ///    window in this core's cache.
+    ///    at a time, in home order: it counting-sorts the window's keys by
+    ///    home slot and writes each at the later of its home and the slot
+    ///    after the last key written, so no key probes the table. A table
+    ///    on huge pages has each window faulted in just before its keys are
+    ///    placed, so no write faults.
     ///
     /// No table grows during the load.
     ///

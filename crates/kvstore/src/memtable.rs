@@ -111,7 +111,7 @@ impl MemTable {
     /// keys up front (at most 3/4 full, so 2^14 slots for 10,000 keys) and
     /// never grows during the load: the keys are hashed once, grouped by
     /// which 320 KiB window of the table their home slot falls in, and
-    /// placed one window at a time.
+    /// placed one window at a time, in home order.
     /// This is the one-shard case of [`crate::Db::open_prepopulated`], on
     /// the calling thread.
     ///

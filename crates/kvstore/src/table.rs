@@ -30,6 +30,29 @@
 //! key of one shard of a 4-shard store shares the top two bits of
 //! `key_hash`, so a home read from those bits would leave 3 of every 4
 //! home slots unused.
+//!
+//! # The load
+//!
+//! [`prepopulated`] writes each table's keys in home order, each at
+//! `max(home, cursor)`, where `cursor` is the slot after the last one
+//! written, rather than probing from each home. That is the table linear
+//! probing builds when the keys are inserted in home order, with each run
+//! of slots holding its keys sorted by home, as Robin Hood hashing keeps
+//! them (Celis, Larson and Munro, FOCS 1985). Three things make it safe:
+//!
+//! 1. It is a valid linear-probing table. The keys already written before
+//!    a key's home form one run from a slot at or before that home up to
+//!    `cursor`, so every slot from a key's home to its slot is occupied,
+//!    which is all a lookup needs. The few keys that would pass the end
+//!    are placed last by probing, and wrap to the start.
+//! 2. Backward-shift deletion needs only that same invariant, so a delete
+//!    from a loaded table works as from any other.
+//! 3. Linear probing fills the same slots, with the same total distance
+//!    from home, whatever the order the keys go in, so the mean lookup
+//!    costs what a load in key order would give.
+//!
+//! The order saves the probe loop: a key's slot is known without reading
+//! the table, and the writes go forward through it.
 
 use std::alloc::Layout;
 use std::collections::hash_map::RandomState;
@@ -48,8 +71,9 @@ const SLOT_WORDS: usize = 5;
 const EMPTY: u64 = 0;
 /// The fewest slots a table has.
 const MIN_SLOTS: usize = 16;
-/// A load places keys one window of `1 << WINDOW_BITS` slots (320 KiB of
-/// table) at a time, so its writes stay in L2.
+/// A load routes and places keys one window of `1 << WINDOW_BITS` slots
+/// (320 KiB of table) at a time, and counting-sorts each window's keys by
+/// home with one count per slot of it.
 const WINDOW_BITS: u32 = 13;
 const WINDOW_MASK: usize = (1 << WINDOW_BITS) - 1;
 
@@ -312,11 +336,15 @@ fn abort_oom(slots: usize) -> ! {
 /// 3. The tables are split over the threads. Each thread places its
 ///    tables' keys one window at a time, reading every thread's list for
 ///    that window. It faults each window in just before
-///    ([`Region::populate`]): the kernel zeroes the window's huge page on
-///    this core, so the placing writes hit the cache, not memory.
+///    ([`Region::populate`]), counting-sorts the window's keys by home into
+///    a buffer of its own, and writes each at `max(home, cursor)`, with
+///    `cursor` carried across the table's windows; a key that would pass
+///    the table's end is placed by probing, and wraps (see "The load" in
+///    the module docs for why this is a valid table).
 ///
 /// No table grows: every one keeps the slot count it was sized at. The key
-/// lists take about 9 bytes a key and are allocated fallibly. Fails if a
+/// lists take about 9 bytes a key, and each thread's sort buffer about 8
+/// bytes a key of one window; all are allocated fallibly. Fails if a
 /// table or a list cannot be allocated, or if `n` exceeds
 /// `2^(64 - WINDOW_BITS)`, the most keys a packed list entry holds; a store
 /// of 40-byte slots that large could not be allocated anyway.
@@ -356,18 +384,16 @@ pub(crate) fn prepopulated(
     let per_thread = shards.div_ceil(threads);
     let runs = (0..).step_by(per_thread).zip(tables.chunks_mut(per_thread));
     let key0_shard = key_shard(0, shards);
+    let (lists, first) = (&lists, &first);
     on_threads(runs.collect(), |(first_shard, tables)| {
+        let mut buffer = SortBuffer::default();
         for (shard, table) in (first_shard..).zip(tables) {
-            for window in 0..windows(table) {
-                let base = window << WINDOW_BITS;
-                table.populate(base..table.slots().min(base + WINDOW_MASK + 1))?;
-                for entry in lists.iter().flat_map(|lists| &lists[first[shard] + window]) {
-                    let key = entry >> WINDOW_BITS;
-                    let home = base | (*entry as usize & WINDOW_MASK);
-                    table.place(home, key, prepopulated_value(key));
-                    table.len += 1;
-                }
-            }
+            let list = |window: usize| {
+                lists
+                    .iter()
+                    .map(move |lists| lists[first[shard] + window].as_slice())
+            };
+            table.load(list, &mut buffer)?;
             if n > 0 && shard == key0_shard {
                 table.zero = Some(prepopulated_value(0));
             }
@@ -382,6 +408,104 @@ pub(crate) fn prepopulated(
 /// Number of placement windows in `table`.
 fn windows(table: &Table) -> usize {
     (table.slots() >> WINDOW_BITS).max(1)
+}
+
+impl Table {
+    /// Step 3 of [`prepopulated`] for one empty table: writes the keys in
+    /// the lists `list(window)` yields for each window, packed as [`route`]
+    /// packs them, each holding [`prepopulated_value`].
+    ///
+    /// Each window is faulted in, its keys are counting-sorted by home into
+    /// `buffer`, and each key is written at `max(home, cursor)`, where
+    /// `cursor` is the slot after the last one written, carried from one
+    /// window to the next. A key whose slot would pass the table's end goes
+    /// through [`Table::place`], which wraps to the start; every slot from
+    /// its home to the end is taken by then, and the start's windows are
+    /// already written. See the module docs for why the result is a valid
+    /// table, with the slots and the total displacement any insertion
+    /// order gives.
+    fn load<'a, L>(
+        &mut self,
+        list: impl Fn(usize) -> L,
+        buffer: &mut SortBuffer,
+    ) -> Result<(), OutOfMemory>
+    where
+        L: Iterator<Item = &'a [u64]> + Clone,
+    {
+        let mut cursor = 0;
+        for window in 0..windows(self) {
+            let base = window << WINDOW_BITS;
+            let end = self.slots().min(base + WINDOW_MASK + 1);
+            self.populate(base..end)?;
+            let sorted = buffer.sort(list(window), end - base)?;
+            let mut wrapped = sorted.len();
+            for (i, &entry) in sorted.iter().enumerate() {
+                let key = entry >> WINDOW_BITS;
+                let slot = (base | (entry as usize & WINDOW_MASK)).max(cursor);
+                if slot > self.mask {
+                    wrapped = i;
+                    break;
+                }
+                self.write(slot, key, prepopulated_value(key));
+                cursor = slot + 1;
+            }
+            for &entry in &sorted[wrapped..] {
+                let key = entry >> WINDOW_BITS;
+                let home = base | (entry as usize & WINDOW_MASK);
+                self.place(home, key, prepopulated_value(key));
+            }
+            self.len += sorted.len();
+        }
+        Ok(())
+    }
+}
+
+/// One thread's buffers for step 3 of [`prepopulated`], kept from one
+/// window to the next.
+#[derive(Debug, Default)]
+struct SortBuffer {
+    /// Per home offset, how many keys have it, and then where they start
+    /// in `sorted`.
+    starts: Vec<usize>,
+    /// One window's list entries, in home order.
+    sorted: Vec<u64>,
+}
+
+impl SortBuffer {
+    /// The entries of `lists`, packed as [`route`] packs them with offsets
+    /// below `width`, counting-sorted by offset. Allocates fallibly.
+    fn sort<'a>(
+        &mut self,
+        lists: impl Iterator<Item = &'a [u64]> + Clone,
+        width: usize,
+    ) -> Result<&[u64], OutOfMemory> {
+        let offset = |entry: u64| entry as usize & WINDOW_MASK;
+        self.starts.clear();
+        self.starts.try_reserve(width)?;
+        self.starts.resize(width, 0);
+        for &entry in lists.clone().flatten() {
+            self.starts[offset(entry)] += 1;
+        }
+        // The running sum stays in a register: read back from `starts`,
+        // each add would wait on the store before it.
+        let mut total = 0;
+        for start in &mut self.starts {
+            let count = *start;
+            *start = total;
+            total += count;
+        }
+        // Every entry below `total` is written next, so the last window's
+        // entries left in `sorted` need not be zeroed first.
+        let more = total.saturating_sub(self.sorted.len());
+        self.sorted.try_reserve(more)?;
+        self.sorted.resize(total, 0);
+        for &entry in lists.flatten() {
+            let at = &mut self.starts[offset(entry)];
+            self.sorted[*at] = entry;
+            *at += 1;
+        }
+        Ok(&self.sorted)
+    }
 }
 
 /// Step 2 of [`prepopulated`]: routes the keys of `range` but key 0 into
@@ -588,6 +712,94 @@ mod tests {
                 longest < 160,
                 "shard {shard}: longest displacement {longest}"
             );
+        }
+    }
+
+    /// Loads `entries`, each a home and a key, into the empty `table` as
+    /// step 3 of [`prepopulated`] does.
+    fn load_homes(table: &mut Table, entries: &[(usize, u64)]) {
+        let mut lists = vec![Vec::new(); windows(table)];
+        for &(home, key) in entries {
+            lists[home >> WINDOW_BITS].push(key << WINDOW_BITS | (home & WINDOW_MASK) as u64);
+        }
+        table
+            .load(
+                |window| std::iter::once(&lists[window][..]),
+                &mut SortBuffer::default(),
+            )
+            .unwrap();
+    }
+
+    #[test]
+    fn a_home_order_load_wraps_its_last_run_to_the_start() {
+        // Two windows of 2^13 slots. Keys homed at the end of the first
+        // window run on into the second; six keys homed in the last three
+        // slots run past the end and wrap onto a run that starts at slot 0.
+        let hasher = KeyHasher::new();
+        let table = Table::with_slots(1 << 14, hasher).unwrap();
+        let last = table.mask;
+        let wanted = |home: usize| match home {
+            0 | 1 => 2,
+            8190 | 8191 => 2,
+            h if h + 3 > last => 2,
+            h if h % 97 == 0 => 1,
+            _ => 0,
+        };
+        let mut taken = vec![0; table.slots()];
+        let mut keys = Vec::new();
+        for key in 1..1_000_000 {
+            let home = table.home(key);
+            if taken[home] < wanted(home) {
+                taken[home] += 1;
+                keys.push(key);
+            }
+        }
+        let want: usize = (0..table.slots()).map(wanted).sum();
+        assert_eq!(keys.len(), want, "keys 1..1,000,000 miss a home");
+        let entries: Vec<(usize, u64)> = keys.iter().map(|&key| (table.home(key), key)).collect();
+        let loaded = || {
+            let mut table = Table::with_slots(1 << 14, hasher).unwrap();
+            load_homes(&mut table, &entries);
+            table
+        };
+
+        let table = loaded();
+        assert_eq!(table.len(), keys.len());
+        let mut slot_of = HashMap::new();
+        for slot in 0..table.slots() {
+            if table.key_at(slot) != EMPTY {
+                slot_of.insert(table.key_at(slot), slot);
+            }
+        }
+        assert_eq!(slot_of.len(), keys.len(), "a key was overwritten");
+        let mut wrapped = 0;
+        for &(home, key) in &entries {
+            let slot = slot_of[&key];
+            wrapped += usize::from(slot < home);
+            let mut probe = home;
+            while probe != slot {
+                assert_ne!(
+                    table.key_at(probe),
+                    EMPTY,
+                    "key {key}: slot {probe} is empty"
+                );
+                probe = (probe + 1) & table.mask;
+            }
+            assert_eq!(table.get(key), Some(prepopulated_value(key)), "key {key}");
+        }
+        assert!(wrapped >= 3, "only {wrapped} keys wrapped");
+
+        for &gone in &keys {
+            let mut table = loaded();
+            assert_eq!(table.remove(gone), Some(prepopulated_value(gone)));
+            assert_eq!(table.get(gone), None);
+            for &key in keys.iter().filter(|&&key| key != gone) {
+                assert_eq!(
+                    table.get(key),
+                    Some(prepopulated_value(key)),
+                    "key {key} after removing {gone}"
+                );
+            }
         }
     }
 

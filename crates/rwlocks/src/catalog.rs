@@ -19,6 +19,7 @@ use std::sync::Arc;
 use bravo::spec::{LockHandle, LockSpec, SpecError, TableSpec};
 use bravo::stats::StatsSink;
 use bravo::vrt::TableHandle;
+use bravo::wait::WaitMode;
 use bravo::{AnonymousReaders, BiasPolicy, BravoLock, RawTryRwLock};
 
 use crate::cohort::CohortRwLock;
@@ -102,6 +103,13 @@ impl LockKind {
             self,
             LockKind::BravoBa | LockKind::BravoPthread | LockKind::Bravo2dBa
         )
+    }
+
+    /// Whether this kind's waiters follow the spec's `wait=` mode. The
+    /// pthread-like lock blocks on condition variables of its own, so it
+    /// takes no mode; `BRAVO-pthread` does, for its revoker's waits.
+    pub fn honours_wait(self) -> bool {
+        self != LockKind::Pthread
     }
 
     /// A [`LockSpec`] selecting this kind with paper-default configuration
@@ -200,7 +208,9 @@ fn plain<L: RawTryRwLock + 'static>(spec: &LockSpec) -> Result<LockHandle, SpecE
 ///
 /// The kind is resolved through [`LockKind::parse`]; bias and table
 /// parameters are honoured for BRAVO composites and rejected (not ignored)
-/// for plain locks. Every BRAVO composite accepts every table layout
+/// for plain locks, and a `wait=` mode other than `spin` is rejected on a
+/// kind that does not honour it ([`LockKind::honours_wait`]). Every BRAVO
+/// composite accepts every table layout
 /// (`global`, `private:`, `sectored:`); a bare `global` resolves to
 /// the flat global table, except on `BRAVO-2D-BA` where it selects the
 /// sectored global table. Every handle gets its own per-lock statistics
@@ -213,6 +223,12 @@ pub fn build_lock(spec: &LockSpec) -> Result<LockHandle, SpecError> {
             known: LockKind::all().iter().map(|k| k.name()).collect(),
         });
     };
+    if spec.wait() != WaitMode::Spin && !kind.honours_wait() {
+        return Err(SpecError::UnsupportedWait {
+            kind: spec.kind().to_string(),
+            wait: spec.wait(),
+        });
+    }
     match kind {
         LockKind::Ba => plain::<PhaseFairQueueLock>(spec),
         LockKind::Pthread => plain::<PthreadRwLock>(spec),
@@ -227,7 +243,6 @@ pub fn build_lock(spec: &LockSpec) -> Result<LockHandle, SpecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bravo::wait::WaitMode;
     use bravo::TryLockError;
     use std::time::Duration;
 
@@ -349,8 +364,15 @@ mod tests {
             build_lock(&"Cohort-RW?table=sectored:2x64".parse().unwrap()),
             Err(SpecError::UnsupportedTable { .. })
         ));
-        // `wait=park` by contrast applies to every kind.
+        // `wait=` applies to every kind but the pthread-like lock, which
+        // blocks on condition variables of its own and takes only the
+        // default, `spin`.
         assert!(build_lock(&"BA?wait=park".parse().unwrap()).is_ok());
+        let Err(e) = build_lock(&"pthread?wait=futex".parse().unwrap()) else {
+            panic!("pthread?wait=futex was not rejected");
+        };
+        assert!(e.to_string().contains("wait=futex"), "{e}");
+        assert!(build_lock(&"pthread?wait=spin".parse().unwrap()).is_ok());
     }
 
     #[test]
@@ -372,6 +394,17 @@ mod tests {
     fn every_kind_builds_and_locks_with_park_waiters() {
         for &kind in LockKind::all() {
             let spec = kind.spec().with_wait(WaitMode::Park);
+            if !kind.honours_wait() {
+                assert_eq!(
+                    build_lock(&spec).map(drop),
+                    Err(SpecError::UnsupportedWait {
+                        kind: kind.name().to_string(),
+                        wait: WaitMode::Park,
+                    }),
+                    "{kind}?wait=park was not rejected"
+                );
+                continue;
+            }
             let lock = build_lock(&spec).unwrap_or_else(|e| panic!("{kind}?wait=park failed: {e}"));
             assert!(lock.label().contains("wait=park"), "{kind} label");
             lock.lock_shared();
@@ -386,10 +419,22 @@ mod tests {
     #[test]
     fn every_kind_builds_and_locks_with_futex_waiters() {
         // Same sweep as the park variant: `wait=futex` must be buildable
-        // and lockable for every kind (falling back to park where the
-        // syscall is unavailable — the dispatch hides the difference).
+        // and lockable for every kind that takes a wait mode (falling back
+        // to park where the syscall is unavailable — the dispatch hides the
+        // difference), and rejected by the one that does not.
         for &kind in LockKind::all() {
             let spec = kind.spec().with_wait(WaitMode::Futex);
+            if !kind.honours_wait() {
+                assert_eq!(
+                    build_lock(&spec).map(drop),
+                    Err(SpecError::UnsupportedWait {
+                        kind: kind.name().to_string(),
+                        wait: WaitMode::Futex,
+                    }),
+                    "{kind}?wait=futex was not rejected"
+                );
+                continue;
+            }
             let lock =
                 build_lock(&spec).unwrap_or_else(|e| panic!("{kind}?wait=futex failed: {e}"));
             assert!(lock.label().contains("wait=futex"), "{kind} label");

@@ -11,8 +11,9 @@
 //! ```
 //!
 //! `serve` opens a [`kvstore::Db`] with the given lock spec and serves the
-//! wire protocol until killed. `--backend threads` (the default) runs one
-//! handler thread per connection; `--backend mux` multiplexes nonblocking
+//! wire protocol until killed. `--backend threads` (the default) serves
+//! each connection on the thread that accepted it, which first starts the
+//! next acceptor; `--backend mux` multiplexes nonblocking
 //! sockets over `--workers` event loops (default: host parallelism, capped
 //! at 8) so connection counts can exceed host threads. With
 //! `--addr 127.0.0.1:0` the kernel picks an ephemeral port; `--port-file`
@@ -69,9 +70,10 @@ bravod: the BRAVO reproduction's RPC server and open-loop load generator
                [--csv PATH]
 
 SPEC follows the lock-spec grammar, e.g. BRAVO-BA?shards=8&wait=futex.
---backend threads (default) serves one thread per connection; --backend mux
-multiplexes nonblocking sockets over --workers event loops, so connections
-can outnumber host threads. --batch K > 1 packs each arrival into one
+--backend threads (default) serves each connection on the thread that
+accepted it, which first starts the next acceptor; --backend mux multiplexes
+nonblocking sockets over --workers event loops, so connections can
+outnumber host threads. --batch K > 1 packs each arrival into one
 MultiGet/WriteBatch frame of K point operations (--rate stays the op rate).
 ";
 
@@ -148,7 +150,7 @@ fn serve(args: &[String]) {
             std::process::exit(2);
         }
     }
-    // Serve until killed. The accept loop runs on its own thread; nothing
+    // Serve until killed. The backend accepts on threads of its own; nothing
     // ever wakes the main thread, so a plain periodic sleep (rather than an
     // ad-hoc park outside the WaitQueue discipline) is the honest idle loop.
     loop {

@@ -5,9 +5,14 @@
 //! environment has no crates.io access). Two backends satisfy the same
 //! [`Backend`] contract:
 //!
-//! * [`BackendKind::Threads`] — one accept loop, one handler thread per
-//!   connection. Simple and lowest-latency while connections ≤ host
-//!   threads; the default.
+//! * [`BackendKind::Threads`] — one thread per connection, handed out
+//!   leader/follower style (Schmidt et al., PLoP 2000): exactly one
+//!   thread blocks in `accept`, and the thread that accepts a connection
+//!   starts its successor, registers it, and then serves the connection
+//!   itself, so no new thread must be scheduled before the connection's
+//!   first request is read.
+//!   Simple and lowest-latency while connections ≤ host threads; the
+//!   default.
 //! * [`BackendKind::Mux`] ([`crate::mux`]) — accepted sockets go
 //!   nonblocking and are multiplexed over a small fixed worker pool, so
 //!   connection counts are bounded by file descriptors instead of threads
@@ -17,9 +22,9 @@
 //! [`FrameDecoder`] and apply them to the shared store through the same
 //! (crate-private) `apply`, so a lock spec measures identically under
 //! either serving discipline. [`Server::shutdown`] is a
-//! real join on *everything* the backend spawned — accept loop, handler
-//! threads, workers — not just the accept loop, so a measurement harness
-//! can sequence runs without leaking blocked threads.
+//! real join on *everything* the backend spawned — the acceptor and the
+//! threads serving connections, or the accept loop and the workers — so a
+//! measurement harness can sequence runs without leaking blocked threads.
 
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -37,7 +42,8 @@ use crate::protocol::{write_frame, FrameDecoder, Request, Response};
 /// How the server maps connections onto threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
-    /// One handler thread per connection (the default).
+    /// One thread per connection, each started by the one before it as
+    /// that one takes a connection (the default).
     #[default]
     Threads,
     /// Nonblocking sockets multiplexed over a fixed worker pool.
@@ -183,12 +189,13 @@ impl From<io::Error> for ServeError {
 /// can assert nothing outlived it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShutdownStats {
-    /// Per-connection handler threads joined (threaded backend).
+    /// Threads joined that served a connection (threaded backend). The
+    /// last acceptor, which served none, is joined but not counted.
     pub handlers_joined: u64,
     /// Event-loop workers joined (mux backend).
     pub workers_joined: u64,
-    /// Live multiplexed connections torn down (mux backend; the threaded
-    /// backend's count is its `handlers_joined`).
+    /// Connections torn down: the live multiplexed ones (mux backend), or
+    /// one per thread counted in `handlers_joined` (threaded backend).
     pub connections_closed: u64,
 }
 
@@ -282,10 +289,10 @@ impl std::fmt::Debug for Server {
     }
 }
 
-/// How often a blocked handler thread wakes to re-check the stop flag: the
-/// read timeout installed on every accepted socket, and therefore the
-/// latency bound on [`ThreadedBackend::shutdown`] observing an idle
-/// connection.
+/// How often a thread serving a connection wakes from a blocked read to
+/// re-check the stop flag: the read timeout installed on every accepted
+/// socket, and therefore the latency bound on [`ThreadedBackend::shutdown`]
+/// observing an idle connection.
 const HANDLER_POLL: Duration = Duration::from_millis(50);
 
 /// How long a blocked *write* may stall before the connection is dropped
@@ -295,40 +302,41 @@ const HANDLER_POLL: Duration = Duration::from_millis(50);
 /// connection whose buffered output makes no progress.
 pub(crate) const HANDLER_WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// The thread-per-connection backend.
+/// The leader/follower backend; see the module docs.
 struct ThreadedBackend {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    connections: Arc<AtomicU64>,
-    accept_thread: Option<JoinHandle<()>>,
-    /// Every live handler's join handle; the accept loop reaps finished
-    /// entries as it admits new connections, `shutdown` drains the rest.
-    handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    shared: Arc<Shared>,
     stopped: bool,
+}
+
+/// What every thread of the threaded backend shares.
+struct Shared {
+    db: Arc<Db>,
+    stop: AtomicBool,
+    connections: AtomicU64,
+    /// Join handles of the threads started and not yet joined. A thread
+    /// registers its successor before it serves. A handle's result says
+    /// whether its thread served a connection. Finished entries are
+    /// reaped as threads register; `shutdown` drains the rest.
+    threads: Mutex<Vec<JoinHandle<bool>>>,
+    verbose: bool,
 }
 
 impl ThreadedBackend {
     fn bind(listener: TcpListener, db: Arc<Db>, verbose: bool) -> Result<Self, ServeError> {
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let connections = Arc::new(AtomicU64::new(0));
-        let handlers = Arc::new(Mutex::new(Vec::new()));
-        let accept_thread = {
-            let db = Arc::clone(&db);
-            let stop = Arc::clone(&stop);
-            let connections = Arc::clone(&connections);
-            let handlers = Arc::clone(&handlers);
-            std::thread::Builder::new()
-                .name("bravod-accept".to_string())
-                .spawn(move || accept_loop(listener, db, stop, connections, handlers, verbose))
-                .map_err(ServeError::Io)?
-        };
+        let shared = Arc::new(Shared {
+            db,
+            stop: AtomicBool::new(false),
+            connections: AtomicU64::new(0),
+            threads: Mutex::new(Vec::new()),
+            verbose,
+        });
+        let first = spawn_acceptor(Arc::new(listener), Arc::clone(&shared))?;
+        shared.register(first);
         Ok(Self {
             addr,
-            stop,
-            connections,
-            accept_thread: Some(accept_thread),
-            handlers,
+            shared,
             stopped: false,
         })
     }
@@ -340,7 +348,7 @@ impl Backend for ThreadedBackend {
     }
 
     fn connections_accepted(&self) -> u64 {
-        self.connections.load(Ordering::Relaxed)
+        self.shared.connections.load(Ordering::Relaxed)
     }
 
     fn shutdown(&mut self) -> ShutdownStats {
@@ -348,24 +356,28 @@ impl Backend for ThreadedBackend {
             return ShutdownStats::default();
         }
         self.stopped = true;
-        self.stop.store(true, Ordering::SeqCst);
+        self.shared.stop.store(true, Ordering::SeqCst);
         // Wake the blocking accept with a throwaway connection; if that
         // fails the listener is already dead and accept will error out.
         let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        // Handlers blocked in a read observe the stop flag within one
-        // HANDLER_POLL (their sockets carry a read timeout); join them all.
-        let handles =
-            std::mem::take(&mut *self.handlers.lock().expect("handler registry poisoned"));
+        // Threads blocked in a read observe the stop flag within one
+        // HANDLER_POLL (their sockets carry a read timeout). A thread
+        // registers its successor before it serves, so once every thread
+        // taken is joined, any successor they started is registered: take
+        // again until a take finds none.
         let mut stats = ShutdownStats::default();
-        for handle in handles {
-            stats.handlers_joined += 1;
-            stats.connections_closed += 1;
-            let _ = handle.join();
+        loop {
+            let threads = std::mem::take(&mut *self.shared.registry());
+            if threads.is_empty() {
+                return stats;
+            }
+            for thread in threads {
+                if thread.join().unwrap_or(false) {
+                    stats.handlers_joined += 1;
+                    stats.connections_closed += 1;
+                }
+            }
         }
-        stats
     }
 }
 
@@ -375,20 +387,48 @@ impl Drop for ThreadedBackend {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    db: Arc<Db>,
-    stop: Arc<AtomicBool>,
-    connections: Arc<AtomicU64>,
-    handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    verbose: bool,
-) {
-    loop {
+impl Shared {
+    fn registry(&self) -> std::sync::MutexGuard<'_, Vec<JoinHandle<bool>>> {
+        self.threads.lock().expect("thread registry poisoned")
+    }
+
+    /// Registers a newly started thread, first reaping finished ones so a
+    /// long-lived server does not keep one dead handle per past connection
+    /// (joining a finished thread returns at once).
+    fn register(&self, thread: JoinHandle<bool>) {
+        let mut threads = self.registry();
+        let mut i = 0;
+        while i < threads.len() {
+            if threads[i].is_finished() {
+                let _ = threads.swap_remove(i).join();
+            } else {
+                i += 1;
+            }
+        }
+        threads.push(thread);
+    }
+}
+
+/// Starts a thread that becomes the acceptor: see [`lead`].
+fn spawn_acceptor(listener: Arc<TcpListener>, shared: Arc<Shared>) -> io::Result<JoinHandle<bool>> {
+    std::thread::Builder::new()
+        .name("bravod-conn".to_string())
+        .spawn(move || lead(listener, shared))
+}
+
+/// The acceptor's loop. It blocks in `accept` until a connection comes,
+/// starts and registers its successor, the next acceptor, and then serves
+/// the connection itself, so no new thread must be scheduled before the
+/// connection's first request is read. If the successor cannot be started,
+/// it drops the connection and stays the acceptor. Returns whether it
+/// served one.
+fn lead(listener: Arc<TcpListener>, shared: Arc<Shared>) -> bool {
+    let (stream, id) = loop {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
             Err(e) => {
-                if stop.load(Ordering::SeqCst) {
-                    return;
+                if shared.stop.load(Ordering::SeqCst) {
+                    return false;
                 }
                 eprintln!("bravod: accept failed: {e}");
                 // A persistent failure (EMFILE when every fd is in use)
@@ -398,36 +438,25 @@ fn accept_loop(
                 continue;
             }
         };
-        if stop.load(Ordering::SeqCst) {
-            return;
+        if shared.stop.load(Ordering::SeqCst) {
+            return false;
         }
-        let id = connections.fetch_add(1, Ordering::Relaxed);
-        let db = Arc::clone(&db);
-        let stop = Arc::clone(&stop);
-        let result = std::thread::Builder::new()
-            .name(format!("bravod-conn{id}"))
-            .spawn(move || handle_connection(stream, id, db, stop, verbose));
-        match result {
-            Ok(handle) => {
-                let mut handlers = handlers.lock().expect("handler registry poisoned");
-                // Reap finished handlers so a long-lived server does not
-                // accumulate one dead JoinHandle per past connection
-                // (joining a finished thread returns immediately).
-                let mut i = 0;
-                while i < handlers.len() {
-                    if handlers[i].is_finished() {
-                        let _ = handlers.swap_remove(i).join();
-                    } else {
-                        i += 1;
-                    }
-                }
-                handlers.push(handle);
+        let id = shared.connections.fetch_add(1, Ordering::Relaxed);
+        match spawn_acceptor(Arc::clone(&listener), Arc::clone(&shared)) {
+            Ok(successor) => {
+                shared.register(successor);
+                break (stream, id);
             }
             Err(e) => {
-                eprintln!("bravod: cannot spawn handler for connection {id}: {e}");
+                eprintln!("bravod: cannot start the next acceptor, dropping connection {id}: {e}");
             }
         }
-    }
+    };
+    // Only acceptors hold the listener, so it closes once the last one
+    // exits at shutdown, not when the last connection ends.
+    drop(listener);
+    handle_connection(stream, id, &shared.db, &shared.stop, shared.verbose);
+    true
 }
 
 /// Serves one connection until EOF, a protocol error, an I/O error, or
@@ -435,13 +464,7 @@ fn accept_loop(
 /// handler blocked on an idle connection still observes the stop flag;
 /// frames are assembled by the incremental [`FrameDecoder`] so a timeout
 /// mid-frame resumes cleanly.
-fn handle_connection(
-    stream: TcpStream,
-    id: u64,
-    db: Arc<Db>,
-    stop: Arc<AtomicBool>,
-    verbose: bool,
-) {
+fn handle_connection(stream: TcpStream, id: u64, db: &Db, stop: &AtomicBool, verbose: bool) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(HANDLER_POLL));
     let _ = stream.set_write_timeout(Some(HANDLER_WRITE_TIMEOUT));
@@ -513,7 +536,7 @@ fn handle_connection(
             };
             if let Some(body) = frame {
                 let response = match Request::decode(body) {
-                    Ok(request) => apply(&db, request),
+                    Ok(request) => apply(db, request),
                     Err(e) => Response::Err(e.to_string()),
                 };
                 let fatal = matches!(response, Response::Err(_));
@@ -584,6 +607,7 @@ pub(crate) fn apply(db: &Db, request: Request) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Client;
     use kvstore::memtable::prepopulated_value;
     use rwlocks::LockKind;
 
@@ -751,6 +775,29 @@ mod tests {
                 BackendKind::Mux => assert!(stats.workers_joined >= 1),
             }
         }
+    }
+
+    #[test]
+    fn the_acceptor_hands_off_before_serving() {
+        // The thread that accepts A serves it; a successor must already be
+        // accepting, or B waits for A to close.
+        let mut config = ServerConfig::new(LockKind::BravoBa.spec());
+        config.prepopulate = 16;
+        let server = Server::bind("127.0.0.1:0", config).unwrap();
+        let mut a = Client::connect(server.local_addr()).unwrap();
+        a.ping().unwrap();
+        let mut b = Client::connect(server.local_addr()).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let pinger = std::thread::spawn(move || tx.send(b.ping().map(drop)));
+        match rx.recv_timeout(Duration::from_secs(1)) {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => panic!("B's ping failed: {e}"),
+            Err(_) => panic!("B's ping was not answered within 1 s while A idled"),
+        }
+        let stats = server.shutdown();
+        assert_eq!(stats.handlers_joined, 2, "{stats:?}");
+        assert!(a.ping().is_err());
+        pinger.join().unwrap().unwrap();
     }
 
     #[test]

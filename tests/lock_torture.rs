@@ -182,7 +182,8 @@ fn every_catalog_spec_survives_torture_spinning() {
 
 #[test]
 fn every_catalog_spec_survives_torture_parking() {
-    for &kind in LockKind::all() {
+    // Plain pthread takes no wait mode: its one cell is the spinning one.
+    for &kind in LockKind::all().iter().filter(|kind| kind.honours_wait()) {
         torture(kind, WaitMode::Park);
     }
 }
@@ -193,7 +194,7 @@ fn every_catalog_spec_survives_torture_futex_blocking() {
     // unavailable the dispatch silently runs the park path — the cell is
     // then a duplicate of the parking sweep, which is exactly the fallback
     // contract this tier should hold.
-    for &kind in LockKind::all() {
+    for &kind in LockKind::all().iter().filter(|kind| kind.honours_wait()) {
         torture(kind, WaitMode::Futex);
     }
 }
@@ -206,7 +207,7 @@ fn parking_torture_records_parked_waits() {
     let before = bravo_repro::bravo::stats::snapshot();
     // BA's reader/writer phases park readily under contention, and so do
     // BRAVO-pthread's revocations. (The plain pthread-like lock blocks on
-    // its own condition variables, so its waits never reach the counters.)
+    // its own condition variables and takes no wait mode.)
     for kind in [LockKind::Ba, LockKind::BravoPthread] {
         torture(kind, WaitMode::Park);
     }
