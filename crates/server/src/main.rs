@@ -12,10 +12,13 @@
 //!
 //! `serve` opens a [`kvstore::Db`] with the given lock spec and serves the
 //! wire protocol until killed. `--backend threads` (the default) serves
-//! each connection on the thread that accepted it, which first starts the
-//! next acceptor; `--backend mux` multiplexes nonblocking
-//! sockets over `--workers` event loops (default: host parallelism, capped
-//! at 8) so connection counts can exceed host threads. With
+//! each connection on the thread that accepted it, which starts the next
+//! acceptor after answering the connection's first request if that
+//! request has already arrived, and before reading otherwise; so a new
+//! connection waits for at most one request of the one before it.
+//! `--backend mux` multiplexes nonblocking sockets over `--workers` event
+//! loops (default: host parallelism, capped at 8) so connection counts can
+//! exceed host threads. With
 //! `--addr 127.0.0.1:0` the kernel picks an ephemeral port; `--port-file`
 //! writes the bound port there so scripts (CI's `server-smoke` step) can
 //! find it. Once listening, `serve` prints one `bravod: serving …` line
@@ -71,10 +74,12 @@ bravod: the BRAVO reproduction's RPC server and open-loop load generator
 
 SPEC follows the lock-spec grammar, e.g. BRAVO-BA?shards=8&wait=futex.
 --backend threads (default) serves each connection on the thread that
-accepted it, which first starts the next acceptor; --backend mux multiplexes
-nonblocking sockets over --workers event loops, so connections can
-outnumber host threads. --batch K > 1 packs each arrival into one
-MultiGet/WriteBatch frame of K point operations (--rate stays the op rate).
+accepted it, which starts the next acceptor once it has answered the
+connection's first request if that request was already waiting, and at once
+otherwise; --backend mux multiplexes nonblocking sockets over --workers
+event loops, so connections can outnumber host threads. --batch K > 1 packs
+each arrival into one MultiGet/WriteBatch frame of K point operations
+(--rate stays the op rate).
 ";
 
 /// Pulls the value of `--flag VALUE` / `--flag=VALUE` out of `args`,

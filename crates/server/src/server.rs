@@ -8,9 +8,12 @@
 //! * [`BackendKind::Threads`] — one thread per connection, handed out
 //!   leader/follower style (Schmidt et al., PLoP 2000): exactly one
 //!   thread blocks in `accept`, and the thread that accepts a connection
-//!   starts its successor, registers it, and then serves the connection
-//!   itself, so no new thread must be scheduled before the connection's
-//!   first request is read.
+//!   serves it itself. If the connection's first request has already
+//!   arrived, the thread answers it and then starts and registers its
+//!   successor, the next acceptor; otherwise it starts the successor
+//!   first. So a first round trip need not wait for a thread spawn, and a
+//!   connection that arrives meanwhile waits for at most one request of
+//!   its predecessor.
 //!   Simple and lowest-latency while connections ≤ host threads; the
 //!   default.
 //! * [`BackendKind::Mux`] ([`crate::mux`]) — accepted sockets go
@@ -28,12 +31,13 @@
 
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use bravo::spec::{LockSpec, SpecError};
+use bravo::spec::{LockHandle, LockSpec, SpecError};
 use kvstore::{Db, OpenError};
 
 use crate::mux::MuxBackend;
@@ -189,8 +193,8 @@ impl From<io::Error> for ServeError {
 /// can assert nothing outlived it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShutdownStats {
-    /// Threads joined that served a connection (threaded backend). The
-    /// last acceptor, which served none, is joined but not counted.
+    /// Threads joined that served a connection (threaded backend). An
+    /// acceptor that served none is joined but not counted.
     pub handlers_joined: u64,
     /// Event-loop workers joined (mux backend).
     pub workers_joined: u64,
@@ -315,7 +319,7 @@ struct Shared {
     stop: AtomicBool,
     connections: AtomicU64,
     /// Join handles of the threads started and not yet joined. A thread
-    /// registers its successor before it serves. A handle's result says
+    /// registers its successor before it exits. A handle's result says
     /// whether its thread served a connection. Finished entries are
     /// reaped as threads register; `shutdown` drains the rest.
     threads: Mutex<Vec<JoinHandle<bool>>>,
@@ -362,9 +366,10 @@ impl Backend for ThreadedBackend {
         let _ = TcpStream::connect(self.addr);
         // Threads blocked in a read observe the stop flag within one
         // HANDLER_POLL (their sockets carry a read timeout). A thread
-        // registers its successor before it serves, so once every thread
-        // taken is joined, any successor they started is registered: take
-        // again until a take finds none.
+        // registers its successor before it exits, and starts none once
+        // it sees the stop flag, so once every thread taken is joined, any
+        // successor they started is registered: take again until a take
+        // finds none.
         let mut stats = ShutdownStats::default();
         loop {
             let threads = std::mem::take(&mut *self.shared.registry());
@@ -417,13 +422,20 @@ fn spawn_acceptor(listener: Arc<TcpListener>, shared: Arc<Shared>) -> io::Result
 }
 
 /// The acceptor's loop. It blocks in `accept` until a connection comes,
-/// starts and registers its successor, the next acceptor, and then serves
-/// the connection itself, so no new thread must be scheduled before the
-/// connection's first request is read. If the successor cannot be started,
-/// it drops the connection and stays the acceptor. Returns whether it
-/// served one.
+/// which it then serves itself; before it serves the rest of it, it starts
+/// and registers its successor, the next acceptor, unless the stop flag is
+/// up. If the connection's first request is already waiting, the thread
+/// answers that one request before it starts the successor, so the round
+/// trip does not wait for a thread spawn; otherwise (nothing to read yet,
+/// EOF, an error, or part of a frame) it starts the successor first. So a
+/// connection that arrives meanwhile waits for at most one request of its
+/// predecessor. If the successor cannot be started, the thread logs it,
+/// drops the connection and stays the acceptor. Every successor is
+/// registered before its starter exits, which is what lets
+/// [`ThreadedBackend::shutdown`] find every thread. Returns whether it
+/// served a connection.
 fn lead(listener: Arc<TcpListener>, shared: Arc<Shared>) -> bool {
-    let (stream, id) = loop {
+    let (conn, first) = loop {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
             Err(e) => {
@@ -442,10 +454,21 @@ fn lead(listener: Arc<TcpListener>, shared: Arc<Shared>) -> bool {
             return false;
         }
         let id = shared.connections.fetch_add(1, Ordering::Relaxed);
+        let mut conn = match Connection::open(stream, id, &shared.db, shared.verbose) {
+            Ok(conn) => conn,
+            Err(e) => {
+                eprintln!("bravod: connection {id}: cannot clone stream: {e}");
+                continue;
+            }
+        };
+        let first = conn.answer_waiting_request();
+        if shared.stop.load(Ordering::SeqCst) {
+            break (conn, first);
+        }
         match spawn_acceptor(Arc::clone(&listener), Arc::clone(&shared)) {
             Ok(successor) => {
                 shared.register(successor);
-                break (stream, id);
+                break (conn, first);
             }
             Err(e) => {
                 eprintln!("bravod: cannot start the next acceptor, dropping connection {id}: {e}");
@@ -455,123 +478,178 @@ fn lead(listener: Arc<TcpListener>, shared: Arc<Shared>) -> bool {
     // Only acceptors hold the listener, so it closes once the last one
     // exits at shutdown, not when the last connection ends.
     drop(listener);
-    handle_connection(stream, id, &shared.db, &shared.stop, shared.verbose);
+    conn.serve(first, &shared.stop);
     true
 }
 
-/// Serves one connection until EOF, a protocol error, an I/O error, or
-/// server shutdown. The socket carries a [`HANDLER_POLL`] read timeout so a
-/// handler blocked on an idle connection still observes the stop flag;
-/// frames are assembled by the incremental [`FrameDecoder`] so a timeout
-/// mid-frame resumes cleanly.
-fn handle_connection(stream: TcpStream, id: u64, db: &Db, stop: &AtomicBool, verbose: bool) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(HANDLER_POLL));
-    let _ = stream.set_write_timeout(Some(HANDLER_WRITE_TIMEOUT));
-    // A relabelled GetLock handle tags this connection's log lines (see
-    // `LockHandle::labeled`); all clones feed the one shared per-lock sink,
-    // so this buys distinguishable labels, not per-connection counters.
-    // Only built when logging actually happens.
-    let conn_lock = verbose.then(|| db.lock().labeled(format!("{}@conn{id}", db.lock_label())));
-    if let Some(conn_lock) = &conn_lock {
-        eprintln!("bravod: connection {id} open ({})", conn_lock.label());
+/// One connection of the threaded backend, held by the thread serving it.
+/// Its socket carries a [`HANDLER_POLL`] read timeout so a thread blocked
+/// on an idle connection still observes the stop flag; frames are
+/// assembled by the incremental [`FrameDecoder`] so a timeout mid-frame
+/// resumes cleanly.
+struct Connection<'a> {
+    id: u64,
+    stream: TcpStream,
+    /// Where reads land.
+    chunk: Vec<u8>,
+    replies: Replies<'a>,
+    /// A relabelled GetLock handle that tags this connection's log lines
+    /// (see `LockHandle::labeled`); all clones feed the one shared
+    /// per-lock sink, so this buys distinguishable labels, not
+    /// per-connection counters. Only built when logging actually happens.
+    conn_lock: Option<LockHandle>,
+}
+
+impl<'a> Connection<'a> {
+    fn open(stream: TcpStream, id: u64, db: &'a Db, verbose: bool) -> io::Result<Self> {
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_read_timeout(Some(HANDLER_POLL));
+        let _ = stream.set_write_timeout(Some(HANDLER_WRITE_TIMEOUT));
+        let writer = BufWriter::new(stream.try_clone()?);
+        let conn_lock = verbose.then(|| db.lock().labeled(format!("{}@conn{id}", db.lock_label())));
+        if let Some(conn_lock) = &conn_lock {
+            eprintln!("bravod: connection {id} open ({})", conn_lock.label());
+        }
+        Ok(Self {
+            id,
+            stream,
+            chunk: vec![0u8; 16 * 1024],
+            replies: Replies {
+                db,
+                decoder: FrameDecoder::new(),
+                writer,
+                out: Vec::new(),
+                served: 0,
+            },
+            conn_lock,
+        })
     }
-    let mut stream = stream;
-    let mut writer = match stream.try_clone() {
-        Ok(clone) => BufWriter::new(clone),
-        Err(e) => {
-            eprintln!("bravod: connection {id}: cannot clone stream: {e}");
-            return;
+
+    /// Reads what the peer has already sent, without blocking, and answers
+    /// the first request if those bytes complete one. Returns the bytes of
+    /// `chunk` still to decode, or, if the connection must close, how it
+    /// ended.
+    fn answer_waiting_request(&mut self) -> ControlFlow<io::Result<()>, Range<usize>> {
+        let read = match self.stream.set_nonblocking(true) {
+            Ok(()) => self.stream.read(&mut self.chunk),
+            Err(e) => Err(e),
+        };
+        if let Err(e) = self.stream.set_nonblocking(false) {
+            return ControlFlow::Break(Err(e));
         }
-    };
-    let mut decoder = FrameDecoder::new();
-    let mut chunk = vec![0u8; 16 * 1024];
-    let mut out = Vec::new();
-    let mut served = 0u64;
-    let outcome = 'conn: loop {
-        if stop.load(Ordering::SeqCst) {
-            break Ok(());
+        // Nothing yet, EOF or an error: `serve` reads again and meets it.
+        let n = read.unwrap_or(0);
+        let used = self.replies.answer(&self.chunk[..n], true)?;
+        ControlFlow::Continue(used..n)
+    }
+
+    /// Serves the connection until EOF, a protocol error, an I/O error, or
+    /// server shutdown, starting from what [`Self::answer_waiting_request`]
+    /// left.
+    fn serve(mut self, first: ControlFlow<io::Result<()>, Range<usize>>, stop: &AtomicBool) {
+        let outcome = match first {
+            ControlFlow::Break(outcome) => outcome,
+            ControlFlow::Continue(pending) => self.serve_rest(pending, stop),
+        };
+        if let Some(conn_lock) = &self.conn_lock {
+            let (id, served) = (self.id, self.replies.served);
+            match outcome {
+                Ok(()) => eprintln!(
+                    "bravod: connection {id} closed after {served} ops ({})",
+                    conn_lock.label()
+                ),
+                Err(e) => eprintln!("bravod: connection {id} aborted after {served} ops: {e}"),
+            }
         }
-        let n = match stream.read(&mut chunk) {
-            Ok(0) => {
-                if decoder.mid_frame() {
-                    break Err(io::Error::new(
+    }
+
+    fn serve_rest(&mut self, mut pending: Range<usize>, stop: &AtomicBool) -> io::Result<()> {
+        loop {
+            if let ControlFlow::Break(outcome) = self.replies.answer(&self.chunk[pending], false) {
+                return outcome;
+            }
+            if stop.load(Ordering::SeqCst) {
+                return Ok(());
+            }
+            pending = 0..match self.stream.read(&mut self.chunk) {
+                Ok(0) if self.replies.decoder.mid_frame() => {
+                    return Err(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
                         "connection closed mid frame",
                     ));
                 }
-                break Ok(());
-            }
-            Ok(n) => n,
-            // The HANDLER_POLL timeout (reported as WouldBlock or TimedOut
-            // depending on platform) and stray signals both mean "nothing
-            // yet": loop to re-check the stop flag.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                continue;
-            }
-            Err(e) => break Err(e),
-        };
-        let mut input = &chunk[..n];
-        while !input.is_empty() {
-            let (used, frame) = match decoder.advance(input) {
-                Ok(step) => step,
-                Err(e) => {
-                    // A malformed frame leaves the stream unsynchronized;
-                    // report once and drop the connection rather than
-                    // guessing at the next frame boundary.
-                    break 'conn send_response(
-                        &mut writer,
-                        &mut out,
-                        &Response::Err(e.to_string()),
-                    )
-                    .and(Ok(()));
+                Ok(0) => return Ok(()),
+                Ok(n) => n,
+                // The HANDLER_POLL timeout (reported as WouldBlock or TimedOut
+                // depending on platform) and stray signals both mean "nothing
+                // yet": loop to re-check the stop flag.
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock
+                            | io::ErrorKind::TimedOut
+                            | io::ErrorKind::Interrupted
+                    ) =>
+                {
+                    0
                 }
+                Err(e) => return Err(e),
             };
-            if let Some(body) = frame {
-                let response = match Request::decode(body) {
-                    Ok(request) => apply(db, request),
-                    Err(e) => Response::Err(e.to_string()),
-                };
-                let fatal = matches!(response, Response::Err(_));
-                if let Err(e) = send_response(&mut writer, &mut out, &response) {
-                    break 'conn Err(e);
-                }
-                if fatal {
-                    break 'conn Ok(());
-                }
-                served += 1;
-            }
-            input = &input[used..];
-        }
-    };
-    if let Some(conn_lock) = &conn_lock {
-        match outcome {
-            Ok(()) => eprintln!(
-                "bravod: connection {id} closed after {served} ops ({})",
-                conn_lock.label()
-            ),
-            Err(e) => eprintln!("bravod: connection {id} aborted after {served} ops: {e}"),
         }
     }
 }
 
-/// Encodes and writes one response frame, flushing the buffered writer.
-fn send_response<W: Write>(
-    writer: &mut W,
-    scratch: &mut Vec<u8>,
-    response: &Response,
-) -> io::Result<()> {
-    scratch.clear();
-    response.encode(scratch);
-    write_frame(writer, scratch)?;
-    writer.flush()
+/// What answers one connection's requests.
+struct Replies<'a> {
+    db: &'a Db,
+    decoder: FrameDecoder,
+    writer: BufWriter<TcpStream>,
+    /// Scratch space for encoding a response.
+    out: Vec<u8>,
+    served: u64,
+}
+
+impl Replies<'_> {
+    /// Decodes `input` and answers each request it completes, or only the
+    /// first one if `one` is set. Returns how many bytes of `input` it
+    /// used, or, if the connection must close, how it ended.
+    fn answer(&mut self, mut input: &[u8], one: bool) -> ControlFlow<io::Result<()>, usize> {
+        let len = input.len();
+        while !input.is_empty() {
+            let (used, frame) = match self.decoder.advance(input) {
+                Ok(step) => step,
+                // A malformed frame leaves the stream unsynchronized;
+                // report once and drop the connection rather than
+                // guessing at the next frame boundary.
+                Err(e) => return ControlFlow::Break(self.send(&Response::Err(e.to_string()))),
+            };
+            input = &input[used..];
+            let Some(body) = frame else { continue };
+            let response = match Request::decode(body) {
+                Ok(request) => apply(self.db, request),
+                Err(e) => Response::Err(e.to_string()),
+            };
+            if let Err(e) = self.send(&response) {
+                return ControlFlow::Break(Err(e));
+            }
+            if matches!(response, Response::Err(_)) {
+                return ControlFlow::Break(Ok(()));
+            }
+            self.served += 1;
+            if one {
+                break;
+            }
+        }
+        ControlFlow::Continue(len - input.len())
+    }
+
+    /// Encodes and writes one response frame, flushing the buffered writer.
+    fn send(&mut self, response: &Response) -> io::Result<()> {
+        self.out.clear();
+        response.encode(&mut self.out);
+        write_frame(&mut self.writer, &self.out)?;
+        self.writer.flush()
+    }
 }
 
 /// Applies one decoded request to the store. Shared by both backends, so a
@@ -798,6 +876,61 @@ mod tests {
         assert_eq!(stats.handlers_joined, 2, "{stats:?}");
         assert!(a.ping().is_err());
         pinger.join().unwrap().unwrap();
+    }
+
+    /// Pings over `client` on another thread and waits up to `within` for
+    /// the answer.
+    fn ping_within(mut client: Client, within: Duration, what: &str) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(client.ping().map(drop)));
+        match rx.recv_timeout(within) {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => panic!("{what}: ping failed: {e}"),
+            Err(_) => panic!("{what}: ping was not answered within {within:?}"),
+        }
+    }
+
+    #[test]
+    fn a_silent_first_client_does_not_hold_up_the_next() {
+        // A sends nothing, or only part of a frame, so its first read holds
+        // no request: its thread must start the next acceptor before it
+        // waits for A, or B waits for A to close.
+        let mut ping = Vec::new();
+        Request::Ping.encode(&mut ping);
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &ping).unwrap();
+        for sent in [0, 3] {
+            let mut config = ServerConfig::new(LockKind::BravoBa.spec());
+            config.prepopulate = 16;
+            let server = Server::bind("127.0.0.1:0", config).unwrap();
+            let mut a = TcpStream::connect(server.local_addr()).unwrap();
+            a.write_all(&frame[..sent]).unwrap();
+            let b = Client::connect(server.local_addr()).unwrap();
+            ping_within(
+                b,
+                Duration::from_secs(1),
+                &format!("B after A sent {sent} bytes"),
+            );
+            let stats = server.shutdown();
+            assert_eq!(stats.handlers_joined, 2, "A sent {sent} bytes: {stats:?}");
+        }
+    }
+
+    #[test]
+    fn connections_that_close_unheard_still_hand_off() {
+        // Each of these first reads meets EOF, not a request: the thread
+        // must still start the next acceptor before it finds that out.
+        let mut config = ServerConfig::new(LockKind::BravoBa.spec());
+        config.prepopulate = 16;
+        let server = Server::bind("127.0.0.1:0", config).unwrap();
+        for i in 0..64 {
+            let conn = TcpStream::connect(server.local_addr());
+            drop(conn.unwrap_or_else(|e| panic!("connection {i}: no acceptor took it: {e}")));
+        }
+        let last = Client::connect(server.local_addr()).unwrap();
+        ping_within(last, Duration::from_secs(5), "the 65th connection");
+        assert_eq!(server.connections_accepted(), 65);
+        server.shutdown();
     }
 
     #[test]
