@@ -152,8 +152,9 @@ fn main() {
     // (all but plain pthread) must build and make progress with
     // `wait=park` and `wait=futex`, under 2x-core
     // oversubscription so waits actually sleep rather than winning the spin
-    // grace period. The futex rows fall back to the park path where the
-    // syscall is unavailable, so the sweep is meaningful on every target.
+    // grace period. The futex rows run the portable sleep the park rows use
+    // where the syscall is unavailable, so the sweep is meaningful on every
+    // target.
     let cpus = std::thread::available_parallelism().map_or(2, |n| n.get());
     let park_threads = (cpus * 2).clamp(4, 32);
     for wait in [WaitMode::Park, WaitMode::Futex] {

@@ -76,9 +76,10 @@
 //! * [`spec`] — the declarative construction API: [`LockSpec`] (which lock,
 //!   configured how — with a compact string form) and
 //!   [`LockHandle`] (the harness-facing built lock).
-//! * [`wait`] — the blocking layer: parking waiter queues, the Linux futex
-//!   backend, and the [`WaitStrategy`] that lets every lock dispatch between
-//!   them (`wait=spin|park|futex`).
+//! * [`wait`] — the blocking layer: the [`FutexEventCount`] over the kernel
+//!   futex or a portable in-process sleep, and the [`WaitStrategy`] that
+//!   lets every lock choose between spinning and sleeping
+//!   (`wait=spin|park|futex`).
 //! * [`sys`] — the raw-syscall seam (futex, epoll, mem): the single module
 //!   allowed to declare foreign functions, enforced by `schedcheck lint`.
 //! * [`clock`] — the monotonic nanosecond clock BRAVO's policy relies on.
@@ -109,4 +110,4 @@ pub use stats::{LockStats, Snapshot, StatsSink};
 pub use vrt::{
     ReaderTable, Revocation, SectoredTable, TableHandle, VisibleReadersTable, DEFAULT_TABLE_SIZE,
 };
-pub use wait::{FutexEventCount, WaitMode, WaitQueue, WaitStrategy};
+pub use wait::{FutexEventCount, WaitMode, WaitStrategy};

@@ -101,8 +101,9 @@ pub struct Snapshot {
     pub revocation_scan_slots: u64,
     /// Times a slow-path reader re-enabled bias.
     pub bias_enabled: u64,
-    /// Wait episodes that actually parked the thread (a `wait=park` lock
-    /// whose spin grace period expired). Zero under `wait=spin`.
+    /// Wait episodes that actually slept the thread (a `wait=park` or
+    /// `wait=futex` lock whose spin grace period expired), on either of the
+    /// futex eventcount's sleeps. Zero under `wait=spin`.
     pub parked_waits: u64,
     /// `FUTEX_WAIT` syscalls issued by `wait=futex` locks (each one is a
     /// kernel transition the spin grace period failed to avoid). Sleeps that
@@ -240,9 +241,9 @@ thread_local! {
     };
 }
 
-/// Records one wait episode that parked the calling thread (recorded by the
-/// [`crate::wait`] queues, which are keyed by address and have no per-lock
-/// sink, so waits count in the calling thread's block only).
+/// Records one wait episode that slept the calling thread (recorded by the
+/// [`crate::wait`] eventcounts, which are keyed by address and have no
+/// per-lock sink, so waits count in the calling thread's block only).
 #[inline]
 pub fn record_parked_wait() {
     LOCAL.with(|c| bump(&c.parked_waits, 1));

@@ -10,7 +10,7 @@
 //!   futex backend ([`crate::wait::FutexEventCount`]) packs its wake
 //!   generation into. Compiles to honest stubs (with [`futex::NATIVE`]
 //!   `false`) on targets without the syscall, so callers can gate on it and
-//!   fall back to the portable park path.
+//!   fall back to the eventcount's portable sleep.
 //! * [`epoll`] — the level-triggered readiness binding the `server` crate's
 //!   mux poller consumes. It used to live in `server::sys`; it moved here so
 //!   the server is a *consumer* of the syscall seam, not a second owner.
@@ -177,7 +177,7 @@ pub mod futex {
         use std::time::Duration;
 
         /// The raw syscall is not bound on this target; callers must gate
-        /// on this and take the portable park fallback.
+        /// on this and take the portable sleep.
         pub const NATIVE: bool = false;
 
         pub fn wait(_word: &AtomicU32, _expected: u32, _timeout: Option<Duration>) -> WaitOutcome {

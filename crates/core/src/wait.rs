@@ -1,69 +1,50 @@
-//! The blocking layer: parking waiter queues and the futex backend.
+//! The blocking layer: one futex eventcount over two raw sleeps.
 //!
 //! Every lock in the catalog originally waited by spinning (with the
 //! yield-escalating [`Backoff`]). That is the right call when the host has
 //! spare cores, but under oversubscription — more runnable threads than
 //! logical CPUs, exactly the regime the `fig10_server` sweep provokes —
 //! spinning readers steal the quanta the lock holder needs to finish its
-//! critical section. This module provides the alternatives the ROADMAP
-//! calls for: a [`WaitQueue`] of parked threads over [`std::thread::park`] /
-//! `unpark`, a [`FutexEventCount`] that blocks straight in the kernel via
-//! [`crate::sys::futex`] on Linux, and a [`WaitStrategy`] that lets every
-//! spin site in the repo dispatch between the behaviours from one
-//! `wait=spin|park|futex` knob in the lock spec grammar.
+//! critical section. This module provides the alternative: a
+//! [`FutexEventCount`] that blocks a waiter until a notifier moves its wake
+//! generation, and a [`WaitStrategy`] that lets every spin site in the repo
+//! choose between spinning and blocking from one `wait=spin|park|futex`
+//! knob in the lock spec grammar.
 //!
-//! # The futex backend
+//! # The eventcount
 //!
-//! `wait=futex` packs a per-bucket *wake generation* into a `u32` futex
+//! The eventcount packs a per-bucket *wake generation* into a `u32` futex
 //! word: waiters register in a counter, snapshot the generation, re-check
-//! their condition, and `FUTEX_WAIT` on the snapshot; notifiers bump the
-//! generation and `FUTEX_WAKE` only if the waiter counter is non-zero. The
-//! kernel's atomic compare of the word closes the sleep/wake race (a wake
-//! that bumps the generation first makes the sleep return `EAGAIN`), so
-//! there is no per-waiter `Arc` allocation and no bucket mutex — the two
-//! costs the park path pays per blocked thread. Where the syscall is
-//! unavailable (non-Linux targets, or [`FUTEX_FALLBACK_ENV`] set for
-//! testing) `wait=futex` degrades to the park path transparently. Under
-//! `--features schedcheck` the backend routes through the checker's virtual
-//! futex instead of the kernel, making wait/wake schedulable yield points.
+//! their condition, and sleep on the snapshot; notifiers bump the
+//! generation and wake sleepers only if the waiter counter is non-zero.
+//! There is one protocol and two raw sleeps under it ([`Sleep`]):
 //!
-//! # Protocol
+//! * the kernel futex ([`crate::sys::futex`]), whose atomic compare of the
+//!   word closes the window between the snapshot and the sleep. Under
+//!   `--features schedcheck` it is the checker's virtual futex, which makes
+//!   wait and wake schedulable yield points;
+//! * a portable in-process sleep in the manner of Drepper's "Futexes Are
+//!   Tricky": a mutex-guarded list of sleeping threads per eventcount,
+//!   where the word is re-read under the mutex the waker also takes.
 //!
-//! The queue implements the classic "check, register, re-check" handshake so
-//! a wakeup can never be lost between the waiter's last look at the
-//! condition and its park:
-//!
-//! 1. The waiter spins a short grace period first (uncontended waits stay in
-//!    the µs range and never pay a context switch).
-//! 2. It then pushes a node (key + [`Thread`] handle + wake flag) onto the
-//!    queue and increments the `registered` count, both under the queue
-//!    mutex, executes a `SeqCst` fence, and **re-checks the condition**.
-//!    Only if the condition is still false does it park.
-//! 3. The waker changes the lock state first, executes a `SeqCst` fence, and
-//!    reads `registered`. If it sees zero it is done — the fence pair
-//!    guarantees that a concurrently-registering waiter's re-check sees the
-//!    new state. Otherwise it takes the queue mutex, marks matching nodes
-//!    woken, and unparks them.
-//!
-//! The two fences form a Dekker-style store/load pattern: either the waker
-//! observes the registration (and unparks), or the waiter's re-check
-//! observes the state change (and never parks). Spurious unparks are
-//! harmless because every park sits in a re-check loop.
+//! `wait=futex` runs the kernel futex where [`crate::sys::futex::NATIVE`]
+//! is true (and always under the checker); `wait=park` is the futex
+//! eventcount over the portable sleep, which is what `wait=futex` runs off
+//! Linux.
 //!
 //! Waiters are keyed by an address (normally the lock's address; MCS queue
 //! nodes use the node address) and hashed over a small global array of
-//! queues, the same bucket-table shape `parking_lot` and the Linux futex
-//! hash use, so a parked-capable lock costs one byte of configuration rather
-//! than an embedded queue.
+//! eventcounts, the same bucket-table shape `parking_lot` and the Linux
+//! futex hash use, so a blocking-capable lock costs one byte of
+//! configuration rather than an embedded queue.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use crate::clock::{now_ns, Backoff};
 use crate::hash::mix64;
 use crate::stats;
-use crate::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use crate::sync::thread::{self, Thread};
 use crate::sync::{Mutex, MutexGuard};
 
@@ -73,10 +54,11 @@ pub enum WaitMode {
     /// Spin with the yield-escalating [`Backoff`] (the original behaviour).
     #[default]
     Spin,
-    /// Spin briefly, then park the thread until a releaser wakes it.
+    /// Spin briefly, then sleep in the futex eventcount over the portable
+    /// in-process sleep.
     Park,
-    /// Spin briefly, then block in the kernel on a futex word (Linux).
-    /// Degrades to [`WaitMode::Park`] where the syscall is unavailable.
+    /// Spin briefly, then sleep in the futex eventcount on the kernel futex
+    /// (Linux); the portable sleep where the syscall is unavailable.
     Futex,
 }
 
@@ -110,35 +92,15 @@ impl std::str::FromStr for WaitMode {
     }
 }
 
-/// One registered waiter: who to unpark, what it waits on, and whether a
-/// waker has already claimed it.
-struct WaitNode {
-    key: usize,
-    thread: Thread,
-    woken: AtomicBool,
-}
-
-/// A FIFO queue of parked threads.
-///
-/// Multiple keys share one queue (buckets are hashed), so wake operations
-/// filter by key. FIFO order is preserved per key: [`WaitQueue::wake_one`]
-/// always releases the longest-waiting matching thread.
-pub struct WaitQueue {
-    /// Number of nodes currently in `waiters`. Maintained with `SeqCst`
-    /// RMWs so wakers can skip the mutex when nobody waits (see the module
-    /// docs for the fence pairing).
-    registered: AtomicUsize,
-    waiters: Mutex<VecDeque<Arc<WaitNode>>>,
-}
-
-/// How many [`Backoff`] steps a waiter spins before its first registration.
-/// `Backoff` starts yielding after 64 snoozes, so this covers a short pure
-/// spin phase plus a few yields before the thread commits to parking.
+/// How many [`Backoff`] steps a waiter spins before it first announces
+/// itself. `Backoff` starts yielding after 64 snoozes, so this covers a
+/// short pure spin phase plus a few yields before the thread commits to
+/// sleeping.
 const SPIN_GRACE: u32 = 96;
 
 /// The effective spin grace. Under the model checker, bounded spins are
 /// pure schedule noise (each `ready()` poll is a yield point), so managed
-/// threads commit to parking almost immediately — this keeps explored
+/// threads commit to sleeping almost immediately — this keeps explored
 /// schedules short without changing the protocol.
 #[inline]
 fn spin_grace() -> u32 {
@@ -149,299 +111,48 @@ fn spin_grace() -> u32 {
     SPIN_GRACE
 }
 
-impl WaitQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self {
-            registered: AtomicUsize::new(0),
-            waiters: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    /// Number of threads currently registered (racy; for tests/diagnostics).
-    pub fn len(&self) -> usize {
-        self.registered.load(Ordering::SeqCst)
-    }
-
-    /// Whether no thread is currently registered (racy snapshot).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn queue(&self) -> MutexGuard<'_, VecDeque<Arc<WaitNode>>> {
-        self.waiters.lock().expect("wait queue poisoned")
-    }
-
-    /// Registers the current thread under `key`. Returns the node; the
-    /// caller must re-check its condition before parking.
-    fn register(&self, key: usize) -> Arc<WaitNode> {
-        let node = Arc::new(WaitNode {
-            key,
-            thread: thread::current(),
-            woken: AtomicBool::new(false),
-        });
-        {
-            let mut queue = self.queue();
-            // Invariant: one live entry per thread. A thread re-registers
-            // only after its previous node was dequeued (by a waker) or
-            // deregistered (by itself), so a duplicate here means a node
-            // leaked — the shape of bug that turns into a phantom wakeup
-            // eating a real one.
-            debug_assert!(
-                !queue.iter().any(|n| n.thread.id() == node.thread.id()),
-                "duplicate wait-queue registration for one thread"
-            );
-            queue.push_back(Arc::clone(&node));
-            // Count under the mutex, where wakers dequeue and decrement.
-            // Counted after the unlock, a waker could decrement first; a
-            // later waiter's increment would then bring the count back to 0
-            // while that waiter is queued, and `wake_all`'s empty shortcut
-            // would skip it forever.
-            self.registered.fetch_add(1, Ordering::SeqCst);
-        }
-        node
-    }
-
-    /// Removes `node` from the queue if a waker has not already claimed it.
-    fn deregister(&self, node: &Arc<WaitNode>) {
-        let mut queue = self.queue();
-        if let Some(pos) = queue.iter().position(|n| Arc::ptr_eq(n, node)) {
-            queue.remove(pos);
-            self.registered.fetch_sub(1, Ordering::SeqCst);
-        }
-        // If the node is gone a waker already dequeued it and will (or did)
-        // unpark us; the banked token at worst ends one future park early,
-        // and every park in this module sits in a re-check loop.
-    }
-
-    /// Blocks the current thread until `ready()` returns true. Wakers that
-    /// make the condition true must call [`WaitQueue::wake_all`] (or
-    /// [`WaitQueue::wake_one`]) with the same `key` after changing state.
-    pub fn wait_until(&self, key: usize, mut ready: impl FnMut() -> bool) {
-        let mut backoff = Backoff::new();
-        for _ in 0..spin_grace() {
-            if ready() {
-                return;
-            }
-            backoff.snooze();
-        }
-        loop {
-            let node = self.register(key);
-            fence(Ordering::SeqCst);
-            if ready() {
-                self.deregister(&node);
-                return;
-            }
-            stats::record_parked_wait();
-            while !node.woken.load(Ordering::Acquire) {
-                thread::park();
-                if !node.woken.load(Ordering::Acquire) && ready() {
-                    // Spurious wakeup, but the condition holds now.
-                    self.deregister(&node);
-                    return;
-                }
-            }
-            if ready() {
-                return;
-            }
-            // Woken but the condition is false again (another waiter won the
-            // race); re-register and go back to sleep.
-        }
-    }
-
-    /// Like [`WaitQueue::wait_until`], but gives up at `deadline_ns` (on the
-    /// [`now_ns`] clock). Returns `true` if the condition was observed true,
-    /// `false` on timeout.
-    pub fn wait_until_deadline(
-        &self,
-        key: usize,
-        mut ready: impl FnMut() -> bool,
-        deadline_ns: u64,
-    ) -> bool {
-        let mut backoff = Backoff::new();
-        for _ in 0..spin_grace() {
-            if ready() {
-                return true;
-            }
-            if now_ns() >= deadline_ns {
-                return ready();
-            }
-            backoff.snooze();
-        }
-        loop {
-            let node = self.register(key);
-            fence(Ordering::SeqCst);
-            if ready() {
-                self.deregister(&node);
-                return true;
-            }
-            let now = now_ns();
-            if now >= deadline_ns {
-                self.deregister(&node);
-                return ready();
-            }
-            stats::record_parked_wait();
-            while !node.woken.load(Ordering::Acquire) {
-                let now = now_ns();
-                if now >= deadline_ns {
-                    self.deregister(&node);
-                    return ready();
-                }
-                thread::park_timeout(Duration::from_nanos(deadline_ns - now));
-                if !node.woken.load(Ordering::Acquire) && ready() {
-                    self.deregister(&node);
-                    return true;
-                }
-            }
-            if ready() {
-                return true;
-            }
-            if now_ns() >= deadline_ns {
-                return false;
-            }
-        }
-    }
-
-    /// Wakes every waiter registered under `key`. Returns how many were
-    /// unparked. Call *after* making the awaited condition true.
-    pub fn wake_all(&self, key: usize) -> usize {
-        fence(Ordering::SeqCst);
-        if self.registered.load(Ordering::Relaxed) == 0 {
-            return 0;
-        }
-        let mut woken = Vec::new();
-        {
-            let mut queue = self.queue();
-            let mut i = 0;
-            while i < queue.len() {
-                if queue[i].key == key {
-                    let node = queue.remove(i).expect("index in bounds");
-                    self.registered.fetch_sub(1, Ordering::SeqCst);
-                    node.woken.store(true, Ordering::Release);
-                    woken.push(node);
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        for node in &woken {
-            // Invariant: the wake flag must be published before the unpark,
-            // or the waiter's `woken` re-check loop can absorb the token and
-            // park again forever.
-            debug_assert!(
-                node.woken.load(Ordering::Acquire),
-                "unpark without wake flag set"
-            );
-            node.thread.unpark();
-        }
-        woken.len()
-    }
-
-    /// Wakes the longest-waiting waiter registered under `key` (FIFO).
-    /// Returns whether a waiter was unparked.
-    pub fn wake_one(&self, key: usize) -> bool {
-        fence(Ordering::SeqCst);
-        if self.registered.load(Ordering::Relaxed) == 0 {
-            return false;
-        }
-        let node = {
-            let mut queue = self.queue();
-            let pos = queue.iter().position(|n| n.key == key);
-            match pos {
-                Some(pos) => {
-                    let node = queue.remove(pos).expect("index in bounds");
-                    self.registered.fetch_sub(1, Ordering::SeqCst);
-                    node.woken.store(true, Ordering::Release);
-                    node
-                }
-                None => return false,
-            }
-        };
-        debug_assert!(
-            node.woken.load(Ordering::Acquire),
-            "unpark without wake flag set"
-        );
-        node.thread.unpark();
-        true
-    }
+/// The raw sleep a [`FutexEventCount`] blocks in. A waiter and the
+/// notifiers that wake it must name the same sleep.
+///
+/// [`Sleep::Portable`] cannot lose a wakeup. The waiter takes the
+/// eventcount's list lock, re-reads the word, and lists itself only if the
+/// word still holds its snapshot. The notifier bumps the word, then takes
+/// the same lock and drains the list. The two lock sections are ordered:
+///
+/// * if the notifier's comes first, its bump happens before the waiter's
+///   re-read, which sees the word moved and returns without sleeping;
+/// * otherwise the waiter is listed when the notifier drains, and the
+///   notifier unparks it. An unpark that lands before the park is banked,
+///   so the park returns at once.
+///
+/// A waiter lists itself afresh for every sleep and parks once. Any
+/// return, even one an unpark banked by an earlier wait caused, goes back
+/// to the eventcount, which re-checks the condition and takes a new
+/// snapshot; so a stale entry or a stale unpark can end a sleep early but
+/// never strand a waiter. Before it returns, the waiter takes the lock once
+/// more and removes its entry if no drain took it, so a thread that timed
+/// out does not stay listed until the next notify.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sleep {
+    /// `FUTEX_WAIT`/`FUTEX_WAKE` on the word: the kernel's on Linux, the
+    /// checker's virtual futex under `--features schedcheck`. Panics where
+    /// neither exists ([`crate::sys::futex::NATIVE`] false, no checker).
+    Futex,
+    /// The in-process sleeper list, built from [`crate::sync`]'s mutex and
+    /// thread parking; available on every target.
+    Portable,
 }
 
-impl Default for WaitQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Whether `wait=futex` sleeps on the futex word itself: where the syscall
+/// is bound, and always under the checker, whose virtual futex exists on
+/// every target.
+const KERNEL_FUTEX: bool = cfg!(feature = "schedcheck") || crate::sys::futex::NATIVE;
 
-impl std::fmt::Debug for WaitQueue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WaitQueue")
-            .field("registered", &self.len())
-            .finish()
-    }
-}
-
-/// Number of global wait-queue buckets addresses hash over. Collisions are
-/// benign (a wake scans a few extra nodes); 64 buckets keep unrelated locks
-/// from serializing on one queue mutex.
-const WAIT_BUCKETS: usize = 64;
-
-static BUCKETS: OnceLock<Box<[WaitQueue]>> = OnceLock::new();
-
-/// The global wait-queue bucket for an address key.
-fn bucket_for(key: usize) -> &'static WaitQueue {
-    let buckets = BUCKETS.get_or_init(|| (0..WAIT_BUCKETS).map(|_| WaitQueue::new()).collect());
-    &buckets[(mix64(key as u64) as usize) & (WAIT_BUCKETS - 1)]
-}
-
-/// Environment variable that forces `wait=futex` locks onto the portable
-/// park fallback even where the native futex is available — how the
-/// non-Linux path gets exercised on Linux CI. Read once per process (any
-/// non-empty value other than `0` forces the fallback); changing it after
-/// the first `wait=futex` wait has no effect.
-pub const FUTEX_FALLBACK_ENV: &str = "BRAVO_FUTEX_FALLBACK";
-
-/// The process-wide fallback decision, resolved on first use so the check
-/// costs one load per wait instead of an environment probe.
-static FUTEX_FALLBACK: OnceLock<bool> = OnceLock::new();
-
-/// Pure parse of the fallback env var's value (unit-testable without
-/// mutating the process environment).
-fn fallback_env_requested(value: Option<&std::ffi::OsStr>) -> bool {
-    match value {
-        None => false,
-        Some(v) => !v.is_empty() && v.to_str() != Some("0"),
-    }
-}
-
-fn fallback_forced() -> bool {
-    *FUTEX_FALLBACK
-        .get_or_init(|| fallback_env_requested(std::env::var_os(FUTEX_FALLBACK_ENV).as_deref()))
-}
-
-/// Whether `wait=futex` locks in this process actually use the futex
-/// backend (`true`), or the portable park fallback (`false`: the target has
-/// no bound syscall, or [`FUTEX_FALLBACK_ENV`] forced it). Fixed for the
-/// life of the process so wait and notify sides can never disagree.
-pub fn futex_backend_active() -> bool {
-    if fallback_forced() {
-        return false;
-    }
-    #[cfg(feature = "schedcheck")]
-    {
-        // The checker's virtual futex exists on every target.
-        true
-    }
-    #[cfg(not(feature = "schedcheck"))]
-    {
-        crate::sys::futex::NATIVE
-    }
-}
-
-/// Outcome of one low-level futex wait, unified across the native syscall
-/// and the schedcheck emulation.
+/// Outcome of one raw sleep, unified across the native syscall, the
+/// schedcheck emulation and the portable sleep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FutexWait {
-    /// Slept and was woken (or interrupted); re-check the condition.
+    /// Slept and was woken (or returned spuriously); re-check the condition.
     Woken,
     /// The word moved before the sleep (`EAGAIN`): a wake raced ahead.
     Stale,
@@ -480,22 +191,21 @@ fn futex_wake_raw(word: &AtomicU32, n: u32) -> usize {
 }
 
 /// Seeded-bug hooks for the checker's self-tests, compiled only under the
-/// `schedcheck` feature. Mirrors `crate::lock::mutation`: a process-wide
-/// flag (programmatic setter OR'd with an environment variable) that
-/// re-introduces a specific already-understood bug class.
+/// `schedcheck` feature. Mirrors `crate::lock::mutation`: process-wide
+/// flags that re-introduce specific, already-understood bug classes.
 #[cfg(feature = "schedcheck")]
 pub mod mutation {
     use crate::sync::atomic::{AtomicBool, Ordering};
     use std::sync::OnceLock;
 
     static DROP_FUTEX_WAKE: AtomicBool = AtomicBool::new(false);
+    static UNLOCKED_RECHECK: AtomicBool = AtomicBool::new(false);
     static ENV: OnceLock<bool> = OnceLock::new();
 
-    /// Drops the `FUTEX_WAKE` from [`FutexEventCount::notify_all`] when a
-    /// waiter is registered: the generation still advances but nobody is
-    /// roused — the futex-path rendition of the PR 6 lost-wakeup bug. Also
-    /// enabled by setting `BRAVO_MUTATE_DROP_FUTEX_WAKE` in the
-    /// environment.
+    /// Drops the wake from [`FutexEventCount::notify_all`] when a waiter is
+    /// registered, on either sleep: the generation still advances but
+    /// nobody is roused — a lost wakeup on the eventcount. Also enabled by setting `BRAVO_MUTATE_DROP_FUTEX_WAKE`
+    /// in the environment.
     ///
     /// [`FutexEventCount::notify_all`]: super::FutexEventCount::notify_all
     pub fn set_drop_futex_wake(enabled: bool) {
@@ -506,20 +216,31 @@ pub mod mutation {
         DROP_FUTEX_WAKE.load(Ordering::SeqCst)
             || *ENV.get_or_init(|| std::env::var_os("BRAVO_MUTATE_DROP_FUTEX_WAKE").is_some())
     }
+
+    /// Makes the portable sleep read the word *before* it takes the list
+    /// lock: a notifier that bumps the word and drains the list in between
+    /// leaves the waiter listed after the drain, asleep with no waker.
+    pub fn set_unlocked_recheck(enabled: bool) {
+        UNLOCKED_RECHECK.store(enabled, Ordering::SeqCst);
+    }
+
+    pub(crate) fn unlocked_recheck() -> bool {
+        UNLOCKED_RECHECK.load(Ordering::SeqCst)
+    }
 }
 
-/// A futex-backed eventcount: the blocking primitive behind `wait=futex`.
+/// A futex eventcount: the blocking primitive behind `wait=park` and
+/// `wait=futex`.
 ///
-/// The whole state is one `u32` *wake generation* (the futex word) plus a
-/// waiter counter — no queue, no mutex, no per-waiter allocation. Waiters
-/// announce themselves in `waiters`, snapshot the generation, re-check
-/// their condition, and sleep in the kernel on the snapshot; notifiers bump
-/// the generation unconditionally and issue the wake syscall only when
+/// The protocol state is one `u32` *wake generation* (the futex word) plus
+/// a waiter counter. Waiters announce themselves in `waiters`, snapshot the
+/// generation, re-check their condition, and sleep on the snapshot;
+/// notifiers bump the generation unconditionally and wake only when
 /// `waiters` is non-zero. `SeqCst` on both sides puts the four accesses in
 /// one total order, so either the notifier sees the waiter (and wakes) or
 /// the waiter sees the bumped generation / new state (and never sleeps);
-/// the kernel's atomic word-compare closes the remaining window between the
-/// user-space snapshot and the sleep.
+/// the raw [`Sleep`]'s check of the word against the snapshot closes the
+/// remaining window between the snapshot and the sleep.
 ///
 /// Generation wraparound is benign: the comparison is equality-only, so a
 /// waiter confuses `g` with `g + 2³²` only if exactly 2³² notifications
@@ -528,8 +249,11 @@ pub struct FutexEventCount {
     /// The futex word: bumped by every notify.
     gen: AtomicU32,
     /// How many threads are between announce and sleep-return. Lets
-    /// notifiers skip the wake syscall when nobody can be sleeping.
+    /// notifiers skip the wake when nobody can be sleeping.
     waiters: AtomicUsize,
+    /// The threads asleep in [`Sleep::Portable`]; the kernel futex keeps
+    /// its own list.
+    sleepers: Mutex<Vec<Thread>>,
 }
 
 impl FutexEventCount {
@@ -544,6 +268,7 @@ impl FutexEventCount {
         Self {
             gen: AtomicU32::new(gen),
             waiters: AtomicUsize::new(0),
+            sleepers: Mutex::new(Vec::new()),
         }
     }
 
@@ -557,46 +282,40 @@ impl FutexEventCount {
         self.waiters.load(Ordering::SeqCst)
     }
 
-    /// Blocks the current thread until `ready()` returns true. Notifiers
-    /// that make the condition true must call
-    /// [`notify_all`](Self::notify_all) after changing state.
-    pub fn wait_until(&self, mut ready: impl FnMut() -> bool) {
-        let mut backoff = Backoff::new();
-        for _ in 0..spin_grace() {
-            if ready() {
-                return;
-            }
-            backoff.snooze();
-        }
-        loop {
-            self.waiters.fetch_add(1, Ordering::SeqCst);
-            let observed = self.gen.load(Ordering::SeqCst);
-            if ready() {
-                self.waiters.fetch_sub(1, Ordering::SeqCst);
-                return;
-            }
-            stats::record_futex_wait();
-            let outcome = futex_wait_raw(&self.gen, observed, None);
-            self.waiters.fetch_sub(1, Ordering::SeqCst);
-            match outcome {
-                FutexWait::Stale => stats::record_futex_eagain(),
-                // The syscall actually slept: count it on the same column
-                // the park path uses so wait modes stay comparable.
-                _ => stats::record_parked_wait(),
-            }
-        }
+    /// Blocks the current thread in `sleep` until `ready()` returns true.
+    /// Notifiers that make the condition true must call
+    /// [`notify_all`](Self::notify_all) with the same sleep after changing
+    /// state.
+    pub fn wait_until(&self, sleep: Sleep, ready: impl FnMut() -> bool) {
+        self.wait(sleep, ready, None);
     }
 
     /// Like [`wait_until`](Self::wait_until), but gives up at `deadline_ns`
     /// (on the [`now_ns`] clock). Returns `true` if the condition was
     /// observed true, `false` on timeout.
-    pub fn wait_until_deadline(&self, mut ready: impl FnMut() -> bool, deadline_ns: u64) -> bool {
+    pub fn wait_until_deadline(
+        &self,
+        sleep: Sleep,
+        ready: impl FnMut() -> bool,
+        deadline_ns: u64,
+    ) -> bool {
+        self.wait(sleep, ready, Some(deadline_ns))
+    }
+
+    #[inline]
+    fn wait(
+        &self,
+        sleep: Sleep,
+        mut ready: impl FnMut() -> bool,
+        deadline_ns: Option<u64>,
+    ) -> bool {
+        let expired = || deadline_ns.is_some_and(|d| now_ns() >= d);
         let mut backoff = Backoff::new();
         for _ in 0..spin_grace() {
             if ready() {
                 return true;
             }
-            if now_ns() >= deadline_ns {
+            if expired() {
                 return ready();
             }
             backoff.snooze();
@@ -608,24 +327,31 @@ impl FutexEventCount {
                 self.waiters.fetch_sub(1, Ordering::SeqCst);
                 return true;
             }
-            let now = now_ns();
-            if now >= deadline_ns {
-                self.waiters.fetch_sub(1, Ordering::SeqCst);
-                return ready();
-            }
-            stats::record_futex_wait();
-            let outcome = futex_wait_raw(
-                &self.gen,
-                observed,
-                Some(Duration::from_nanos(deadline_ns - now)),
-            );
+            let timeout = match deadline_ns {
+                None => None,
+                Some(deadline) => {
+                    let now = now_ns();
+                    if now >= deadline {
+                        self.waiters.fetch_sub(1, Ordering::SeqCst);
+                        return ready();
+                    }
+                    Some(Duration::from_nanos(deadline - now))
+                }
+            };
+            let outcome = match sleep {
+                Sleep::Futex => {
+                    stats::record_futex_wait();
+                    futex_wait_raw(&self.gen, observed, timeout)
+                }
+                Sleep::Portable => self.portable_wait(observed, timeout),
+            };
             self.waiters.fetch_sub(1, Ordering::SeqCst);
             match outcome {
-                FutexWait::Stale => stats::record_futex_eagain(),
-                _ => stats::record_parked_wait(),
-            }
-            if ready() {
-                return true;
+                FutexWait::Stale if sleep == Sleep::Futex => stats::record_futex_eagain(),
+                FutexWait::Stale => {}
+                // The thread actually slept: count it on the column both
+                // sleeps share so wait modes stay comparable.
+                FutexWait::Woken | FutexWait::TimedOut => stats::record_parked_wait(),
             }
             if outcome == FutexWait::TimedOut {
                 return ready();
@@ -635,9 +361,9 @@ impl FutexEventCount {
 
     /// Publishes a wakeup: bumps the generation (always — a concurrent
     /// waiter between snapshot and sleep must see the word move) and wakes
-    /// sleepers only when the waiter counter says there may be any. Call
-    /// *after* the state change that makes waiters ready.
-    pub fn notify_all(&self) {
+    /// the sleepers of `sleep` only when the waiter counter says there may
+    /// be any. Call *after* the state change that makes waiters ready.
+    pub fn notify_all(&self, sleep: Sleep) {
         self.gen.fetch_add(1, Ordering::SeqCst);
         if self.waiters.load(Ordering::SeqCst) == 0 {
             return;
@@ -646,8 +372,60 @@ impl FutexEventCount {
         if mutation::drop_futex_wake() {
             return;
         }
-        stats::record_futex_wake();
-        futex_wake_raw(&self.gen, u32::MAX);
+        match sleep {
+            Sleep::Futex => {
+                stats::record_futex_wake();
+                futex_wake_raw(&self.gen, u32::MAX);
+            }
+            Sleep::Portable => {
+                let sleepers = std::mem::take(&mut *self.sleepers());
+                for sleeper in sleepers {
+                    sleeper.unpark();
+                }
+            }
+        }
+    }
+
+    fn sleepers(&self) -> MutexGuard<'_, Vec<Thread>> {
+        self.sleepers.lock().expect("sleeper list poisoned")
+    }
+
+    /// The portable `FUTEX_WAIT`: if the word still holds `expected` under
+    /// the list lock, lists this thread and parks once, until a
+    /// [`notify_all`] drains it, the timeout expires or a banked unpark
+    /// ends the park (see [`Sleep`] for why that cannot lose a wakeup).
+    ///
+    /// [`notify_all`]: Self::notify_all
+    fn portable_wait(&self, expected: u32, timeout: Option<Duration>) -> FutexWait {
+        let deadline = timeout.map(|t| now_ns().saturating_add(t.as_nanos() as u64));
+        let me = thread::current();
+        // Seeded bug (checker builds only): trust a read taken before the
+        // lock.
+        #[cfg(feature = "schedcheck")]
+        let unlocked = mutation::unlocked_recheck() && self.gen.load(Ordering::SeqCst) == expected;
+        #[cfg(not(feature = "schedcheck"))]
+        let unlocked = false;
+        {
+            let mut sleepers = self.sleepers();
+            if !unlocked && self.gen.load(Ordering::SeqCst) != expected {
+                return FutexWait::Stale;
+            }
+            sleepers.push(me.clone());
+        }
+        match timeout {
+            None => thread::park(),
+            Some(timeout) => thread::park_timeout(timeout),
+        }
+        {
+            let mut sleepers = self.sleepers();
+            if let Some(pos) = sleepers.iter().position(|t| t.id() == me.id()) {
+                sleepers.swap_remove(pos);
+            }
+        }
+        match deadline {
+            Some(deadline) if now_ns() >= deadline => FutexWait::TimedOut,
+            _ => FutexWait::Woken,
+        }
     }
 }
 
@@ -666,28 +444,31 @@ impl std::fmt::Debug for FutexEventCount {
     }
 }
 
+/// Number of global eventcount buckets addresses hash over. Keys sharing a
+/// bucket cost spurious re-checks (every sleeper of the bucket wakes),
+/// never lost wakeups; 64 buckets keep unrelated locks from serializing on
+/// one list.
+const WAIT_BUCKETS: usize = 64;
+
 static FUTEX_BUCKETS: OnceLock<Box<[FutexEventCount]>> = OnceLock::new();
 
-/// The global futex-eventcount bucket for an address key. Distinct keys
-/// sharing a bucket cost spurious re-checks (every sleeper of the bucket
-/// wakes), never lost wakeups — the same trade the park buckets make.
+/// The global eventcount bucket for an address key.
 fn futex_bucket_for(key: usize) -> &'static FutexEventCount {
     let buckets =
         FUTEX_BUCKETS.get_or_init(|| (0..WAIT_BUCKETS).map(|_| FutexEventCount::new()).collect());
     &buckets[(mix64(key as u64) as usize) & (WAIT_BUCKETS - 1)]
 }
 
-/// A one-byte dispatcher between spinning, parking and futex-blocking,
-/// resolved once from the lock spec's `wait=` knob and stored inside each
-/// lock.
+/// A one-byte dispatcher between spinning and sleeping, resolved once from
+/// the lock spec's `wait=` knob and stored inside each lock.
 ///
 /// In [`WaitMode::Spin`] every wait is the original [`Backoff`] loop and
 /// every notification is a no-op, so spin-configured locks keep their old
-/// behaviour (and cost) exactly. In [`WaitMode::Park`] waits go through the
-/// global [`WaitQueue`] buckets and releases publish wakeups keyed by the
-/// lock's address. In [`WaitMode::Futex`] waits block in the kernel through
-/// the global [`FutexEventCount`] buckets when
-/// [`futex_backend_active`] — and through the park buckets otherwise, so a
+/// behaviour (and cost) exactly. The other two modes sleep in the global
+/// [`FutexEventCount`] buckets, keyed by the lock's address:
+/// [`WaitMode::Park`] is the eventcount over the portable in-process sleep,
+/// which is what [`WaitMode::Futex`] runs off Linux; `wait=futex` sleeps on
+/// the kernel futex where [`crate::sys::futex::NATIVE`] is true, so a
 /// `wait=futex` spec is valid on every target.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WaitStrategy {
@@ -705,12 +486,13 @@ impl WaitStrategy {
         Self::new(WaitMode::Spin)
     }
 
-    /// The spin-then-park strategy.
+    /// The spin-then-sleep strategy on the portable sleep.
     pub const fn park() -> Self {
         Self::new(WaitMode::Park)
     }
 
-    /// The spin-then-futex strategy (park fallback off Linux).
+    /// The spin-then-sleep strategy on the kernel futex (the portable sleep
+    /// off Linux).
     pub const fn futex() -> Self {
         Self::new(WaitMode::Futex)
     }
@@ -720,25 +502,28 @@ impl WaitStrategy {
         self.mode
     }
 
-    /// Waits until `ready()` is true: by spinning, or by parking under
+    /// The raw sleep this strategy blocks in; `None` when it spins.
+    #[inline]
+    fn sleep(&self) -> Option<Sleep> {
+        match self.mode {
+            WaitMode::Spin => None,
+            WaitMode::Futex if KERNEL_FUTEX => Some(Sleep::Futex),
+            WaitMode::Park | WaitMode::Futex => Some(Sleep::Portable),
+        }
+    }
+
+    /// Waits until `ready()` is true: by spinning, or by sleeping under
     /// `key` after the spin grace period.
     #[inline]
     pub fn wait_until(&self, key: usize, mut ready: impl FnMut() -> bool) {
-        match self.mode {
-            WaitMode::Spin => {
+        match self.sleep() {
+            None => {
                 let mut backoff = Backoff::new();
                 while !ready() {
                     backoff.snooze();
                 }
             }
-            WaitMode::Park => bucket_for(key).wait_until(key, ready),
-            WaitMode::Futex => {
-                if futex_backend_active() {
-                    futex_bucket_for(key).wait_until(ready)
-                } else {
-                    bucket_for(key).wait_until(key, ready)
-                }
-            }
+            Some(sleep) => futex_bucket_for(key).wait_until(sleep, ready),
         }
     }
 
@@ -751,8 +536,8 @@ impl WaitStrategy {
         mut ready: impl FnMut() -> bool,
         deadline_ns: u64,
     ) -> bool {
-        match self.mode {
-            WaitMode::Spin => {
+        match self.sleep() {
+            None => {
                 let mut backoff = Backoff::new();
                 loop {
                     if ready() {
@@ -764,14 +549,7 @@ impl WaitStrategy {
                     backoff.snooze();
                 }
             }
-            WaitMode::Park => bucket_for(key).wait_until_deadline(key, ready, deadline_ns),
-            WaitMode::Futex => {
-                if futex_backend_active() {
-                    futex_bucket_for(key).wait_until_deadline(ready, deadline_ns)
-                } else {
-                    bucket_for(key).wait_until_deadline(key, ready, deadline_ns)
-                }
-            }
+            Some(sleep) => futex_bucket_for(key).wait_until_deadline(sleep, ready, deadline_ns),
         }
     }
 
@@ -779,18 +557,8 @@ impl WaitStrategy {
     /// spinning; call it *after* the state change that makes waiters ready.
     #[inline]
     pub fn notify_all(&self, key: usize) {
-        match self.mode {
-            WaitMode::Spin => {}
-            WaitMode::Park => {
-                bucket_for(key).wake_all(key);
-            }
-            WaitMode::Futex => {
-                if futex_backend_active() {
-                    futex_bucket_for(key).notify_all();
-                } else {
-                    bucket_for(key).wake_all(key);
-                }
-            }
+        if let Some(sleep) = self.sleep() {
+            futex_bucket_for(key).notify_all(sleep);
         }
     }
 }
@@ -798,7 +566,15 @@ impl WaitStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sync::atomic::AtomicU64;
+    use crate::sync::atomic::{AtomicBool, AtomicU64};
+    use std::sync::Arc;
+
+    const SLEEPS: [Sleep; 2] = [Sleep::Futex, Sleep::Portable];
+
+    /// Threads currently listed in `ec`'s portable sleep.
+    fn listed(ec: &FutexEventCount) -> usize {
+        ec.sleepers().len()
+    }
 
     #[test]
     fn wait_mode_round_trips_through_strings() {
@@ -809,259 +585,199 @@ mod tests {
         assert_eq!(WaitMode::default(), WaitMode::Spin);
     }
 
-    #[test]
-    fn fallback_env_values_parse_like_booleans() {
-        use std::ffi::OsStr;
-        assert!(!fallback_env_requested(None));
-        assert!(!fallback_env_requested(Some(OsStr::new(""))));
-        assert!(!fallback_env_requested(Some(OsStr::new("0"))));
-        assert!(fallback_env_requested(Some(OsStr::new("1"))));
-        assert!(fallback_env_requested(Some(OsStr::new("yes"))));
-    }
-
-    #[test]
-    fn futex_event_count_ready_condition_returns_without_sleeping() {
-        // An already-true condition is satisfied inside the spin grace: the
-        // waiter never announces itself, so a notifier observing
-        // waiters() == 0 skips the wake syscall. (The process-wide
-        // zero-syscall pin lives in tests/perf_floor.rs, where the whole
-        // binary is uncontended; global counters race with the storm tests
-        // here.)
+    /// An already-true condition is satisfied inside the spin grace: the
+    /// waiter never announces itself, so a notifier observing
+    /// waiters() == 0 skips the wake. (The process-wide zero-syscall pin
+    /// lives in tests/perf_floor.rs, where the whole binary is uncontended;
+    /// global counters race with the storm tests here.)
+    fn ready_condition_returns_without_sleeping(sleep: Sleep) {
         let ec = FutexEventCount::new();
-        ec.wait_until(|| true);
-        assert!(ec.wait_until_deadline(|| true, now_ns() + 1_000_000));
+        ec.wait_until(sleep, || true);
+        assert!(ec.wait_until_deadline(sleep, || true, now_ns() + 1_000_000));
         assert_eq!(ec.waiters(), 0);
+        assert_eq!(listed(&ec), 0);
         assert_eq!(ec.generation(), 0, "a pure wait must not move the word");
     }
 
     #[test]
+    fn futex_event_count_ready_condition_returns_without_sleeping() {
+        ready_condition_returns_without_sleeping(Sleep::Futex);
+    }
+
+    #[test]
+    fn ready_condition_returns_without_parking() {
+        ready_condition_returns_without_sleeping(Sleep::Portable);
+    }
+
+    #[test]
     fn futex_notify_without_waiters_bumps_only_the_word() {
-        let ec = FutexEventCount::new();
-        for _ in 0..100 {
-            ec.notify_all();
+        for sleep in SLEEPS {
+            let ec = FutexEventCount::new();
+            for _ in 0..100 {
+                ec.notify_all(sleep);
+            }
+            assert_eq!(ec.generation(), 100, "every notify must bump the word");
+            assert_eq!(ec.waiters(), 0);
         }
-        assert_eq!(ec.generation(), 100, "every notify must bump the word");
+    }
+
+    fn deadline_expires_when_never_ready_on(sleep: Sleep) {
+        let ec = FutexEventCount::new();
+        let deadline = now_ns() + 5_000_000; // 5 ms
+        assert!(!ec.wait_until_deadline(sleep, || false, deadline));
+        assert!(now_ns() >= deadline);
         assert_eq!(ec.waiters(), 0);
+        assert_eq!(listed(&ec), 0, "a timed-out sleeper stayed listed");
     }
 
     #[test]
     fn futex_event_count_deadline_expires_when_never_ready() {
-        let ec = FutexEventCount::new();
-        let deadline = now_ns() + 5_000_000; // 5 ms
-        assert!(!ec.wait_until_deadline(|| false, deadline));
-        assert!(now_ns() >= deadline);
-        assert_eq!(ec.waiters(), 0);
+        deadline_expires_when_never_ready_on(Sleep::Futex);
     }
 
     #[test]
-    fn futex_event_count_survives_a_contended_handoff_storm() {
-        // The FutexEventCount analogue of the park storm: many threads
-        // ping-ponging one counter through the same eventcount must never
-        // lose a wakeup.
-        let ec = Arc::new(FutexEventCount::new());
-        let counter = Arc::new(AtomicU64::new(0));
+    fn deadline_expires_when_never_ready() {
+        deadline_expires_when_never_ready_on(Sleep::Portable);
+    }
+
+    #[test]
+    fn deadline_already_past_returns_immediately() {
+        // A deadline at-or-before "now" must not announce, must not sleep,
+        // and must report the condition's value at that instant.
+        for sleep in SLEEPS {
+            let ec = FutexEventCount::new();
+            assert!(!ec.wait_until_deadline(sleep, || false, 0));
+            assert!(!ec.wait_until_deadline(sleep, || false, now_ns().saturating_sub(1)));
+            // If the condition is already true the expired deadline is moot.
+            assert!(ec.wait_until_deadline(sleep, || true, 0));
+            assert_eq!(ec.waiters(), 0);
+            assert_eq!(listed(&ec), 0);
+        }
+    }
+
+    /// Many threads ping-ponging one counter through one eventcount, `n`
+    /// rounds each, must never lose a wakeup.
+    fn handoff_storm(ec: &FutexEventCount, sleep: Sleep, threads: u64, rounds: u64) {
+        let counter = AtomicU64::new(0);
         std::thread::scope(|s| {
-            for t in 0..8u64 {
-                let ec = Arc::clone(&ec);
-                let counter = Arc::clone(&counter);
+            for t in 0..threads {
+                let counter = &counter;
                 s.spawn(move || {
-                    for round in 0..200u64 {
-                        let target = round * 8 + t + 1;
-                        ec.wait_until(|| counter.load(Ordering::SeqCst) >= target - 1);
+                    for round in 0..rounds {
+                        let target = round * threads + t + 1;
+                        ec.wait_until(sleep, || counter.load(Ordering::SeqCst) >= target - 1);
                         counter.fetch_add(1, Ordering::SeqCst);
-                        ec.notify_all();
+                        ec.notify_all(sleep);
                     }
                 });
             }
         });
-        assert_eq!(counter.load(Ordering::SeqCst), 8 * 200);
+        assert_eq!(counter.load(Ordering::SeqCst), threads * rounds);
         assert_eq!(ec.waiters(), 0);
+        assert_eq!(listed(ec), 0);
+    }
+
+    #[test]
+    fn futex_event_count_survives_a_contended_handoff_storm() {
+        for sleep in SLEEPS {
+            handoff_storm(&FutexEventCount::new(), sleep, 8, 200);
+        }
     }
 
     #[test]
     fn generation_wraparound_is_benign() {
         // Start the word just under u32::MAX and drive handoffs across the
         // wrap: equality-only comparison means nothing special happens.
-        let ec = Arc::new(FutexEventCount::with_generation(u32::MAX - 8));
-        let counter = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let ec = Arc::clone(&ec);
-                let counter = Arc::clone(&counter);
-                s.spawn(move || {
-                    for round in 0..8u64 {
-                        let target = round * 4 + t + 1;
-                        ec.wait_until(|| counter.load(Ordering::SeqCst) >= target - 1);
-                        counter.fetch_add(1, Ordering::SeqCst);
-                        ec.notify_all();
-                    }
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 4 * 8);
-        // 32 notifies from u32::MAX - 8 lands past the wrap.
-        assert_eq!(ec.generation(), (u32::MAX - 8).wrapping_add(32));
+        for sleep in SLEEPS {
+            let ec = FutexEventCount::with_generation(u32::MAX - 8);
+            handoff_storm(&ec, sleep, 4, 8);
+            // 32 notifies from u32::MAX - 8 lands past the wrap.
+            assert_eq!(ec.generation(), (u32::MAX - 8).wrapping_add(32));
+        }
     }
 
     #[test]
-    fn futex_waits_are_counted_when_a_sleeper_blocks() {
-        // Mirrors parked_waits_are_counted for the futex columns: a waiter
-        // that genuinely sleeps must record futex_waits (and parked_waits,
-        // the cross-mode column).
+    fn wake_all_releases_every_matching_waiter() {
+        for sleep in SLEEPS {
+            let ec = FutexEventCount::new();
+            let flag = AtomicBool::new(false);
+            let released = AtomicU64::new(0);
+            std::thread::scope(|s| {
+                for _ in 0..4 {
+                    s.spawn(|| {
+                        ec.wait_until(sleep, || flag.load(Ordering::SeqCst));
+                        released.fetch_add(1, Ordering::SeqCst);
+                    });
+                }
+                // Wait for all four to announce, then release them with one
+                // notify.
+                let mut backoff = Backoff::new();
+                while ec.waiters() < 4 {
+                    backoff.snooze();
+                }
+                flag.store(true, Ordering::SeqCst);
+                ec.notify_all(sleep);
+            });
+            assert_eq!(released.load(Ordering::SeqCst), 4, "{sleep:?}");
+            assert_eq!(listed(&ec), 0);
+        }
+    }
+
+    /// A waiter that genuinely sleeps must be counted: on `parked_waits`
+    /// for both sleeps, and on `futex_waits` for the kernel one. A waiter
+    /// that announces but sees the flag set during its re-check returns
+    /// without sleeping, so retry a few episodes until one sleeps (in
+    /// practice the first one does).
+    fn sleeps_are_counted(sleep: Sleep) {
         for _ in 0..20 {
             let before = crate::stats::snapshot();
-            let ec = Arc::new(FutexEventCount::new());
-            let flag = Arc::new(AtomicBool::new(false));
+            let ec = FutexEventCount::new();
+            let flag = AtomicBool::new(false);
             std::thread::scope(|s| {
-                let ec2 = Arc::clone(&ec);
-                let flag2 = Arc::clone(&flag);
-                let waiter = s.spawn(move || ec2.wait_until(|| flag2.load(Ordering::SeqCst)));
+                let waiter = s.spawn(|| ec.wait_until(sleep, || flag.load(Ordering::SeqCst)));
                 let mut backoff = Backoff::new();
                 while ec.waiters() == 0 {
                     backoff.snooze();
                 }
+                // Give the waiter time to pass its re-check and sleep.
                 std::thread::sleep(Duration::from_millis(10));
                 flag.store(true, Ordering::SeqCst);
-                ec.notify_all();
+                ec.notify_all(sleep);
                 waiter.join().unwrap();
             });
             let delta = crate::stats::snapshot().since(&before);
-            if delta.futex_waits >= 1 && delta.parked_waits >= 1 {
+            if delta.parked_waits >= 1 && (sleep == Sleep::Portable || delta.futex_waits >= 1) {
                 return;
             }
         }
-        panic!("no futex wait was recorded in 20 episodes");
+        panic!("no {sleep:?} sleep was recorded in 20 episodes");
+    }
+
+    #[test]
+    fn futex_waits_are_counted_when_a_sleeper_blocks() {
+        sleeps_are_counted(Sleep::Futex);
+    }
+
+    #[test]
+    fn parked_waits_are_counted() {
+        sleeps_are_counted(Sleep::Portable);
     }
 
     #[test]
     fn futex_strategy_handles_contended_handoffs() {
         // The full wait=futex dispatch path (bucket lookup included), on
-        // whichever backend this process resolved to.
+        // whichever sleep this target resolves it to.
         let strategy = WaitStrategy::futex();
         assert_eq!(strategy.mode(), WaitMode::Futex);
-        let counter = Arc::new(AtomicU64::new(0));
-        let key = Arc::as_ptr(&counter) as usize;
-        std::thread::scope(|s| {
-            for t in 0..8u64 {
-                let counter = Arc::clone(&counter);
-                s.spawn(move || {
-                    for round in 0..200u64 {
-                        let target = round * 8 + t + 1;
-                        strategy.wait_until(key, || counter.load(Ordering::SeqCst) >= target - 1);
-                        counter.fetch_add(1, Ordering::SeqCst);
-                        strategy.notify_all(key);
-                    }
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 8 * 200);
-    }
-
-    #[test]
-    fn ready_condition_returns_without_parking() {
-        let q = WaitQueue::new();
-        q.wait_until(1, || true);
-        assert!(q.is_empty());
-        assert!(q.wait_until_deadline(1, || true, now_ns() + 1_000_000));
-    }
-
-    #[test]
-    fn deadline_expires_when_never_ready() {
-        let q = WaitQueue::new();
-        let deadline = now_ns() + 5_000_000; // 5 ms
-        assert!(!q.wait_until_deadline(7, || false, deadline));
-        assert!(now_ns() >= deadline);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn wake_all_releases_every_matching_waiter() {
-        let q = Arc::new(WaitQueue::new());
-        let flag = Arc::new(AtomicBool::new(false));
-        let released = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let q = Arc::clone(&q);
-                let flag = Arc::clone(&flag);
-                let released = Arc::clone(&released);
-                s.spawn(move || {
-                    q.wait_until(42, || flag.load(Ordering::SeqCst));
-                    released.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-            // Wait for all four to actually park (registration is visible
-            // via len()), then release them with one wake.
-            let mut backoff = Backoff::new();
-            while q.len() < 4 {
-                backoff.snooze();
-            }
-            flag.store(true, Ordering::SeqCst);
-            q.wake_all(42);
-        });
-        assert_eq!(released.load(Ordering::SeqCst), 4);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn wake_one_is_fifo_per_key() {
-        let q = Arc::new(WaitQueue::new());
-        let turn = Arc::new(AtomicU64::new(0));
-        let order = Arc::new(Mutex::new(Vec::new()));
-        std::thread::scope(|s| {
-            for i in 0..3u64 {
-                let waiter_q = Arc::clone(&q);
-                let turn = Arc::clone(&turn);
-                let order = Arc::clone(&order);
-                s.spawn(move || {
-                    waiter_q.wait_until(9, || turn.load(Ordering::SeqCst) > i);
-                    order.lock().unwrap().push(i);
-                });
-                // Stagger registrations so queue order is deterministic.
-                let mut backoff = Backoff::new();
-                while q.len() < (i + 1) as usize {
-                    backoff.snooze();
-                }
-            }
-            for next in 0..3u64 {
-                turn.store(next + 1, Ordering::SeqCst);
-                assert!(q.wake_one(9), "waiter {next} should be parked");
-                let mut backoff = Backoff::new();
-                while order.lock().unwrap().len() < (next + 1) as usize {
-                    backoff.snooze();
-                }
-            }
-        });
-        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn wakes_filter_by_key() {
-        let q = Arc::new(WaitQueue::new());
-        let flag = Arc::new(AtomicBool::new(false));
-        std::thread::scope(|s| {
-            let waiter = {
-                let q = Arc::clone(&q);
-                let flag = Arc::clone(&flag);
-                s.spawn(move || q.wait_until(5, || flag.load(Ordering::SeqCst)))
-            };
-            let mut backoff = Backoff::new();
-            while q.is_empty() {
-                backoff.snooze();
-            }
-            // A wake for a different key must not release the waiter.
-            assert_eq!(q.wake_all(6), 0);
-            assert!(!q.is_empty());
-            flag.store(true, Ordering::SeqCst);
-            assert_eq!(q.wake_all(5), 1);
-            waiter.join().unwrap();
-        });
+        strategy_storm(strategy);
     }
 
     #[test]
     fn park_strategy_survives_a_contended_handoff_storm() {
-        // No lost wakeups under churn: many waiters, many wakes, all on the
-        // same key, must all terminate.
-        let strategy = WaitStrategy::park();
+        strategy_storm(WaitStrategy::park());
+    }
+
+    fn strategy_storm(strategy: WaitStrategy) {
         let counter = Arc::new(AtomicU64::new(0));
         let key = Arc::as_ptr(&counter) as usize;
         std::thread::scope(|s| {
@@ -1091,119 +807,74 @@ mod tests {
     }
 
     #[test]
-    fn parked_waits_are_counted() {
-        // A waiter that registers but sees the flag set during its re-check
-        // returns without recording a park, so retry a few episodes until
-        // one genuinely parks (in practice the first one does).
-        for _ in 0..20 {
-            let before = crate::stats::snapshot();
-            let q = Arc::new(WaitQueue::new());
-            let flag = Arc::new(AtomicBool::new(false));
-            std::thread::scope(|s| {
-                let q2 = Arc::clone(&q);
-                let flag2 = Arc::clone(&flag);
-                let waiter = s.spawn(move || q2.wait_until(11, || flag2.load(Ordering::SeqCst)));
-                let mut backoff = Backoff::new();
-                while q.is_empty() {
-                    backoff.snooze();
-                }
-                // Give the waiter time to pass its re-check and park.
-                std::thread::sleep(Duration::from_millis(10));
-                flag.store(true, Ordering::SeqCst);
-                q.wake_all(11);
-                waiter.join().unwrap();
-            });
-            if crate::stats::snapshot().since(&before).parked_waits >= 1 {
-                return;
-            }
-        }
-        panic!("no parked wait was recorded in 20 episodes");
-    }
-
-    #[test]
-    fn deadline_already_past_returns_immediately() {
-        // A deadline at-or-before "now" must not register, must not park,
-        // and must report the condition's value at that instant.
-        let q = WaitQueue::new();
-        assert!(!q.wait_until_deadline(3, || false, 0));
-        assert!(q.is_empty());
-        assert!(!q.wait_until_deadline(3, || false, now_ns().saturating_sub(1)));
-        assert!(q.is_empty());
-        // If the condition is already true the expired deadline is moot.
-        assert!(q.wait_until_deadline(3, || true, 0));
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn wake_racing_timeout_leaves_queue_consistent() {
-        // A wake that lands around the waiter's deadline must never corrupt
-        // the queue: whichever side wins, `true` is returned only with the
-        // condition actually true, the queue ends empty, and the next round
-        // still works (no node leaked, no wakeup eaten).
-        let q = Arc::new(WaitQueue::new());
+        // A notify that lands around the waiter's deadline must never leave
+        // a sleeper listed: whichever side wins, `true` is returned only
+        // with the condition actually true, the list ends empty, and the
+        // next round still works (no entry leaked, no wakeup eaten).
+        let ec = FutexEventCount::new();
         let mut wake_won = 0u32;
         for round in 0..50u64 {
-            let flag = Arc::new(AtomicBool::new(false));
+            let flag = AtomicBool::new(false);
             std::thread::scope(|s| {
-                let waiter = {
-                    let q = Arc::clone(&q);
-                    let flag = Arc::clone(&flag);
-                    s.spawn(move || {
-                        // Sub-millisecond deadline so timeout genuinely races
-                        // the main thread's wake on loaded hosts.
-                        let deadline = now_ns() + 200_000 + (round % 7) * 50_000;
-                        let won =
-                            q.wait_until_deadline(13, || flag.load(Ordering::SeqCst), deadline);
-                        (won, flag.load(Ordering::SeqCst))
-                    })
-                };
+                let waiter = s.spawn(|| {
+                    // Sub-millisecond deadline so timeout genuinely races
+                    // the main thread's notify on loaded hosts.
+                    let deadline = now_ns() + 200_000 + (round % 7) * 50_000;
+                    let won = ec.wait_until_deadline(
+                        Sleep::Portable,
+                        || flag.load(Ordering::SeqCst),
+                        deadline,
+                    );
+                    (won, flag.load(Ordering::SeqCst))
+                });
                 flag.store(true, Ordering::SeqCst);
-                q.wake_all(13);
+                ec.notify_all(Sleep::Portable);
                 let (won, flag_at_return) = waiter.join().unwrap();
                 if won {
                     wake_won += 1;
                     assert!(flag_at_return, "returned true with the condition false");
                 }
                 // `false` is legitimate only when the deadline beat the
-                // store; either way nothing may linger in the queue.
+                // store; either way nobody may stay listed.
             });
-            assert!(q.is_empty(), "round {round} leaked a waiter node");
+            assert_eq!(listed(&ec), 0, "round {round} left a sleeper listed");
+            assert_eq!(ec.waiters(), 0);
         }
-        // The store happens within microseconds of spawn, so the wake side
-        // must win at least once across 50 rounds.
-        assert!(wake_won > 0, "wake never beat the timeout in 50 rounds");
+        // The store happens within microseconds of spawn, so the notify
+        // side must win at least once across 50 rounds.
+        assert!(wake_won > 0, "notify never beat the timeout in 50 rounds");
     }
 
     #[test]
     fn stale_wake_token_does_not_break_later_waits() {
-        // deregister() races a waker: the waker may dequeue the node and
-        // bank an unpark token after the waiter already timed out. The next
-        // wait on the same thread must still obey its own condition.
-        let q = Arc::new(WaitQueue::new());
-        let flag = Arc::new(AtomicBool::new(false));
+        // A notify may drain a sleeper that is already timing out and bank
+        // an unpark on its thread. The next wait on that thread must still
+        // obey its own condition.
+        let ec = FutexEventCount::new();
+        let flag = AtomicBool::new(false);
         std::thread::scope(|s| {
-            let q2 = Arc::clone(&q);
-            let flag2 = Arc::clone(&flag);
-            let waiter = s.spawn(move || {
+            let waiter = s.spawn(|| {
                 // Phase 1: time out (condition never true), possibly
-                // collecting a stale unpark token from the main thread.
-                let timed_out = !q2.wait_until_deadline(21, || false, now_ns() + 2_000_000);
-                // Phase 2: a real wait that must not terminate early off the
-                // banked token alone.
-                q2.wait_until(21, || flag2.load(Ordering::SeqCst));
-                (timed_out, flag2.load(Ordering::SeqCst))
+                // collecting a stale unpark from the main thread.
+                let timed_out =
+                    !ec.wait_until_deadline(Sleep::Portable, || false, now_ns() + 2_000_000);
+                // Phase 2: a real wait that must not end early off the
+                // banked unpark alone.
+                ec.wait_until(Sleep::Portable, || flag.load(Ordering::SeqCst));
+                (timed_out, flag.load(Ordering::SeqCst))
             });
-            // Fire wakes at the (probably parked, possibly timing-out)
-            // waiter without making it ready: these tokens are stale.
+            // Fire notifies at the (probably asleep, possibly timing-out)
+            // waiter without making it ready: these unparks are stale.
             for _ in 0..10 {
-                q.wake_all(21);
+                ec.notify_all(Sleep::Portable);
                 std::thread::sleep(Duration::from_micros(300));
             }
-            // Now make phase 2 genuinely ready and wake.
+            // Now make phase 2 genuinely ready and notify.
             flag.store(true, Ordering::SeqCst);
             let mut backoff = Backoff::new();
             loop {
-                q.wake_all(21);
+                ec.notify_all(Sleep::Portable);
                 if waiter.is_finished() {
                     break;
                 }
@@ -1213,6 +884,6 @@ mod tests {
             assert!(timed_out, "phase 1 condition was never true");
             assert!(saw_flag, "phase 2 returned before its condition held");
         });
-        assert!(q.is_empty());
+        assert_eq!(listed(&ec), 0);
     }
 }

@@ -7,7 +7,7 @@
 //! * **bare-park** — `thread::park` / `park_timeout` outside `core::wait`
 //!   (and the `core::sync` facade / schedcheck shims that implement it).
 //!   Ad-hoc parking is how lost wakeups are born; all blocking goes through
-//!   [`WaitQueue`]'s check-register-recheck protocol.
+//!   the futex eventcount's announce-snapshot-recheck protocol.
 //! * **raw-spin** — `spin_loop(` / `yield_now(` outside `core::clock`'s
 //!   `Backoff`. Raw spin loops bypass the `WaitStrategy` dispatch (and the
 //!   scheduler's yield points under schedcheck).
@@ -25,8 +25,6 @@
 //! substring-matches. That catches the honest mistakes (someone pasting a
 //! `std::thread::park()` wait loop) without needing a parser; reviewers
 //! handle adversarial obfuscation.
-//!
-//! [`WaitQueue`]: ../bravo/wait/struct.WaitQueue.html
 
 use std::fmt;
 use std::fs;
@@ -52,8 +50,8 @@ const RULES: &[Rule] = &[
             "crates/schedcheck/",
             "crates/shims/",
         ],
-        why: "blocking must go through core::wait::WaitQueue (check-register-recheck), \
-              not ad-hoc thread::park/park_timeout",
+        why: "blocking must go through core::wait::FutexEventCount \
+              (announce-snapshot-recheck), not ad-hoc thread::park/park_timeout",
     },
     Rule {
         name: "raw-spin",

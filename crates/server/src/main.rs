@@ -157,7 +157,8 @@ fn serve(args: &[String]) {
     }
     // Serve until killed. The backend accepts on threads of its own; nothing
     // ever wakes the main thread, so a plain periodic sleep (rather than an
-    // ad-hoc park outside the WaitQueue discipline) is the honest idle loop.
+    // ad-hoc park outside the `bravo::wait` eventcount) is the honest idle
+    // loop.
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));
     }

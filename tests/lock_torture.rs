@@ -190,10 +190,9 @@ fn every_catalog_spec_survives_torture_parking() {
 
 #[test]
 fn every_catalog_spec_survives_torture_futex_blocking() {
-    // On targets (or under BRAVO_FUTEX_FALLBACK=1) where the syscall is
-    // unavailable the dispatch silently runs the park path — the cell is
-    // then a duplicate of the parking sweep, which is exactly the fallback
-    // contract this tier should hold.
+    // On targets without the syscall the dispatch runs the eventcount's
+    // portable sleep — the cell is then a duplicate of the parking sweep,
+    // which runs that same sleep on every target.
     for &kind in LockKind::all().iter().filter(|kind| kind.honours_wait()) {
         torture(kind, WaitMode::Futex);
     }
@@ -218,13 +217,13 @@ fn parking_torture_records_parked_waits() {
     );
 }
 
-/// Same exercise pin for the futex backend: when it is active, the torture
+/// Same exercise pin for the kernel futex: where the syscall exists, the torture
 /// must drive real `FUTEX_WAIT`s (visible in the new counters), not dodge
 /// the kernel through the spin grace every time.
 #[test]
 fn futex_torture_records_futex_waits() {
-    if !bravo_repro::bravo::wait::futex_backend_active() {
-        eprintln!("futex backend inactive (non-Linux or fallback forced); skipping");
+    if !bravo_repro::bravo::sys::futex::NATIVE {
+        eprintln!("no futex syscall on this target; skipping");
         return;
     }
     let before = bravo_repro::bravo::stats::snapshot();

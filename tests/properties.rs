@@ -6,7 +6,7 @@ use bravo_repro::bravo::hash::{mix64, slot_index};
 use bravo_repro::bravo::policy::BiasPolicy;
 use bravo_repro::bravo::spec::{LockSpec, TableSpec};
 use bravo_repro::bravo::vrt::{ReaderTable, VisibleReadersTable};
-use bravo_repro::bravo::wait::{WaitMode, WaitQueue};
+use bravo_repro::bravo::wait::{WaitMode, WaitStrategy};
 use bravo_repro::bravo::{BravoRwLock, SectoredTable};
 use bravo_repro::rwlocks::{LockKind, PhaseFairQueueLock};
 use bravo_repro::topology::Machine;
@@ -156,9 +156,10 @@ proptest! {
 }
 
 proptest! {
-    /// No lost wakeups: for any waiter count and key, every waiter parked on
-    /// a condition observes it after the state change + wake, within a
-    /// generous deadline. A lost wakeup shows up as a timeout, not a hang.
+    /// No lost wakeups: for any waiter count and key, every waiter asleep
+    /// in `wait=park` on a condition observes it after the state change +
+    /// notify, within a generous deadline. A lost wakeup shows up as a
+    /// timeout, not a hang.
     #[test]
     fn wait_queue_never_loses_wakeups(
         waiters in 1usize..5,
@@ -168,84 +169,28 @@ proptest! {
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
 
-        let q = Arc::new(WaitQueue::new());
+        let strategy = WaitStrategy::park();
         let ready = Arc::new(AtomicBool::new(false));
         let deadline = bravo_repro::bravo::clock::now_ns() + 10_000_000_000;
         let handles: Vec<_> = (0..waiters)
             .map(|_| {
-                let q = Arc::clone(&q);
                 let ready = Arc::clone(&ready);
                 std::thread::spawn(move || {
-                    q.wait_until_deadline(key, || ready.load(Ordering::Acquire), deadline)
+                    strategy.wait_until_deadline(key, || ready.load(Ordering::Acquire), deadline)
                 })
             })
             .collect();
         // A randomized delay makes some cases win the spin grace period and
-        // others actually park; both must observe the wake.
+        // others actually sleep; both must observe the wake.
         std::thread::sleep(std::time::Duration::from_micros(delay_us));
         ready.store(true, Ordering::Release);
-        q.wake_all(key);
+        strategy.notify_all(key);
         for handle in handles {
             prop_assert!(
                 handle.join().expect("waiter panicked"),
                 "a waiter timed out: wakeup lost"
             );
         }
-        prop_assert!(q.is_empty());
-    }
-
-    /// FIFO order: waiters registered under one key in a known order are
-    /// woken by `wake_one` in that same order.
-    #[test]
-    fn wait_queue_wake_one_is_fifo(waiters in 2usize..5, key_seed in any::<usize>()) {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::{Arc, Mutex};
-        use std::time::{Duration, Instant};
-
-        let key = key_seed;
-        let q = Arc::new(WaitQueue::new());
-        let flags: Arc<Vec<AtomicBool>> =
-            Arc::new((0..waiters).map(|_| AtomicBool::new(false)).collect());
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let handles: Vec<_> = (0..waiters)
-            .map(|i| {
-                let q = Arc::clone(&q);
-                let flags = Arc::clone(&flags);
-                let order = Arc::clone(&order);
-                // Stagger registration: waiter i parks only once i earlier
-                // waiters are registered, fixing the FIFO order under test.
-                let start = Instant::now();
-                while q.len() < i {
-                    assert!(start.elapsed() < Duration::from_secs(10), "stagger stuck");
-                    std::thread::yield_now();
-                }
-                std::thread::spawn(move || {
-                    q.wait_until(key, || flags[i].load(Ordering::Acquire));
-                    order.lock().expect("order mutex").push(i);
-                })
-            })
-            .collect();
-        let start = Instant::now();
-        while q.len() < waiters {
-            prop_assert!(start.elapsed() < Duration::from_secs(10), "waiters never parked");
-            std::thread::yield_now();
-        }
-        for i in 0..waiters {
-            flags[i].store(true, Ordering::Release);
-            prop_assert!(q.wake_one(key), "no waiter to wake for slot {i}");
-            let start = Instant::now();
-            while order.lock().expect("order mutex").len() < i + 1 {
-                prop_assert!(
-                    start.elapsed() < Duration::from_secs(10),
-                    "woken waiter {i} never returned (FIFO violated?)"
-                );
-                std::thread::yield_now();
-            }
-        }
-        for handle in handles {
-            handle.join().expect("waiter panicked");
-        }
-        prop_assert_eq!(&*order.lock().expect("order mutex"), &(0..waiters).collect::<Vec<_>>());
     }
 }
 

@@ -13,6 +13,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use bravo::sync::atomic::{AtomicU64, Ordering};
+use bravo::wait::Sleep;
 use bravo::{DefaultRwLock, RawRwLock, WaitMode, WaitStrategy};
 use bravo_scenarios::{
     colliding_readers_release_together, primed_one_slot_lock, revoker_parked_on_a_fast_reader,
@@ -210,11 +211,12 @@ fn park_handoff_never_loses_wakeups() {
 #[test]
 fn park_turn_taking_never_strands_a_queued_waiter() {
     // Four threads take two turns each on one key: wait for your turn, bump
-    // the counter, wake everyone. If `WaitQueue::register` counts a node
-    // only after releasing the queue mutex, a waker can dequeue the node
-    // first and drive `registered` into debt; a later waiter's increment
-    // then zeroes it while that waiter is queued, `wake_all`'s empty
-    // shortcut skips it, and the checker reports the deadlock.
+    // the counter, wake everyone. Every thread asleep in the portable sleep
+    // must be listed when the notify after its snapshot drains the list: a
+    // waiter that read the word before taking the list lock could list
+    // itself after that drain and sleep with no waker, and a notifier that
+    // skipped the drain while a waiter was announced would strand it. The
+    // checker reports either as a deadlock.
     for depth in 2..=4 {
         let report = schedcheck::check(&Config::pct(0x80, depth).with_schedules(200), || {
             let strategy = WaitStrategy::park();
@@ -280,16 +282,20 @@ fn futex_generation_wraparound_is_benign_under_the_checker() {
     // the bump in every explored schedule crosses the wrap. The protocol
     // compares generations for equality only, so the wrap must be
     // unobservable — any schedule where a waiter keyed on a pre-wrap
-    // generation misses a post-wrap wake would deadlock here.
-    for seed in [5, 23] {
-        let report = schedcheck::check(&Config::pct(seed, 2).with_schedules(200), || {
+    // generation misses a post-wrap wake would deadlock here. Both raw
+    // sleeps compare the word the same way.
+    for (seed, sleep) in [5, 23]
+        .into_iter()
+        .flat_map(|seed| [Sleep::Futex, Sleep::Portable].map(|sleep| (seed, sleep)))
+    {
+        let report = schedcheck::check(&Config::pct(seed, 2).with_schedules(200), move || {
             let ec = Arc::new(bravo::FutexEventCount::with_generation(u32::MAX));
             let flag = Arc::new(AtomicU64::new(0));
             let waiter = {
                 let ec = Arc::clone(&ec);
                 let flag = Arc::clone(&flag);
                 schedcheck::spawn(move || {
-                    ec.wait_until(|| flag.load(Ordering::SeqCst) == 1);
+                    ec.wait_until(sleep, || flag.load(Ordering::SeqCst) == 1);
                 })
             };
             let setter = {
@@ -297,7 +303,7 @@ fn futex_generation_wraparound_is_benign_under_the_checker() {
                 let flag = Arc::clone(&flag);
                 schedcheck::spawn(move || {
                     flag.store(1, Ordering::SeqCst);
-                    ec.notify_all();
+                    ec.notify_all(sleep);
                 })
             };
             waiter.join();
@@ -305,41 +311,6 @@ fn futex_generation_wraparound_is_benign_under_the_checker() {
         });
         assert_eq!(report.schedules, 200);
     }
-}
-
-#[test]
-fn wait_queue_wake_one_is_fifo_under_the_checker() {
-    schedcheck::check(&Config::random_walk(11).with_schedules(64), || {
-        let q = Arc::new(bravo::WaitQueue::new());
-        let turn = Arc::new(AtomicU64::new(0));
-        let order = Arc::new(bravo::sync::Mutex::new(Vec::new()));
-        let mut waiters = Vec::new();
-        for i in 0..2u64 {
-            let q2 = Arc::clone(&q);
-            let turn = Arc::clone(&turn);
-            let order = Arc::clone(&order);
-            waiters.push(schedcheck::spawn(move || {
-                q2.wait_until(9, || turn.load(Ordering::SeqCst) > i);
-                order.lock().unwrap().push(i);
-            }));
-            // Stagger registrations so queue order is deterministic; the
-            // len() poll is an instrumented load, i.e. a yield point.
-            while q.len() < (i + 1) as usize {
-                std::hint::spin_loop();
-            }
-        }
-        for next in 0..2u64 {
-            turn.store(next + 1, Ordering::SeqCst);
-            assert!(q.wake_one(9), "waiter {next} should be parked");
-            while order.lock().unwrap().len() < (next + 1) as usize {
-                std::hint::spin_loop();
-            }
-        }
-        for w in waiters {
-            w.join();
-        }
-        assert_eq!(*order.lock().unwrap(), vec![0, 1], "wake_one broke FIFO");
-    });
 }
 
 #[test]
